@@ -73,14 +73,18 @@ def two_form(coeffs: np.ndarray) -> np.ndarray:
 
 def pair_matrix(t: np.ndarray) -> np.ndarray:
     """6x6(+extra axes) matrix of a both-pair-antisymmetric rank-4+ tensor."""
-    return 0.25 * np.einsum("aij,bkl,ijkl...->ab...", PAIR_FORMS, PAIR_FORMS,
-                            t, optimize=True)
+    pf = PAIR_FORMS.reshape(6, DIM * DIM)
+    m = np.tensordot(pf, t.reshape(DIM * DIM, DIM * DIM, -1), axes=([1], [0]))
+    m = np.tensordot(pf, m, axes=([1], [1]))          # (b, a, extra)
+    return 0.25 * np.swapaxes(m, 0, 1).reshape((6, 6) + t.shape[4:])
 
 
 def from_pair_matrix(m: np.ndarray) -> np.ndarray:
     """Inverse of pair_matrix on both-pair-antisymmetric tensors."""
-    return np.einsum("ab...,aij,bkl->ijkl...", m, PAIR_FORMS, PAIR_FORMS,
-                     optimize=True)
+    pf = PAIR_FORMS.reshape(6, DIM * DIM)
+    t = np.tensordot(pf, m.reshape(6, 6, -1), axes=([0], [0]))
+    t = np.tensordot(pf, t, axes=([0], [1]))          # (kl, ij, extra)
+    return np.swapaxes(t, 0, 1).reshape((DIM,) * 4 + m.shape[2:])
 
 
 def sector_projector(sector: int, orientation: int = 1) -> np.ndarray:
@@ -99,8 +103,9 @@ def project_sector(t: np.ndarray, sector: int, orientation: int = 1) -> np.ndarr
     """
     p = sector_projector(sector, orientation)
     m = pair_matrix(t)
-    m = np.einsum("ab,bc...,cd->ad...", p, m, p, optimize=True)
-    return from_pair_matrix(m)
+    m = np.tensordot(p, m, axes=([1], [0]))           # (a, c, extra)
+    m = np.tensordot(p, m, axes=([0], [1]))           # (d, a, extra)
+    return from_pair_matrix(np.swapaxes(m, 0, 1))
 
 
 def hodge_star_matrix(orientation: int = 1) -> np.ndarray:

@@ -11,9 +11,11 @@ sides of the Bochner checks independent of the component-assembled right
 sides.
 
 Jet-order budget: the Weyl tensor consumes two metric orders and each
-covariant derivative or scalar-Laplacian pass one more, so depth-d derivative
-data needs metric jets of order d+2 and the Laplacian of |nabla^k W|^2 needs
-order k+4.
+covariant derivative one more, so depth-d derivative data needs metric jets
+of order d+2.  Each quantity is computed only to the degree its reader uses:
+the Laplacian fields at order 2, so the Laplacian of |nabla^k W|^2 needs
+order k+4, and nabla Riem / nabla Ric at degree 0.  `required_jet_order`
+states this plan; `IdentitySpec.jet_order` is derived from it.
 """
 
 from __future__ import annotations
@@ -26,28 +28,13 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .jets import Jet, mul_coeffs, n_coeffs, partial_coeffs
+from .jets import Jet, contract_slot, mul_coeffs, n_coeffs, partial_coeffs
+from .tensors import DenseTensor, perm_sign
 
 DIM = 4
 
 
-def _perm_sign(perm) -> float:
-    sign = 1.0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-_PERMUTATIONS4 = [(p, _perm_sign(p)) for p in itertools.permutations(range(4))]
+_PERMUTATIONS4 = [(p, perm_sign(p)) for p in itertools.permutations(range(4))]
 _PERM4 = np.zeros((4, 4, 4, 4))
 for _p, _s in _PERMUTATIONS4:
     _PERM4[_p] = _s
@@ -59,20 +46,6 @@ class DomainError(ValueError):
 
 class CapacityError(RuntimeError):
     """Requested derivative depth or Laplacian exceeds the jet budget."""
-
-
-@dataclass
-class JetTensor:
-    """Jet-valued tensor: dense components with a trailing coefficient axis."""
-
-    order: int
-    data: np.ndarray
-
-    def jet(self, *idx) -> Jet:
-        return Jet(self.order, self.data[idx].copy())
-
-    def values(self) -> np.ndarray:
-        return self.data[..., 0]
 
 
 @dataclass
@@ -218,33 +191,19 @@ def covariant_derivative(t: np.ndarray, order_t: int, gamma: np.ndarray,
     (nabla T)_{i1..ir, s} = d_s T - sum_a Gamma^m_{s i_a} T_{..m..}.
     """
     oo = order_t - 1
-    rank = t.ndim - 1
     out = np.stack([partial_coeffs(t, order_t, s) for s in range(DIM)], axis=-2)
-    for a in range(rank):
-        moved = np.moveaxis(t, a, -2)
-        corr = None
-        for m in range(DIM):
-            term = mul_coeffs(moved[..., m, None, None, :],
-                              np.swapaxes(gamma[m], 0, 1),
-                              order_t, order_gamma, oo)
-            corr = term if corr is None else corr + term
-        out = out - np.moveaxis(corr, -3, a)
+    gam = np.swapaxes(gamma, 1, 2)  # gam[m, i_a, s] = Gamma^m_{s i_a}
+    for a in range(t.ndim - 1):
+        out = out - contract_slot(t, gam, a, order_t, order_gamma, oo)
     return out
 
 
 def raise_all_indices(t: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
     """Raise every tensor index of an all-lower jet tensor."""
-    rank = t.ndim - 1
     gi = ginv[..., :n_coeffs(order)]
     out = t
-    for a in range(rank):
-        moved = np.moveaxis(out, a, -2)
-        acc = None
-        for m in range(DIM):
-            term = mul_coeffs(moved[..., m, None, :], gi[m], order, order,
-                              order)
-            acc = term if acc is None else acc + term
-        out = np.moveaxis(acc, -2, a)
+    for a in range(t.ndim - 1):
+        out = contract_slot(out, gi, a, order, order, order)
     return out
 
 
@@ -257,7 +216,7 @@ def norm_sq_field(t: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
 
 
 def epsilon_jets(g: np.ndarray, order: int, orientation: int) -> np.ndarray:
-    """Levi-Civita tensor jets: eps_ijkl = orientation * sqrt(det g) [ijkl]."""
+    """Scalar jet orientation * sqrt(det g); eps_ijkl is it times [ijkl]."""
     gt = g[..., :n_coeffs(order)]
     det = None
     # Leibniz expansion over the 24 permutations of columns
@@ -266,8 +225,7 @@ def epsilon_jets(g: np.ndarray, order: int, orientation: int) -> np.ndarray:
         term = mul_coeffs(term, gt[2, perm[2]], order, order, order)
         term = mul_coeffs(term, gt[3, perm[3]], order, order, order)
         det = sign * term if det is None else det + sign * term
-    root = jets.sqrt(Jet(order, det))
-    return orientation * np.multiply.outer(_PERM4, root.coeffs)
+    return orientation * jets.sqrt(Jet(order, det)).coeffs
 
 
 def duality_cross_field(t: np.ndarray, g: np.ndarray, ginv: np.ndarray,
@@ -275,27 +233,22 @@ def duality_cross_field(t: np.ndarray, g: np.ndarray, ginv: np.ndarray,
     """<T, *T> as a scalar jet field, star acting on the leading index pair.
 
     With |T^+|^2 - |T^-|^2 = <T, *T> this yields the sector halves of |T|^2
-    for Weyl-type stacks: |T^pm|^2 = (|T|^2 pm <T, *T>) / 2.
+    for Weyl-type stacks: |T^pm|^2 = (|T|^2 pm <T, *T>) / 2.  The symbol
+    [ijab] is constant, so (*T)_{ij rest} = 1/2 eps [ijab] T^{ab}_{rest} is
+    contracted coefficient by coefficient and the scalar jet eps multiplies
+    the summed field once.
     """
     rank = t.ndim - 1
-    eps = epsilon_jets(g, order, orientation)
+    gi = ginv[..., :n_coeffs(order)]
     up = raise_all_indices(t, ginv, order)
-    # (*T)_{ij rest} = 1/2 eps_{ijab} T^{ab}_{rest}; T2 = first two raised only
     t2 = t[..., :n_coeffs(order)]
-    for a in range(2):
-        moved = np.moveaxis(t2, a, -2)
-        acc = None
-        for m in range(DIM):
-            term = mul_coeffs(moved[..., m, None, :],
-                              ginv[m, :, :n_coeffs(order)], order, order, order)
-            acc = term if acc is None else acc + term
-        t2 = np.moveaxis(acc, -2, a)
-    eps_w = eps.reshape((4, 4, 4, 4) + (1,) * (rank - 2) + (eps.shape[-1],))
-    t2_w = t2[None, None]
-    prod = mul_coeffs(eps_w, t2_w, order, order, order)
-    star_t = 0.5 * prod.sum(axis=(2, 3))
-    cross = mul_coeffs(up, star_t, order, order, order)
-    return cross.sum(axis=tuple(range(rank)))
+    for a in range(2):  # T2 = T with the first two indices raised
+        t2 = contract_slot(t2, gi, a, order, order, order)
+    star_sym = np.tensordot(_PERM4, t2, axes=([2, 3], [0, 1]))
+    cross = mul_coeffs(up, star_sym, order, order, order)
+    cross = cross.sum(axis=tuple(range(rank)))
+    eps = epsilon_jets(g, order, orientation)
+    return 0.5 * mul_coeffs(eps, cross, order, order, order)
 
 
 def scalar_jet_laplacian(f: np.ndarray, order_f: int, ginv0: np.ndarray,
@@ -345,17 +298,30 @@ def to_frame(t: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 LAPLACIAN_FIELDS = ("w", "dw", "d2w", "w_pm", "dw_pm", "d2w_pm")
 
-_LAP_BASE_ORDER = {"w": 4, "dw": 5, "d2w": 6,
-                   "w_pm": 4, "dw_pm": 5, "d2w_pm": 6}
 _LAP_STACK = {"w": 0, "dw": 1, "d2w": 2, "w_pm": 0, "dw_pm": 1, "d2w_pm": 2}
+
+# Jet order of the scalar Laplacian fields: the highest Taylor degree
+# scalar_jet_laplacian reads.
+_FIELD_ORDER = 2
 
 
 def required_jet_order(depth: int, laplacians=()) -> int:
+    """Metric jet order needed for `depth` and the named Laplacian fields.
+
+    This is the one jet-order plan of `curvature_at`.  Metric jets of order
+    K give Gamma at order K-1, Riemann, Ricci and W at K-2, and nabla^k W at
+    K-2-k, so depth d needs K >= d+2.  The fields |nabla^k W|^2 and
+    <nabla^k W, *nabla^k W> are built at order 2, the highest degree
+    `scalar_jet_laplacian` reads, so their Laplacians need K >= k+4.
+    nabla Riem and nabla Ric are read only at degree 0; they are computed at
+    order 0 from order-1 truncations and an order-0 Gamma and need no more.
+    `IdentitySpec.jet_order` is this function of a check's depth and fields.
+    """
     order = depth + 2
     for f in laplacians:
-        if f not in _LAP_BASE_ORDER:
+        if f not in _LAP_STACK:
             raise ValueError(f"unknown laplacian field {f!r}")
-        order = max(order, _LAP_BASE_ORDER[f])
+        order = max(order, _LAP_STACK[f] + 2 + _FIELD_ORDER)
     return order
 
 
@@ -380,23 +346,17 @@ class CurvaturePoint:
     cotton: np.ndarray | None
     cotton_div: np.ndarray | None
     laplacians: dict
-    cache: dict = field(default_factory=dict)
-
-    def norm_sq(self, key: str) -> float:
-        """Squared frame norms of W and its derivative stacks ('w','dw',...)."""
-        arr = {"w": self.nabla_w.get(0), "dw": self.nabla_w.get(1),
-               "d2w": self.nabla_w.get(2)}[key]
-        return float((arr ** 2).sum())
 
 
-def christoffel(chart: MetricChart, point, jet_order: int) -> JetTensor:
+def christoffel(chart: MetricChart, point, jet_order: int) -> DenseTensor:
     """Jet-valued Christoffel symbols of order jet_order - 1 at a point."""
     if jet_order < 1:
         raise CapacityError("christoffel needs jet order >= 1")
     g = chart.metric_jets(point, jet_order)
     orthonormal_frame(g[..., 0])  # positive-definiteness check
     ginv = inverse_metric_jets(g, jet_order)
-    return JetTensor(jet_order - 1, christoffel_jets(g, ginv, jet_order))
+    return DenseTensor(christoffel_jets(g, ginv, jet_order), "udd",
+                       jet_order - 1)
 
 
 def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
@@ -442,9 +402,11 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
 
     nabla_riem_f = ric_deriv_f = d_scalar_f = cotton = cotton_div = None
     if depth >= 1:
-        nabla_riem = covariant_derivative(riem, o_r, gamma, order - 1)
+        # read at degree 0 only: order-1 inputs against the constant Gamma
+        lin, gamma_c = n_coeffs(1), gamma[..., :1]
+        nabla_riem = covariant_derivative(riem[..., :lin], 1, gamma_c, 0)
         nabla_riem_f = to_frame(nabla_riem[..., 0], frame)
-        ric_deriv = covariant_derivative(ric, o_r, gamma, order - 1)
+        ric_deriv = covariant_derivative(ric[..., :lin], 1, gamma_c, 0)
         ric_deriv_f = to_frame(ric_deriv[..., 0], frame)
         d_scalar_f = frame.T @ np.array(
             [partial_coeffs(rs, o_r, d)[0] for d in range(DIM)])
@@ -464,14 +426,14 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
             if k > depth:
                 raise CapacityError(
                     f"laplacian of |nabla^{k} W|^2 needs depth >= {k}")
-            of = order - 2 - k  # jet order of nabla^k W as a field
             key = {0: "w", 1: "dw", 2: "d2w"}[k]
-            base = norm_sq_field(stacks[k], ginv, of)
-            lap[key] = scalar_jet_laplacian(base, of, ginv0, gamma0)
+            base = norm_sq_field(stacks[k], ginv, _FIELD_ORDER)
+            lap[key] = scalar_jet_laplacian(base, _FIELD_ORDER, ginv0, gamma0)
             if want_pm:
-                cross = duality_cross_field(stacks[k], g, ginv, of,
+                cross = duality_cross_field(stacks[k], g, ginv, _FIELD_ORDER,
                                             chart.orientation)
-                lap_cross = scalar_jet_laplacian(cross, of, ginv0, gamma0)
+                lap_cross = scalar_jet_laplacian(cross, _FIELD_ORDER, ginv0,
+                                                 gamma0)
                 lap[key + "_plus"] = 0.5 * (lap[key] + lap_cross)
                 lap[key + "_minus"] = 0.5 * (lap[key] - lap_cross)
 

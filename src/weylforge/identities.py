@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import algebra, framecalc
-from .charts import CurvaturePoint
+from .charts import CurvaturePoint, required_jet_order
 
 ein = np.einsum
 DIM = 4
@@ -656,12 +656,16 @@ class IdentitySpec:
     anchors: tuple
     gate: str                 # hypothesis gate name
     depth: int                # covariant-derivative depth required
-    jet_order: int            # metric jet order required
     laplacians: tuple         # scalar Laplacian fields required
     homogeneity: int          # weight h: terms scale as c^-h under g -> c^2 g
     tol: float                # default pass threshold on residual_rel
     evaluate: Callable
     sector: int | None = None
+
+    @property
+    def jet_order(self) -> int:
+        """Metric jet order required, from the one plan in charts."""
+        return required_jet_order(self.depth, self.laplacians)
 
 
 @dataclass(frozen=True)
@@ -679,122 +683,122 @@ def _sector_id(base: str, sign: int) -> str:
 
 def _build_registry():
     specs = [
-        IdentitySpec("weyl.decomposition", ("Weyl",), "any", 0, 2, (), 2,
+        IdentitySpec("weyl.decomposition", ("Weyl",), "any", 0, (), 2,
                      1e-12, ev_weyl_decomposition),
-        IdentitySpec("weyl.conformal-flat", ("Weyl",), "conformal", 0, 2, (),
+        IdentitySpec("weyl.conformal-flat", ("Weyl",), "conformal", 0, (),
                      2, 1e-9, ev_conformal_flat),
         IdentitySpec("riemann.einstein-form", ("RiemannEinstein",), "einstein",
-                     0, 2, (), 2, 1e-10, ev_riemann_einstein_form),
+                     0, (), 2, 1e-10, ev_riemann_einstein_form),
         IdentitySpec("operator.block-decomposition", ("conv", "dec"), "any",
-                     0, 2, (), 2, 1e-10, ev_block_decomposition),
-        IdentitySpec("bianchi1.weyl", ("bianchi1-weyl",), "any", 0, 2, (), 2,
+                     0, (), 2, 1e-10, ev_block_decomposition),
+        IdentitySpec("bianchi1.weyl", ("bianchi1-weyl",), "any", 0, (), 2,
                      1e-12, ev_bianchi1),
-        IdentitySpec("cotton.symmetries", ("CottonSym",), "any", 1, 3, (), 3,
+        IdentitySpec("cotton.symmetries", ("CottonSym",), "any", 1, (), 3,
                      1e-10, ev_cotton_symmetries),
-        IdentitySpec("cotton.traces", ("CottonTraces",), "any", 1, 3, (), 3,
+        IdentitySpec("cotton.traces", ("CottonTraces",), "any", 1, (), 3,
                      1e-10, ev_cotton_traces),
         IdentitySpec("cotton.defs-agree",
-                     ("def_cot", "def_Cotton_comp_Weyl"), "any", 1, 3, (), 3,
+                     ("def_cot", "def_Cotton_comp_Weyl"), "any", 1, (), 3,
                      1e-8, ev_cotton_defs_agree),
-        IdentitySpec("harmall.div-free", ("harmall",), "einstein", 1, 3, (),
+        IdentitySpec("harmall.div-free", ("harmall",), "einstein", 1, (),
                      3, 1e-9, ev_harmall),
         IdentitySpec("bianchi2.fake-weyl", ("fake2ndBianchiWeyl",), "any", 1,
-                     3, (), 3, 1e-8, ev_fake_second_bianchi),
-        IdentitySpec("gradweyl.general", ("lem_GradWeylNorm",), "any", 1, 3,
+                     (), 3, 1e-8, ev_fake_second_bianchi),
+        IdentitySpec("gradweyl.general", ("lem_GradWeylNorm",), "any", 1,
                      (), 6, 1e-8, ev_gradweyl_general),
         IdentitySpec("gradweyl.harmonic",
                      ("GradWeylNormEinstein", "lem_GradWeylNorm"), "harmonic",
-                     1, 3, (), 6, 1e-8, ev_gradweyl_harmonic),
+                     1, (), 6, 1e-8, ev_gradweyl_harmonic),
         IdentitySpec("commute2.riemann", ("SecondDerivWeylusingRiem",), "any",
-                     2, 4, (), 4, 1e-8, ev_commute2_riemann),
-        IdentitySpec("commute2.weyl-ricci", ("lem-comsec",), "any", 2, 4, (),
+                     2, (), 4, 1e-8, ev_commute2_riemann),
+        IdentitySpec("commute2.weyl-ricci", ("lem-comsec",), "any", 2, (),
                      4, 1e-8, ev_commute2_weyl_ricci),
-        IdentitySpec("commute2.einstein", ("lem-comsec",), "einstein", 2, 4,
+        IdentitySpec("commute2.einstein", ("lem-comsec",), "einstein", 2,
                      (), 4, 1e-8, ev_commute2_einstein),
         IdentitySpec("commute2.einstein-contracted", ("lem-comsec",),
-                     "einstein", 2, 4, (), 4, 1e-8,
+                     "einstein", 2, (), 4, 1e-8,
                      ev_commute2_einstein_contracted),
         IdentitySpec("commute3.riemann", ("ThirdDerivWeylusingRiem",), "any",
-                     3, 5, (), 5, 1e-6, ev_commute3_direct),
-        IdentitySpec("commutek.k3", ("CommutationWeylKorder",), "any", 3, 5,
+                     3, (), 5, 1e-6, ev_commute3_direct),
+        IdentitySpec("commutek.k3", ("CommutationWeylKorder",), "any", 3,
                      (), 5, 1e-6, partial(commutation_k_residual, k=3)),
-        IdentitySpec("commutek.k4", ("CommutationWeylKorder",), "any", 4, 6,
+        IdentitySpec("commutek.k4", ("CommutationWeylKorder",), "any", 4,
                      (), 6, 1e-5, partial(commutation_k_residual, k=4)),
-        IdentitySpec("algebra.quadratic", ("WeylWeylMetric",), "any", 0, 2,
+        IdentitySpec("algebra.quadratic", ("WeylWeylMetric",), "any", 0,
                      (), 4, 1e-12, ev_algebra_quadratic),
-        IdentitySpec("algebra.cubic", ("WWW",), "any", 0, 2, (), 6, 1e-12,
+        IdentitySpec("algebra.cubic", ("WWW",), "any", 0, (), 6, 1e-12,
                      ev_algebra_cubic),
         IdentitySpec("algebra.quaternionic", ("quaternionic-structure",
-                     "eq-derw"), "any", 0, 2, (), 0, 1e-12,
+                     "eq-derw"), "any", 0, (), 0, 1e-12,
                      ev_algebra_quaternionic),
-        IdentitySpec("derdzinski.reconstruction", ("eq-derw",), "any", 0, 2,
+        IdentitySpec("derdzinski.reconstruction", ("eq-derw",), "any", 0,
                      (), 2, 1e-10, ev_derdzinski_reconstruction),
-        IdentitySpec("mix.orthogonality", ("eq-mix",), "any", 1, 3, (), 8,
+        IdentitySpec("mix.orthogonality", ("eq-mix",), "any", 1, (), 8,
                      1e-8, ev_mix_orthogonality),
-        IdentitySpec("key2.full", ("lem-key2",), "any", 1, 3, (), 8, 1e-8,
+        IdentitySpec("key2.full", ("lem-key2",), "any", 1, (), 8, 1e-8,
                      ev_key2),
-        IdentitySpec("key1.full", ("lem-key1",), "harmonic", 1, 3, (), 8,
+        IdentitySpec("key1.full", ("lem-key1",), "harmonic", 1, (), 8,
                      1e-7, ev_key1),
         IdentitySpec("laplacian.harmonic-weyl", ("LaplacianOfHarmonicWeyl",),
-                     "harmonic", 2, 4, (), 4, 1e-8, ev_laplacian_harmonic_weyl),
-        IdentitySpec("laplacian.4d", ("eq-bw",), "harmonic", 2, 4, (), 4,
+                     "harmonic", 2, (), 4, 1e-8, ev_laplacian_harmonic_weyl),
+        IdentitySpec("laplacian.4d", ("eq-bw",), "harmonic", 2, (), 4,
                      1e-8, ev_laplacian_4d),
         IdentitySpec("bochner1.general", ("BWHarmonicWeyl",), "harmonic", 2,
-                     4, ("w",), 6, 1e-8, ev_bochner1_general),
-        IdentitySpec("bochner1.4d", ("nice",), "harmonic", 2, 4, ("w",), 6,
+                     ("w",), 6, 1e-8, ev_bochner1_general),
+        IdentitySpec("bochner1.4d", ("nice",), "harmonic", 2, ("w",), 6,
                      1e-8, ev_bochner1_4d),
-        IdentitySpec("bochner2.pro-boch", ("pro-boch",), "einstein", 3, 5,
+        IdentitySpec("bochner2.pro-boch", ("pro-boch",), "einstein", 3,
                      ("dw",), 8, 1e-6, ev_bochner2_pro_boch),
         IdentitySpec("bochner2.pro-boch-weyl", ("pro-boch",), "einstein", 3,
-                     5, ("dw",), 8, 1e-6, ev_bochner2_pro_boch_weyl),
-        IdentitySpec("bochner2.teo-sbf", ("teo-sbf",), "einstein", 3, 5,
+                     ("dw",), 8, 1e-6, ev_bochner2_pro_boch_weyl),
+        IdentitySpec("bochner2.teo-sbf", ("teo-sbf",), "einstein", 3,
                      ("dw",), 8, 1e-6, ev_bochner2_teo_sbf),
-        IdentitySpec("lem-paolo", ("lem-paolo",), "harmonic", 3, 5, (), 8,
+        IdentitySpec("lem-paolo", ("lem-paolo",), "harmonic", 3, (), 8,
                      1e-6, ev_lem_paolo),
         IdentitySpec("bochnerk.k2", ("pro-boch-k", "BochnerBIG"), "einstein",
-                     4, 6, ("d2w",), 10, 1e-5, ev_bochnerk_k2),
+                     4, ("d2w",), 10, 1e-5, ev_bochnerk_k2),
     ]
     for sign in (1, -1):
         sfx = partial(_sector_id, sign=sign)
         specs += [
             IdentitySpec(sfx("algebra.quadratic.sector"), ("WeylWeylMetric",),
-                         "any", 0, 2, (), 4, 1e-12,
+                         "any", 0, (), 4, 1e-12,
                          partial(ev_algebra_quadratic, sign=sign), sign),
-            IdentitySpec(sfx("algebra.cubic.sector"), ("WWW",), "any", 0, 2,
+            IdentitySpec(sfx("algebra.cubic.sector"), ("WWW",), "any", 0,
                          (), 6, 1e-12, partial(ev_algebra_cubic, sign=sign),
                          sign),
             IdentitySpec(sfx("algebra.quartic.sector"), ("lem-quart",), "any",
-                         0, 2, (), 8, 1e-12,
+                         0, (), 8, 1e-12,
                          partial(ev_algebra_quartic, sign=sign), sign),
             IdentitySpec(sfx("derder.reconstruction"), ("eq-derder",), "any",
-                         1, 3, (), 3, 1e-8,
+                         1, (), 3, 1e-8,
                          partial(ev_derder_reconstruction, sign=sign), sign),
-            IdentitySpec(sfx("derder.norm"), ("eq-nqder",), "any", 1, 3, (),
+            IdentitySpec(sfx("derder.norm"), ("eq-nqder",), "any", 1, (),
                          6, 1e-7, partial(ev_derder_norm, sign=sign), sign),
-            IdentitySpec(sfx("derder.cubic"), ("eqrhs",), "any", 1, 3, (), 8,
+            IdentitySpec(sfx("derder.cubic"), ("eqrhs",), "any", 1, (), 8,
                          1e-7, partial(ev_derder_cubic, sign=sign), sign),
             IdentitySpec(sfx("divz.relations"), ("eq-divz",),
-                         "sector-harmonic", 1, 3, (), 3, 1e-7,
+                         "sector-harmonic", 1, (), 3, 1e-7,
                          partial(ev_divz_relations, sign=sign), sign),
             IdentitySpec(sfx("key1.sector"), ("lem-key1",), "sector-harmonic",
-                         1, 3, (), 8, 1e-7, partial(ev_key1, sign=sign),
+                         1, (), 8, 1e-7, partial(ev_key1, sign=sign),
                          sign),
-            IdentitySpec(sfx("key2.sector"), ("lem-key2",), "any", 1, 3, (),
+            IdentitySpec(sfx("key2.sector"), ("lem-key2",), "any", 1, (),
                          8, 1e-8, partial(ev_key2, sign=sign), sign),
             IdentitySpec(sfx("bochner1.sector"), ("niceself",),
-                         "sector-harmonic", 2, 4, ("w_pm",), 6, 1e-8,
+                         "sector-harmonic", 2, ("w_pm",), 6, 1e-8,
                          partial(ev_bochner1_sector, sign=sign), sign),
             IdentitySpec(sfx("bochner2.pro-boch"),
-                         ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 3, 5,
+                         ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 3,
                          ("dw_pm",), 8, 1e-6,
                          partial(ev_bochner2_sector, sign=sign), sign),
             IdentitySpec(sfx("bochnerk.k2"),
-                         ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 4, 6,
+                         ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 4,
                          ("d2w_pm",), 10, 1e-5,
                          partial(ev_bochnerk_k2_sector, sign=sign), sign),
             IdentitySpec(sfx("gap.pointwise"),
                          ("final-proposition", "lem-quart"),
-                         "einstein-parallel-sector", 1, 3, (), 4, 1e-8,
+                         "einstein-parallel-sector", 1, (), 4, 1e-8,
                          partial(ev_gap_pointwise, sign=sign), sign),
         ]
     return {s.id: s for s in specs}

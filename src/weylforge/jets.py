@@ -86,6 +86,27 @@ def mul_coeffs(a: np.ndarray, b: np.ndarray, order_a: int, order_b: int,
     return out
 
 
+def contract_slot(t: np.ndarray, m: np.ndarray, slot: int, order_t: int,
+                  order_m: int, order_out: int) -> np.ndarray:
+    """Sum slot `slot` of jet tensor t against the first axis of m.
+
+    t is (..., nc(order_t)) and m is (n, n', ..., nc(order_m)).  The result
+    has m's second axis in place of `slot` and any further axes of m after
+    t's, truncated at `order_out`: raising an index is m = g^-1, the
+    connection term of a covariant derivative is m = Gamma with its
+    derivative axis appended.
+    """
+    moved = np.moveaxis(t, slot, -2)
+    pad = (1,) * (m.ndim - 2)
+    out = None
+    for k in range(m.shape[0]):
+        a = moved[..., k, :]
+        term = mul_coeffs(a.reshape(a.shape[:-1] + pad + a.shape[-1:]), m[k],
+                          order_t, order_m, order_out)
+        out = term if out is None else out + term
+    return np.moveaxis(out, t.ndim - 2, slot)
+
+
 @lru_cache(maxsize=None)
 def _partial_table(order: int, axis: int):
     """(src, fac) with dst ordered 0..nc(order-1)-1 for d/dx_axis."""

@@ -272,8 +272,7 @@ def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
             order = int(cfg.jet_order)
             kept = []
             for s in attempted:
-                if max(s.jet_order,
-                       required_jet_order(s.depth, s.laplacians)) <= order:
+                if required_jet_order(s.depth, s.laplacians) <= order:
                     kept.append(s)
                 else:
                     capacity_skipped.append((s.id, name))
@@ -281,8 +280,7 @@ def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
         depth = max([s.depth for s in attempted] + [1])
         laps = tuple(sorted({f for s in attempted for f in s.laplacians}))
         if cfg.jet_order == "auto":
-            order = max([s.jet_order for s in attempted]
-                        + [3, required_jet_order(depth, laps)])
+            order = required_jet_order(depth, laps)
         else:
             order = int(cfg.jet_order)
             depth = min(depth, order - 2)

@@ -14,8 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from . import jets
-from .jets import Jet, mul_coeffs, n_coeffs
+from .jets import Jet, contract_slot, mul_coeffs, n_coeffs
 
 DIM = 4
 MAX_RANK = 6
@@ -172,7 +171,7 @@ class DenseTensor:
             axes = list(range(self.data.ndim))
             for dst, src in zip(slots, perm):
                 axes[dst] = slots[src]
-            sign = _perm_sign(perm) if signed else 1.0
+            sign = perm_sign(perm) if signed else 1.0
             total += sign * np.transpose(self.data, axes)
             count += 1
         return DenseTensor(total / count, self.variance, self.jet_order)
@@ -215,18 +214,11 @@ def _apply_rank2(t: DenseTensor, m: DenseTensor, slot: int) -> DenseTensor:
     if t.jet_order is None or m.jet_order is None:
         raise ValueError("cannot mix scalar and jet tensors in a contraction")
     order = min(t.jet_order, m.jet_order)
-    moved = np.moveaxis(t.data, slot, -2)  # (..., 4_slot, nc)
-    out = None
-    for k in range(DIM):
-        # new free index from m appended via an explicit broadcast axis
-        term = mul_coeffs(moved[..., k, None, :], m.data[k], t.jet_order,
-                          m.jet_order, order)
-        out = term if out is None else out + term
-    data = np.moveaxis(out, -2, slot)
+    data = contract_slot(t.data, m.data, slot, t.jet_order, m.jet_order, order)
     return DenseTensor(data, tuple(new_var), order)
 
 
-def _perm_sign(perm) -> float:
+def perm_sign(perm) -> float:
     sign = 1.0
     seen = [False] * len(perm)
     for i in range(len(perm)):

@@ -257,6 +257,115 @@ def test_jet_order_auto_selection():
     assert charts.required_jet_order(4, ("d2w_pm",)) == 6
 
 
+
+# -- the jet-order plan and the constant-symbol duality field -----------------
+
+def _weyl_stack(chart, point, order=6):
+    """g, g^-1, Gamma, Riemann, Ricci and [W, nabla W] from metric jets."""
+    g = chart.metric_jets(point, order)
+    ginv = charts.inverse_metric_jets(g, order)
+    gamma = charts.christoffel_jets(g, ginv, order)
+    riem = charts.riemann_jets(g, gamma, order)
+    ric, rs = charts.ricci_jets(riem, ginv, order - 2)
+    weyl = charts.weyl_jets(riem, ric, rs, g, order - 2)
+    dweyl = charts.covariant_derivative(weyl, order - 2, gamma, order - 1)
+    return g, ginv, gamma, riem, ric, [weyl, dweyl]
+
+
+def _duality_cross_reference(t, g, ginv, order, orientation):
+    """<T, *T> with the full jet-valued eps_ijkl, contracted as a product."""
+    rank = t.ndim - 1
+    nc = jets.n_coeffs(order)
+    eps = np.multiply.outer(charts._PERM4,
+                            charts.epsilon_jets(g, order, orientation))
+    up = charts.raise_all_indices(t, ginv, order)
+    t2 = t[..., :nc]
+    for a in range(2):
+        t2 = jets.contract_slot(t2, ginv[..., :nc], a, order, order, order)
+    eps_w = eps.reshape((4, 4, 4, 4) + (1,) * (rank - 2) + (nc,))
+    star = 0.5 * jets.mul_coeffs(eps_w, t2[None, None], order, order,
+                                 order).sum(axis=(2, 3))
+    cross = jets.mul_coeffs(up, star, order, order, order)
+    return cross.sum(axis=tuple(range(rank)))
+
+
+def _generic_metric_fn(point, order):
+    """delta + quadratic and linear terms: no symmetry, W+ and W- unequal."""
+    x = [jets.Jet.variable(i + 1, point[i], order) for i in range(4)]
+    g = np.zeros((4, 4, jets.n_coeffs(order)))
+    for i in range(4):
+        for j in range(i, 4):
+            e = (x[i] * x[j] * (0.1 / (1 + i + j))
+                 + x[(i + j) % 4] * (0.05 * (i - j)))
+            if i == j:
+                e = e + 1.0
+            g[i, j] = g[j, i] = e.coeffs
+    return g
+
+
+GENERIC = MetricChart(name="generic",
+                      coordinate_names=("x1", "x2", "x3", "x4"),
+                      domain=np.array([[-0.5, 0.5]] * 4),
+                      metric_fn=_generic_metric_fn)
+
+PLAN_POINTS = [("generic", [0.2, -0.1, 0.3, 0.15]),
+               ("schwarzschild", [4.0, 1.2, 0.8, 0.3])]
+
+
+@pytest.mark.parametrize("name,point", PLAN_POINTS)
+def test_laplacian_fields_at_order_2_are_the_full_order_prefix(catalog, name,
+                                                              point):
+    """Degree <= 2 of a product needs only degree <= 2 of its factors."""
+    chart = GENERIC if name == "generic" else catalog[name]
+    g, ginv, _, _, _, stack = _weyl_stack(chart, point)
+    nc2 = jets.n_coeffs(2)
+    for k, t in enumerate(stack):
+        full = 4 - k
+        pairs = [(charts.norm_sq_field(t, ginv, 2),
+                  charts.norm_sq_field(t, ginv, full)),
+                 (charts.duality_cross_field(t, g, ginv, 2, chart.orientation),
+                  charts.duality_cross_field(t, g, ginv, full,
+                                             chart.orientation))]
+        for low, high in pairs:
+            assert low.shape == (nc2,)
+            assert np.abs(low - high[:nc2]).max() \
+                <= 1e-14 * np.abs(high[:nc2]).max()
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_duality_cross_matches_full_epsilon_jets(orientation):
+    g, ginv, _, _, _, stack = _weyl_stack(GENERIC, [0.2, -0.1, 0.3, 0.15])
+    for k, t in enumerate(stack):
+        order = 4 - k
+        got = charts.duality_cross_field(t, g, ginv, order, orientation)
+        ref = _duality_cross_reference(t, g, ginv, order, orientation)
+        norm = charts.norm_sq_field(t, ginv, order)
+        assert abs(ref[0]) > 1e-3 * norm[0]     # W+ and W- differ here
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_epsilon_jets_is_the_signed_root_of_det_g(catalog):
+    chart = catalog["cp2-fubini-study"]
+    g = chart.metric_jets([0.2, -0.1, 0.15, 0.3], 3)
+    eps = charts.epsilon_jets(g, 3, -1)
+    assert eps.shape == (jets.n_coeffs(3),)
+    assert eps[0] == pytest.approx(-math.sqrt(np.linalg.det(g[..., 0])),
+                                   rel=1e-14)
+
+
+@pytest.mark.parametrize("name,point", PLAN_POINTS)
+def test_nabla_riem_ric_at_degree_0_match_full_order(catalog, name, point):
+    """An order-0 Gamma and order-1 inputs give the same degree-0 values."""
+    chart = GENERIC if name == "generic" else catalog[name]
+    _, _, gamma, riem, ric, _ = _weyl_stack(chart, point)
+    lin = jets.n_coeffs(1)
+    for t in (riem, ric):
+        low = charts.covariant_derivative(t[..., :lin], 1, gamma[..., :1], 0)
+        high = charts.covariant_derivative(t, 4, gamma, 5)
+        assert low.shape[-1] == 1
+        assert np.array_equal(low[..., 0], high[..., 0])
+
+
 def test_capacity_errors(catalog):
     chart = catalog["flat-r4"]
     with pytest.raises(CapacityError):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -63,6 +64,22 @@ def test_deterministic_reports_are_byte_identical(tmp_path):
     assert cli.main(args + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
 
+
+
+def test_deterministic_reports_are_byte_identical_across_processes():
+    """No contraction order may depend on the string hash seed."""
+    args = [sys.executable, "-m", "weylforge.cli", "verify",
+            "--manifolds", "schwarzschild",
+            "--identities", "bochner2.pro-boch-plus,bochnerk.k2-minus",
+            "--points", "1", "--seed", "42", "--deterministic",
+            "--format", "json", "--threads", "1"]
+    outputs = []
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(args, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 def test_json_schema_and_finiteness(tmp_path):
     out = tmp_path / "r.json"

@@ -13,7 +13,10 @@ from weylforge.suite import RunConfig, run_suite
 def test_registry_is_well_formed():
     assert len(REGISTRY) == len({s.id for s in REGISTRY.values()})
     for spec in REGISTRY.values():
-        assert spec.jet_order >= spec.depth + 2
+        # the plan: nabla^k W at order 2 for each Laplacian field
+        assert spec.jet_order == max(
+            [spec.depth + 2]
+            + [4 + charts._LAP_STACK[f] for f in spec.laplacians])
         assert spec.tol > 0
         assert spec.anchors
         assert callable(spec.evaluate)

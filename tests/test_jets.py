@@ -138,6 +138,51 @@ def test_spec_entry_points(rng):
         jet_elementary(a, "tan")
 
 
+
+# -- contract_slot against a broadcast-multiply-and-sum reference ------------
+
+def _contract_reference(t, m, slot, order_t, order_m, order_out):
+    """Broadcast t and m onto one grid, multiply once, sum the paired axis.
+
+    Grid axes: t's tensor axes, then m's second axis, then m's further axes;
+    m's first axis lies on `slot`.
+    """
+    rank, extra = t.ndim - 1, m.ndim - 3
+    tb = t.reshape(t.shape[:-1] + (1,) * (1 + extra) + t.shape[-1:])
+    mb = m.reshape((m.shape[0],) + (1,) * (rank - 1) + m.shape[1:])
+    mb = np.moveaxis(mb, 0, slot)
+    prod = jets.mul_coeffs(tb, mb, order_t, order_m, order_out)
+    return np.moveaxis(prod.sum(axis=slot), rank - 1, slot)
+
+
+@pytest.mark.parametrize("m_rank", [2, 3])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_contract_slot_matches_broadcast_reference(rng, slot, m_rank):
+    """Rank 2 is an index raise; rank 3 is Gamma with a trailing axis."""
+    t = rng.normal(size=(4, 4, 4, jets.n_coeffs(3)))
+    m = rng.normal(size=(4,) * m_rank + (jets.n_coeffs(3),))
+    out = jets.contract_slot(t, m, slot, 3, 3, 3)
+    ref = _contract_reference(t, m, slot, 3, 3, 3)
+    assert out.shape == (4,) * (1 + m_rank) + (jets.n_coeffs(3),)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m_rank", [2, 3])
+def test_contract_slot_mixed_orders(rng, m_rank):
+    """order_t != order_m, and the result truncated below both."""
+    t = rng.normal(size=(4, 4, 4, jets.n_coeffs(4)))
+    m = rng.normal(size=(4,) * m_rank + (jets.n_coeffs(3),))
+    for slot in range(3):
+        out = jets.contract_slot(t, m, slot, 4, 3, 2)
+        ref = _contract_reference(t, m, slot, 4, 3, 2)
+        assert out.shape[-1] == jets.n_coeffs(2)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        # the truncated product is the prefix of the full-order one
+        full = jets.contract_slot(t, m, slot, 4, 3, 4)
+        assert np.abs(out - full[..., :jets.n_coeffs(2)]).max() \
+            <= 1e-13 * np.abs(ref).max()
+
+
 # -- central-finite-difference oracle over the catalog metrics ---------------
 
 def _fd1(f, x, i, h=1e-4):
