@@ -28,16 +28,17 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .jets import Jet, contract_slot, mul_coeffs, n_coeffs, partial_coeffs
+from .jets import (Jet, contract_slot, mul_coeffs, mul_operator, n_coeffs,
+                   partial_coeffs)
 from .tensors import DenseTensor, perm_sign
 
 DIM = 4
 
 
-_PERMUTATIONS4 = [(p, perm_sign(p)) for p in itertools.permutations(range(4))]
+_PERM_INDEX = np.array(list(itertools.permutations(range(4))))
+_PERM_SIGN = np.array([perm_sign(p) for p in _PERM_INDEX])
 _PERM4 = np.zeros((4, 4, 4, 4))
-for _p, _s in _PERMUTATIONS4:
-    _PERM4[_p] = _s
+_PERM4[tuple(_PERM_INDEX.T)] = _PERM_SIGN
 
 
 class DomainError(ValueError):
@@ -193,17 +194,18 @@ def covariant_derivative(t: np.ndarray, order_t: int, gamma: np.ndarray,
     oo = order_t - 1
     out = np.stack([partial_coeffs(t, order_t, s) for s in range(DIM)], axis=-2)
     gam = np.swapaxes(gamma, 1, 2)  # gam[m, i_a, s] = Gamma^m_{s i_a}
+    op = mul_operator(gam, order_gamma, order_t, oo)
     for a in range(t.ndim - 1):
-        out = out - contract_slot(t, gam, a, order_t, order_gamma, oo)
+        out = out - contract_slot(t, op, a)
     return out
 
 
 def raise_all_indices(t: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
     """Raise every tensor index of an all-lower jet tensor."""
-    gi = ginv[..., :n_coeffs(order)]
+    op = mul_operator(ginv[..., :n_coeffs(order)], order, order, order)
     out = t
     for a in range(t.ndim - 1):
-        out = contract_slot(out, gi, a, order, order, order)
+        out = contract_slot(out, op, a)
     return out
 
 
@@ -218,13 +220,11 @@ def norm_sq_field(t: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
 def epsilon_jets(g: np.ndarray, order: int, orientation: int) -> np.ndarray:
     """Scalar jet orientation * sqrt(det g); eps_ijkl is it times [ijkl]."""
     gt = g[..., :n_coeffs(order)]
-    det = None
     # Leibniz expansion over the 24 permutations of columns
-    for perm, sign in _PERMUTATIONS4:
-        term = mul_coeffs(gt[0, perm[0]], gt[1, perm[1]], order, order, order)
-        term = mul_coeffs(term, gt[2, perm[2]], order, order, order)
-        term = mul_coeffs(term, gt[3, perm[3]], order, order, order)
-        det = sign * term if det is None else det + sign * term
+    term = gt[0, _PERM_INDEX[:, 0]]
+    for r in range(1, DIM):
+        term = mul_coeffs(term, gt[r, _PERM_INDEX[:, r]], order, order, order)
+    det = (_PERM_SIGN[:, None] * term).sum(axis=0)
     return orientation * jets.sqrt(Jet(order, det)).coeffs
 
 
@@ -239,11 +239,11 @@ def duality_cross_field(t: np.ndarray, g: np.ndarray, ginv: np.ndarray,
     the summed field once.
     """
     rank = t.ndim - 1
-    gi = ginv[..., :n_coeffs(order)]
     up = raise_all_indices(t, ginv, order)
-    t2 = t[..., :n_coeffs(order)]
+    op = mul_operator(ginv[..., :n_coeffs(order)], order, order, order)
+    t2 = t
     for a in range(2):  # T2 = T with the first two indices raised
-        t2 = contract_slot(t2, gi, a, order, order, order)
+        t2 = contract_slot(t2, op, a)
     star_sym = np.tensordot(_PERM4, t2, axes=([2, 3], [0, 1]))
     cross = mul_coeffs(up, star_sym, order, order, order)
     cross = cross.sum(axis=tuple(range(rank)))

@@ -40,6 +40,16 @@ SECTOR_NONZERO_RTOL = 1e-6
 COTTON_NONZERO_RTOL = 1e-3
 
 
+def _frobenius(a) -> float:
+    """Frobenius norm by a plain sum of squares.
+
+    np.linalg.norm calls BLAS ddot, whose partial sums, and so the last bit
+    of the norm of a large residual, change with the BLAS thread count.
+    """
+    a = np.asarray(a)
+    return float(np.sqrt((a * a).sum()))
+
+
 class SectorPack:
     """Cached duality-sector data at a point."""
 
@@ -51,21 +61,23 @@ class SectorPack:
         self.stacks = {k: algebra.project_sector(cp.nabla_w[k], sign, o)
                        for k in cp.nabla_w}
         self.w = self.stacks[0]
-        self.w_norm = float(np.linalg.norm(self.w))
-        self.dw_norm = (float(np.linalg.norm(self.stacks[1]))
+        self.w_norm = _frobenius(self.w)
+        self.dw_norm = (_frobenius(self.stacks[1])
                         if 1 in self.stacks else 0.0)
-        self.div_norm = (float(np.linalg.norm(
-            ein("tijkt->ijk", self.stacks[1]))) if 1 in self.stacks else 0.0)
+        self.div_norm = (_frobenius(ein("tijkt->ijk", self.stacks[1]))
+                         if 1 in self.stacks else 0.0)
         self.frame = algebra.derdzinski_frame(pd.blocks, self.name)
         self._ed = None
-        self._pd = pd
+        # a scalar, not pd: a back-reference would make every point's arrays
+        # a reference cycle that only the cyclic collector frees
+        self._trivial_scale = pd.riem_norm ** 1.5
 
     @property
     def ed(self) -> framecalc.EigenframeDerivatives:
         if self._ed is None:
             self._ed = framecalc.extract_frame_derivatives(
                 self.stacks[1], self.frame,
-                trivial_scale=self._pd.riem_norm ** 1.5)
+                trivial_scale=self._trivial_scale)
         return self._ed
 
 
@@ -78,8 +90,8 @@ class PointData:
         self.ric = cp.ric
         self.R = cp.scalar
         self.riem = cp.riem
-        self.riem_norm = float(np.linalg.norm(cp.riem))
-        self.w_norm = float(np.linalg.norm(cp.weyl))
+        self.riem_norm = _frobenius(cp.riem)
+        self.w_norm = _frobenius(cp.weyl)
         self._sectors: dict[int, SectorPack] = {}
         self._blocks = None
 
@@ -113,16 +125,16 @@ class PointData:
 
     @property
     def dw_norm(self) -> float:
-        return float(np.linalg.norm(self.nw(1)))
+        return _frobenius(self.nw(1))
 
     @property
     def div_w_norm(self) -> float:
-        return float(np.linalg.norm(ein("tijkt->ijk", self.nw(1))))
+        return _frobenius(ein("tijkt->ijk", self.nw(1)))
 
     @property
     def is_einstein(self) -> bool:
         ric0 = self.ric - (self.R / 4.0) * np.eye(DIM)
-        return float(np.linalg.norm(ric0)) <= \
+        return _frobenius(ric0) <= \
             EINSTEIN_GATE_RTOL * max(self.riem_norm, FLOOR)
 
     @property
@@ -154,12 +166,12 @@ class PointData:
 
     @property
     def is_ricci_flat(self) -> bool:
-        return float(np.linalg.norm(self.ric)) <= \
+        return _frobenius(self.ric) <= \
             EINSTEIN_GATE_RTOL * max(self.riem_norm, FLOOR)
 
     @property
     def cotton_nonzero(self) -> bool:
-        return float(np.linalg.norm(self.cp.cotton)) > \
+        return _frobenius(self.cp.cotton) > \
             COTTON_NONZERO_RTOL * max(self.riem_norm ** 1.5, FLOOR)
 
     @property
@@ -173,7 +185,7 @@ class PointData:
 # ---------------------------------------------------------------------------
 
 def _norms(*arrays) -> float:
-    return max(float(np.linalg.norm(a)) for a in arrays)
+    return max(_frobenius(a) for a in arrays)
 
 
 def ev_weyl_decomposition(pd: PointData):
@@ -313,7 +325,7 @@ def ev_commute2_weyl_ricci(pd: PointData):
                            + r_term("ijrl", "k") + r_term("ijkr", "l"))
     rhs = ww + ric_part - r_part
     scale = max(_norms(lhs), pd.w_norm ** 2,
-                pd.w_norm * float(np.linalg.norm(ric)))
+                pd.w_norm * _frobenius(ric))
     return _norms(lhs - rhs), scale
 
 
@@ -496,7 +508,7 @@ def ev_laplacian_harmonic_weyl(pd: PointData):
                     + ein("pq,pikq,lj->ijkl", ric, w, d)
                     - ein("pq,pjkq,li->ijkl", ric, w, d)))
     scale = max(_norms(lhs), pd.w_norm ** 2,
-                pd.w_norm * float(np.linalg.norm(ric)))
+                pd.w_norm * _frobenius(ric))
     return _norms(lhs - rhs), scale
 
 

@@ -10,6 +10,13 @@ lexicographically descending within a degree), so the layout for order K is a
 prefix of the layout for K+1 and truncation is a slice.  Multiplication runs
 off precomputed monomial-product index tables, chunked by homogeneous degree
 pairs to keep temporaries small.
+
+Multiplying by a fixed jet m is linear in the other factor: a triangular
+matrix from input to output coefficients (`mul_operator`).  Contracting a
+tensor index against a jet-valued matrix (raising an index, the connection
+term of a covariant derivative) is therefore one dense matrix product of
+the tensor, with that index and its coefficients flattened together, against
+m's multiplication operator (`contract_slot`).
 """
 
 from __future__ import annotations
@@ -86,25 +93,38 @@ def mul_coeffs(a: np.ndarray, b: np.ndarray, order_a: int, order_b: int,
     return out
 
 
-def contract_slot(t: np.ndarray, m: np.ndarray, slot: int, order_t: int,
-                  order_m: int, order_out: int) -> np.ndarray:
-    """Sum slot `slot` of jet tensor t against the first axis of m.
+def mul_operator(m: np.ndarray, order_m: int, order_in: int,
+                 order_out: int) -> np.ndarray:
+    """Matrix of multiplication by the jet m, from order_in to order_out.
 
-    t is (..., nc(order_t)) and m is (n, n', ..., nc(order_m)).  The result
-    has m's second axis in place of `slot` and any further axes of m after
-    t's, truncated at `order_out`: raising an index is m = g^-1, the
-    connection term of a covariant derivative is m = Gamma with its
-    derivative axis appended.
+    Returns m.shape[:-1] + (nc(min(order_in, order_out)), nc(order_out)):
+    row c holds the coefficients of m times the c-th monomial, so for a jet
+    a of order order_in, a[:nc_in] @ op equals mul_coeffs(a, m, order_in,
+    order_m, order_out).  Built by multiplying m with the unit jets, i.e.
+    by 1.0 and 0.0 only, so every entry is exactly a coefficient of m or 0.
     """
-    moved = np.moveaxis(t, slot, -2)
-    pad = (1,) * (m.ndim - 2)
-    out = None
-    for k in range(m.shape[0]):
-        a = moved[..., k, :]
-        term = mul_coeffs(a.reshape(a.shape[:-1] + pad + a.shape[-1:]), m[k],
-                          order_t, order_m, order_out)
-        out = term if out is None else out + term
-    return np.moveaxis(out, t.ndim - 2, slot)
+    order_in = min(order_in, order_out)
+    return mul_coeffs(np.eye(n_coeffs(order_in)), m[..., None, :], order_in,
+                      order_m, order_out)
+
+
+def contract_slot(t: np.ndarray, op: np.ndarray, slot: int) -> np.ndarray:
+    """Sum slot `slot` of jet tensor t against the first axis of op.
+
+    op = mul_operator(m, ...) for m of shape (n, n', ..., nc(order_m)).  The
+    result has m's second axis in place of `slot` and any further axes of m
+    after t's: raising an index is m = g^-1, the connection term of a
+    covariant derivative is m = Gamma with its derivative axis appended.
+    t's coefficients above op's input order are not read.  The sum over the
+    slot and over the coefficients of t is one matrix product.
+    """
+    n, n_in = op.shape[0], op.shape[-2]
+    moved = np.moveaxis(t[..., :n_in], slot, -2)
+    lead = moved.shape[:-2]
+    mat = np.moveaxis(op, -2, 1).reshape(n * n_in, -1)
+    out = moved.reshape(-1, n * n_in) @ mat
+    out = out.reshape(lead + op.shape[1:-2] + op.shape[-1:])
+    return np.moveaxis(out, len(lead), slot)
 
 
 @lru_cache(maxsize=None)

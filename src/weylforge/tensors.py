@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .jets import Jet, contract_slot, mul_coeffs, n_coeffs
+from .jets import Jet, contract_slot, mul_coeffs, mul_operator, n_coeffs
 
 DIM = 4
 MAX_RANK = 6
@@ -214,7 +214,8 @@ def _apply_rank2(t: DenseTensor, m: DenseTensor, slot: int) -> DenseTensor:
     if t.jet_order is None or m.jet_order is None:
         raise ValueError("cannot mix scalar and jet tensors in a contraction")
     order = min(t.jet_order, m.jet_order)
-    data = contract_slot(t.data, m.data, slot, t.jet_order, m.jet_order, order)
+    data = contract_slot(t.data, mul_operator(m.data, m.jet_order, t.jet_order,
+                                              order), slot)
     return DenseTensor(data, tuple(new_var), order)
 
 

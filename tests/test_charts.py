@@ -280,8 +280,9 @@ def _duality_cross_reference(t, g, ginv, order, orientation):
                             charts.epsilon_jets(g, order, orientation))
     up = charts.raise_all_indices(t, ginv, order)
     t2 = t[..., :nc]
+    op = jets.mul_operator(ginv[..., :nc], order, order, order)
     for a in range(2):
-        t2 = jets.contract_slot(t2, ginv[..., :nc], a, order, order, order)
+        t2 = jets.contract_slot(t2, op, a)
     eps_w = eps.reshape((4, 4, 4, 4) + (1,) * (rank - 2) + (nc,))
     star = 0.5 * jets.mul_coeffs(eps_w, t2[None, None], order, order,
                                  order).sum(axis=(2, 3))

@@ -81,6 +81,28 @@ def test_deterministic_reports_are_byte_identical_across_processes():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
 
+
+def test_deterministic_reports_are_byte_identical_across_blas_threads():
+    """No reported number may depend on how many BLAS threads run.
+
+    commutek.k4 has a 65,536-entry residual, long enough for BLAS to split
+    a reduction across threads; the jet contractions run as BLAS products.
+    """
+    args = [sys.executable, "-m", "weylforge.cli", "verify",
+            "--manifolds", "schwarzschild,cp2-fubini-study",
+            "--identities",
+            "bochner2.pro-boch-plus,bochnerk.k2-minus,commutek.k4",
+            "--points", "2", "--seed", "42", "--deterministic",
+            "--format", "json", "--threads", "2"]
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONHASHSEED="0")
+        proc = subprocess.run(args, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
 def test_json_schema_and_finiteness(tmp_path):
     out = tmp_path / "r.json"
     code = cli.main(["verify", "--manifolds", "s4-round", "--points", "2",

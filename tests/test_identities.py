@@ -209,3 +209,20 @@ def test_residual_scale_floor_keeps_trivial_points_passing(catalog):
         assert r.status in ("pass", "not_applicable")
         assert r.residual_rel == 0.0 or r.residual_rel < 1e-12
     assert report.exit_code == 0
+
+
+def test_point_data_is_freed_by_reference_counting(cp_sds):
+    """A point's arrays go when its PointData does, not at the next cycle
+    collection: sector packs must hold no reference back to it."""
+    import gc
+    import weakref
+    pd = PointData(cp_sds)
+    for sign in (1, -1):
+        pd.sector(sign).ed
+    ref = weakref.ref(pd)
+    gc.disable()
+    try:
+        del pd
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -155,13 +155,18 @@ def _contract_reference(t, m, slot, order_t, order_m, order_out):
     return np.moveaxis(prod.sum(axis=slot), rank - 1, slot)
 
 
+def _contract(t, m, slot, order_t, order_m, order_out):
+    return jets.contract_slot(
+        t, jets.mul_operator(m, order_m, order_t, order_out), slot)
+
+
 @pytest.mark.parametrize("m_rank", [2, 3])
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_contract_slot_matches_broadcast_reference(rng, slot, m_rank):
     """Rank 2 is an index raise; rank 3 is Gamma with a trailing axis."""
     t = rng.normal(size=(4, 4, 4, jets.n_coeffs(3)))
     m = rng.normal(size=(4,) * m_rank + (jets.n_coeffs(3),))
-    out = jets.contract_slot(t, m, slot, 3, 3, 3)
+    out = _contract(t, m, slot, 3, 3, 3)
     ref = _contract_reference(t, m, slot, 3, 3, 3)
     assert out.shape == (4,) * (1 + m_rank) + (jets.n_coeffs(3),)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -173,14 +178,53 @@ def test_contract_slot_mixed_orders(rng, m_rank):
     t = rng.normal(size=(4, 4, 4, jets.n_coeffs(4)))
     m = rng.normal(size=(4,) * m_rank + (jets.n_coeffs(3),))
     for slot in range(3):
-        out = jets.contract_slot(t, m, slot, 4, 3, 2)
+        out = _contract(t, m, slot, 4, 3, 2)
         ref = _contract_reference(t, m, slot, 4, 3, 2)
         assert out.shape[-1] == jets.n_coeffs(2)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         # the truncated product is the prefix of the full-order one
-        full = jets.contract_slot(t, m, slot, 4, 3, 4)
+        full = _contract(t, m, slot, 4, 3, 4)
         assert np.abs(out - full[..., :jets.n_coeffs(2)]).max() \
             <= 1e-13 * np.abs(ref).max()
+
+
+def test_contract_slot_non_contiguous_input(rng):
+    """A transposed view contracts like its contiguous copy."""
+    t = rng.normal(size=(4, 4, 4, jets.n_coeffs(3))).swapaxes(0, 2)
+    m = rng.normal(size=(4, 4, 4, jets.n_coeffs(2)))
+    assert not t.flags.c_contiguous
+    for slot in range(3):
+        out = _contract(t, m, slot, 3, 2, 3)
+        ref = _contract_reference(np.ascontiguousarray(t), m, slot, 3, 2, 3)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("orders", [(3, 3, 3), (2, 4, 4), (4, 3, 2),
+                                    (5, 1, 3), (0, 2, 2)])
+def test_mul_operator_applies_mul_coeffs(rng, orders):
+    """a @ op == mul_coeffs(a, m), also for order_in > order_out."""
+    order_m, order_in, order_out = orders
+    m = rng.normal(size=(jets.n_coeffs(order_m),))
+    a = rng.normal(size=(7, jets.n_coeffs(order_in)))
+    op = jets.mul_operator(m, order_m, order_in, order_out)
+    n_in = jets.n_coeffs(min(order_in, order_out))
+    assert op.shape == (n_in, jets.n_coeffs(order_out))
+    ref = jets.mul_coeffs(a, m, order_in, order_m, order_out)
+    assert np.abs(a[:, :n_in] @ op - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_mul_operator_broadcasts_leading_axes(rng):
+    """Each leading index of m gets its own operator; entries are m's own."""
+    m = rng.normal(size=(3, 2, jets.n_coeffs(2)))
+    op = jets.mul_operator(m, 2, 4, 3)
+    assert op.shape == (3, 2, jets.n_coeffs(3), jets.n_coeffs(3))
+    a = rng.normal(size=(jets.n_coeffs(4),))
+    ref = jets.mul_coeffs(a, m, 4, 2, 3)
+    got = np.einsum("c,...cd->...d", a[:jets.n_coeffs(3)], op)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert set(np.unique(op)) <= set(m.ravel()) | {0.0}
+    # row 0 is the constant monomial: m itself
+    assert np.array_equal(op[..., 0, :jets.n_coeffs(2)], m)
 
 
 # -- central-finite-difference oracle over the catalog metrics ---------------

@@ -163,3 +163,26 @@ def test_riemann_symmetry_check_on_demand(rng):
     assert bad.riemann_symmetry_violation() > 0.1
     w, _, _ = algebra.random_sector_tensor(rng, 1)
     assert DenseTensor(w, "dddd").riemann_symmetry_violation() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["cp2-fubini-study", "schwarzschild"])
+def test_jet_contraction_of_catalog_metric_with_its_inverse(catalog, name):
+    """g_ij g^jk = delta_i^k and g^ij g_ij = 4 as jets, through contract."""
+    from weylforge.charts import inverse_metric_jets
+    order = 4
+    chart = catalog[name]
+    gj = chart.metric_jets(chart.domain.mean(axis=1) + 0.05, order)
+    g = DenseTensor(gj, "dd", jet_order=order)
+    ginv = DenseTensor(inverse_metric_jets(gj, order), "uu", jet_order=order)
+    delta = np.zeros(gj.shape)
+    delta[..., 0] = np.eye(4)
+    # (g x delta)_ijkl = g_ij delta_kl; pairing slots 1, 2 through g^-1
+    mixed = g.tensor_product(DenseTensor(delta, "dd", jet_order=order))
+    out = mixed.contract(1, 2, inverse_metric=ginv)
+    assert out.variance == ("d", "d") and out.jet_order == order
+    assert np.abs(out.data - delta).max() < 1e-13
+    four = np.zeros(jets.n_coeffs(order))
+    four[0] = 4.0
+    assert np.abs(g.contract(0, 1, inverse_metric=ginv).data - four).max() \
+        < 1e-13
+    assert np.abs(ginv.contract(0, 1, metric=g).data - four).max() < 1e-13
