@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Compare two JSON reports of the same `weylforge verify` run.
+
+Usage (from the root of a checkout):
+
+    python3 bench/canon_diff.py PARENT.json CHANGE.json
+
+Both files are `verify ... --deterministic --format json` reports, for
+example of `verify --points 20 --seed 42` at a parent commit and at a
+change.  The script prints:
+
+- whether every (identity, manifold, point, status, jet_order_used) row and
+  `summary.ok` are identical;
+- how many applicable rows have a bit-identical `residual_rel`;
+- for each identity, the largest |delta residual_rel| / tol over its
+  applicable rows, with tol the report's override or the registry's
+  `spec.tol` of this checkout.
+
+It exits 0 when rows and `summary.ok` are identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from weylforge.identities import REGISTRY  # noqa: E402
+
+KEY = ("identity_id", "manifold", "point", "status", "jet_order_used")
+
+
+def compare(parent: dict, change: dict) -> dict:
+    """Row identity, bit-identical count and max |d residual_rel|/tol."""
+    rows_p, rows_c = parent["results"], change["results"]
+    keys_p = [tuple(json.dumps(r[k]) for k in KEY) for r in rows_p]
+    keys_c = [tuple(json.dumps(r[k]) for k in KEY) for r in rows_c]
+    overrides = change["config"].get("tolerance_overrides", {})
+    applicable = bit_identical = 0
+    worst: dict[str, float] = {}
+    if keys_p == keys_c:
+        for rp, rc in zip(rows_p, rows_c):
+            if rp["status"] == "not_applicable":
+                continue
+            sid = rp["identity_id"]
+            tol = overrides.get(sid, REGISTRY[sid].tol)
+            applicable += 1
+            bit_identical += rp["residual_rel"] == rc["residual_rel"]
+            delta = abs(rc["residual_rel"] - rp["residual_rel"]) / tol
+            worst[sid] = max(worst.get(sid, 0.0), delta)
+    return {
+        "rows_identical": keys_p == keys_c,
+        "rows": (len(rows_p), len(rows_c)),
+        "ok_identical": parent["summary"]["ok"] == change["summary"]["ok"],
+        "ok": (parent["summary"]["ok"], change["summary"]["ok"]),
+        "applicable": applicable,
+        "bit_identical": bit_identical,
+        "max_delta_over_tol": dict(sorted(worst.items())),
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    args = p.parse_args(argv)
+    res = compare(json.loads(args.parent.read_text()),
+                  json.loads(args.change.read_text()))
+    print(f"rows identical: {res['rows_identical']} "
+          f"({res['rows'][0]} parent, {res['rows'][1]} change)")
+    print(f"summary.ok identical: {res['ok_identical']} "
+          f"(parent {res['ok'][0]}, change {res['ok'][1]})")
+    if res["rows_identical"]:
+        print(f"bit-identical residual_rel: {res['bit_identical']} of "
+              f"{res['applicable']} applicable rows")
+        print("max |delta residual_rel| / tol per identity:")
+        for sid, v in sorted(res["max_delta_over_tol"].items(),
+                             key=lambda kv: -kv[1]):
+            print(f"  {v:.3e}  {sid}")
+    return 0 if res["rows_identical"] and res["ok_identical"] else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

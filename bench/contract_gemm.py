@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Parent-against-change measurement behind BENCH_contract_gemm.json.
+"""Parent-against-change benchmark harness: writes one BENCH_*.json.
 
 Usage (from the root of the change's checkout):
 
     python3 bench/contract_gemm.py --parent DIR [--pairs 10] [--seconds 56]
-        [--first-seed 301] [--out BENCH_contract_gemm.json]
+        [--first-seed 301] [--out BENCH_<tag>.json]
 
 DIR is a checkout of the parent commit.  For each workload of BENCHMARK.json
 the script runs `perfbench/run.py --trace 0` in both checkouts `--pairs`
 times, alternating which side runs first, with seed first_seed + i on both
-sides of pair i.  It then makes one traced run (`--trace 1`) per side and
-workload, and counts the multiply-adds of the dense products in
-`jets.contract_slot` over one iteration of each workload, from the shapes of
-its arguments: the traced `mul_pairs` count only operator builds and
-elementwise jet products.
+sides of pair i, and records per end-to-end metric both sides' medians and
+quartiles and how many pairs each side won.  It then makes one traced run
+(`--trace 1`) per side and workload, which records the per-layer times and
+the exact `mul_pairs` counters, and counts the multiply-adds of the dense
+products in `jets.contract_slot` over one iteration of each workload of the
+change, from the shapes of its arguments: the traced `mul_pairs` count only
+operator builds and elementwise jet products.  It wrote
+BENCH_contract_gemm.json (the default `--out`) and BENCH_jet_kernel.json.
 """
 
 from __future__ import annotations

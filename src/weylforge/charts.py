@@ -10,6 +10,12 @@ differentiating the jet-valued scalar fields directly, which keeps the left
 sides of the Bochner checks independent of the component-assembled right
 sides.
 
+The inverse metric is a Neumann series whose k-th iterate is computed to
+order k only.  Christoffel symbols of the first kind, Gamma_{l,ij}, are
+formed once from metric derivatives; raised with g^-1 they give Gamma^k_ij,
+and with Gamma^k_ij they give the all-lower Riemann tensor directly, so no
+jet product lowers an index of R.
+
 Jet-order budget: the Weyl tensor consumes two metric orders and each
 covariant derivative one more, so depth-d derivative data needs metric jets
 of order d+2.  Each quantity is computed only to the degree its reader uses:
@@ -112,7 +118,12 @@ def _jet_matmul(a, b, order_a, order_b, order_out):
 
 
 def inverse_metric_jets(g: np.ndarray, order: int) -> np.ndarray:
-    """Neumann-series inverse of a jet-valued symmetric matrix."""
+    """Neumann-series inverse of a jet-valued symmetric matrix.
+
+    g = g0 (1 - s) with s = -g0^-1 (g - g0), so g^-1 = (sum_k s^k) g0^-1.
+    s has no constant term, so x_k = 1 + s x_{k-1} is final through degree
+    k, and iterate k reads x_{k-1} to order k-1 and writes order k only.
+    """
     g0 = g[..., 0]
     g0inv = np.linalg.inv(g0)
     delta = g.copy()
@@ -120,45 +131,54 @@ def inverse_metric_jets(g: np.ndarray, order: int) -> np.ndarray:
     s = -np.einsum("ik,kjc->ijc", g0inv, delta)
     x = np.zeros_like(g)
     x[:, :, 0] = np.eye(DIM)
-    for _ in range(order):
-        x = _jet_matmul(s, x, order, order, order)
+    for k in range(1, order + 1):
+        x[..., :n_coeffs(k)] = _jet_matmul(s, x, order, k - 1, k)
         for i in range(DIM):
             x[i, i, 0] += 1.0
     return np.einsum("ikc,kj->ijc", x, g0inv)
 
 
-def christoffel_jets(g: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
-    """Gamma^k_ij as jets of order `order`-1 from order-`order` metric jets."""
-    og = order - 1
+def first_kind_jets(g: np.ndarray, order: int) -> np.ndarray:
+    """Christoffel symbols of the first kind, Gamma_{l,ij}, at order-1.
+
+    Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2, indexed [l, i, j].
+    """
     dg = np.stack([partial_coeffs(g, order, d) for d in range(DIM)], axis=-2)
-    # term[l, i, j] = dg[j, l, i] + dg[i, l, j] - dg[i, j, l]
-    term = (np.einsum("jlic->lijc", dg) + np.einsum("iljc->lijc", dg)
-            - np.einsum("ijlc->lijc", dg))
+    # dg[a, b, d] = d_d g_ab
+    return 0.5 * (np.einsum("jlic->lijc", dg) + np.einsum("iljc->lijc", dg)
+                  - np.einsum("ijlc->lijc", dg))
+
+
+def christoffel_jets(g: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
+    """Gamma^k_ij = g^kl Gamma_{l,ij} as jets of order `order`-1."""
+    og = order - 1
     prod = mul_coeffs(ginv[:, :, None, None, :n_coeffs(og)],
-                      term[None, :, :, :, :], og, og, og)
-    return 0.5 * prod.sum(axis=1)
+                      first_kind_jets(g, order)[None], og, og, og)
+    return prod.sum(axis=1)
 
 
 def riemann_jets(g: np.ndarray, gamma: np.ndarray, order: int) -> np.ndarray:
     """All-lower Riemann tensor jets of order `order`-2.
 
-    R_ijkl = g_im R^m_jkl with
-    R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj
-              + Gamma^m_kn Gamma^n_lj - Gamma^m_ln Gamma^n_kj.
+    From the first-kind symbols Gamma_{i,lj} and Gamma^m_kj = gamma[m, k, j]:
+    R_ijkl = d_k Gamma_{i,lj} - d_l Gamma_{i,kj}
+             + Gamma_{m,li} Gamma^m_kj - Gamma_{m,ki} Gamma^m_lj,
+    which is g_im R^m_jkl with g_im d_k Gamma^m_lj expanded through
+    d_k g_im = Gamma_{i,km} + Gamma_{m,ki}.  The quadratic terms are one jet
+    product set, and no product with g lowers the result.
     """
     og = order - 1
     oo = order - 2
-    dgam = np.stack([partial_coeffs(gamma, og, d) for d in range(DIM)], axis=-2)
-    t1 = np.einsum("mljkc->mjklc", dgam)
-    t2 = np.einsum("mkjlc->mjklc", dgam)
-    prod = mul_coeffs(gamma[:, :, :, None, None, :],
-                      gamma[None, None, :, :, :, :], og, og, oo)
-    q = prod.sum(axis=2)  # q[m, k, l, j] = Gamma^m_kn Gamma^n_lj
-    rup = (t1 - t2 + np.einsum("mkljc->mjklc", q)
-           - np.einsum("mlkjc->mjklc", q))
-    low = mul_coeffs(g[:, :, None, None, None, :], rup[None, :, :, :, :, :],
-                     order, oo, oo)
-    return low.sum(axis=1)
+    low = first_kind_jets(g, order)
+    dlow = np.stack([partial_coeffs(low, og, d) for d in range(DIM)], axis=-2)
+    # dlow[i, l, j, k] = d_k Gamma_{i,lj}
+    t1 = np.einsum("iljkc->ijklc", dlow)
+    t2 = np.einsum("ikjlc->ijklc", dlow)
+    prod = mul_coeffs(low[:, :, :, None, None, :],
+                      gamma[:, None, None, :, :, :], og, og, oo)
+    q = prod.sum(axis=0)  # q[l, i, k, j] = Gamma_{m,li} Gamma^m_kj
+    return (t1 - t2 + np.einsum("likjc->ijklc", q)
+            - np.einsum("kiljc->ijklc", q))
 
 
 def ricci_jets(riem: np.ndarray, ginv: np.ndarray, order: int):

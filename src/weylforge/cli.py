@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--jet-order", default="auto",
                      help="'auto' or a fixed metric jet order 2..8")
     ver.add_argument("--tol", action="append", metavar="ID=VALUE",
-                     help="override the pass threshold of one identity")
+                     help="override the pass threshold of one identity "
+                     "(finite and > 0)")
     ver.add_argument("--format", choices=("json", "csv", "text"),
                      default="json")
     ver.add_argument("--out", default=None, help="write the report to a file")

@@ -8,8 +8,11 @@ derivatives through metric components, Christoffel symbols and curvature.
 Coefficients are stored densely in graded lexicographic order (degree first,
 lexicographically descending within a degree), so the layout for order K is a
 prefix of the layout for K+1 and truncation is a slice.  Multiplication runs
-off precomputed monomial-product index tables, chunked by homogeneous degree
-pairs to keep temporaries small.
+off one precomputed table of coefficient pairs per (order_a, order_b,
+order_out), sorted by target.  It works coefficient-major: with the
+coefficient axis in front, each output degree is one gather per factor, one
+product and one reduceat over the pairs into that degree's slice of the
+result.  A chunk per output degree keeps temporaries small.
 
 Multiplying by a fixed jet m is linear in the other factor: a triangular
 matrix from input to output coefficients (`mul_operator`).  Contracting a
@@ -77,20 +80,51 @@ def _pair_table(deg_a: int, deg_b: int):
     return ia, ib, starts.astype(np.intp), uniq.astype(np.intp)
 
 
+@lru_cache(maxsize=None)
+def _product_table(order_a: int, order_b: int, order_out: int):
+    """Per output degree d: (lo, hi, ia, ib, starts) for mul_coeffs.
+
+    ia, ib hold every coefficient pair of the two factors whose monomials
+    multiply to a monomial of degree d, sorted by (target, ia, ib); starts
+    are the reduceat segment starts, one per target lo..hi-1.  Degrees above
+    order_a + order_b have no pairs and are left out.
+    """
+    table = []
+    for d in range(min(order_out, order_a + order_b) + 1):
+        ia, ib, tgt = [], [], []
+        for da in range(max(0, d - order_b), min(order_a, d) + 1):
+            pa, pb, starts, uniq = _pair_table(da, d - da)
+            ia.append(pa)
+            ib.append(pb)
+            tgt.append(np.repeat(uniq, np.diff(starts, append=len(pa))))
+        ia, ib, tgt = map(np.concatenate, (ia, ib, tgt))
+        perm = np.lexsort((ib, ia, tgt))
+        ia, ib, tgt = ia[perm], ib[perm], tgt[perm]
+        starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+        table.append((_DEG_START[d], _DEG_START[d + 1], ia, ib, starts))
+    return tuple(table)
+
+
+def _coeff_major(x: np.ndarray, ndim: int) -> np.ndarray:
+    """x (..., nc) as (nc, 1, .., 1, ...), leading axes right-aligned to ndim."""
+    pad = (1,) * (ndim - x.ndim + 1)
+    return np.moveaxis(x, -1, 0).reshape(x.shape[-1:] + pad + x.shape[:-1])
+
+
 def mul_coeffs(a: np.ndarray, b: np.ndarray, order_a: int, order_b: int,
                order_out: int) -> np.ndarray:
     """Multiply coefficient arrays (..., nc(order_a)) x (..., nc(order_b)).
 
-    Leading axes broadcast; the result is truncated at `order_out`.
+    Leading axes broadcast; the result is truncated at `order_out`.  The
+    coefficient axis is moved to the front, so each output degree is one
+    gather per factor, one product and one reduceat over the pair axis.
     """
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(shape + (n_coeffs(order_out),))
-    for da in range(min(order_a, order_out) + 1):
-        for db in range(min(order_b, order_out - da) + 1):
-            ia, ib, starts, tgt = _pair_table(da, db)
-            prod = a[..., ia] * b[..., ib]
-            out[..., tgt] += np.add.reduceat(prod, starts, axis=-1)
-    return out
+    am, bm = _coeff_major(a, len(shape)), _coeff_major(b, len(shape))
+    out = np.zeros((n_coeffs(order_out),) + shape)
+    for lo, hi, ia, ib, starts in _product_table(order_a, order_b, order_out):
+        np.add.reduceat(am[ia] * bm[ib], starts, axis=0, out=out[lo:hi])
+    return np.moveaxis(out, 0, -1)
 
 
 def mul_operator(m: np.ndarray, order_m: int, order_in: int,

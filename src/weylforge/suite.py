@@ -213,6 +213,14 @@ def _evaluate_point(chart, point, attempted, requested, order, depth, laps,
     return rows, mismatches
 
 
+def _check_tolerance(identity_id: str, tol: float) -> None:
+    """A pass threshold must be finite and > 0: nan or <= 0 fails every
+    row, inf passes every row."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tolerance override for {identity_id!r} must be "
+                          f"finite and > 0, got {tol!r}")
+
+
 def check_identity(identity_id: str, cp, tol: float | None = None
                    ) -> IdentityCheckResult:
     """Evaluate one registered identity at one CurvaturePoint.
@@ -225,6 +233,8 @@ def check_identity(identity_id: str, cp, tol: float | None = None
         raise ConfigError(
             f"unknown identity {identity_id!r}; valid: "
             f"{', '.join(sorted(REGISTRY))}")
+    if tol is not None:
+        _check_tolerance(identity_id, tol)
     spec = REGISTRY[identity_id]
     pd = cp if isinstance(cp, PointData) else PointData(cp)
     point = tuple(map(float, pd.cp.point))
@@ -248,9 +258,10 @@ def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
     requested = resolve_identities(cfg.identities)
     if cfg.points_per_manifold < 1:
         raise ConfigError("points_per_manifold must be >= 1")
-    for tid in cfg.tolerance_overrides:
+    for tid, tol in cfg.tolerance_overrides.items():
         if tid not in REGISTRY:
             raise ConfigError(f"tolerance override for unknown identity {tid!r}")
+        _check_tolerance(tid, tol)
     if cfg.jet_order != "auto":
         k = int(cfg.jet_order)
         if not 2 <= k <= 8:

@@ -170,6 +170,67 @@ def test_riemann_matches_finite_differences(catalog):
     assert np.abs(riem_coord - riem_fd).max() <= 1e-6 * scale
 
 
+# -- jet-level inverse and Riemann on every catalog chart --------------------
+
+CATALOG_POINTS = [(name, t) for name in charts.build_catalog()
+                  for t in (0.3, 0.85)]
+
+
+def _catalog_point(chart, t):
+    lo, hi = chart.domain[:, 0], chart.domain[:, 1]
+    return lo + t * (hi - lo) + 0.05 * (hi - lo) * np.array([1, -1, 2, -2])
+
+
+@pytest.mark.parametrize("name,t", CATALOG_POINTS)
+def test_inverse_metric_jets_is_the_jet_inverse(catalog, name, t):
+    """g g^-1 = 1 as order-6 jets, relative to the sum of the magnitudes of
+    the products that cancel."""
+    order = 6
+    g = catalog[name].metric_jets(_catalog_point(catalog[name], t), order)
+    ginv = charts.inverse_metric_jets(g, order)
+    prod = jets.mul_coeffs(g[:, :, None], ginv[None], order, order,
+                           order).sum(axis=1)
+    scale = jets.mul_coeffs(np.abs(g)[:, :, None], np.abs(ginv)[None],
+                            order, order, order).sum(axis=1).max()
+    ident = np.zeros_like(prod)
+    ident[..., 0] = np.eye(4)
+    assert np.abs(prod - ident).max() <= 1e-13 * scale
+
+
+def _riemann_mixed_reference(g, gamma, order):
+    """R_ijkl = g_im R^m_jkl with
+    R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj
+              + Gamma^m_kn Gamma^n_lj - Gamma^m_ln Gamma^n_kj,
+    and the largest magnitude among its terms."""
+    og, oo = order - 1, order - 2
+    dgam = np.stack([jets.partial_coeffs(gamma, og, d) for d in range(4)],
+                    axis=-2)
+    t1 = np.einsum("mljkc->mjklc", dgam)
+    t2 = np.einsum("mkjlc->mjklc", dgam)
+    q = jets.mul_coeffs(gamma[:, :, :, None, None, :],
+                        gamma[None, None, :, :, :, :], og, og, oo).sum(axis=2)
+    rup = (t1 - t2 + np.einsum("mkljc->mjklc", q)
+           - np.einsum("mlkjc->mjklc", q))
+    low = jets.mul_coeffs(g[:, :, None, None, None, :],
+                          rup[None], order, oo, oo).sum(axis=1)
+    terms = max(np.abs(t1).max(), np.abs(q).max())
+    return low, terms * np.abs(g).max()
+
+
+@pytest.mark.parametrize("name,t", CATALOG_POINTS)
+def test_riemann_jets_matches_mixed_index_formula(catalog, name, t):
+    """The first-kind form agrees with lowering R^m_jkl, as order-4 jets,
+    relative to the largest term of the mixed-index formula."""
+    order = 6
+    g = catalog[name].metric_jets(_catalog_point(catalog[name], t), order)
+    gamma = charts.christoffel_jets(g, charts.inverse_metric_jets(g, order),
+                                    order)
+    ref, scale = _riemann_mixed_reference(g, gamma, order)
+    riem = charts.riemann_jets(g, gamma, order)
+    assert riem.shape == ref.shape
+    assert np.abs(riem - ref).max() <= 1e-13 * scale
+
+
 # -- scalar Laplacians ---------------------------------------------------------
 
 def test_laplacian_constant_norm_on_homogeneous_space(catalog):

@@ -143,11 +143,27 @@ def test_csv_columns(tmp_path):
 
 
 def test_tolerance_override_forces_failure(tmp_path):
-    code = cli.main(["verify", "--manifolds", "schwarzschild",
+    """--tol fails a row below its measured residual and passes it at it."""
+    out = tmp_path / "r.json"
+    args = ["verify", "--manifolds", "schwarzschild",
+            "--identities", "key2.full", "--points", "1", "--deterministic",
+            "--out", str(out)]
+    assert cli.main(args) == 0
+    rel = json.loads(out.read_text())["results"][0]["residual_rel"]
+    assert rel > 0.0
+    assert cli.main(args + ["--tol", f"key2.full={rel / 2!r}"]) == 1
+    assert json.loads(out.read_text())["results"][0]["status"] == "fail"
+    assert cli.main(args + ["--tol", f"key2.full={rel!r}"]) == 0
+    assert json.loads(out.read_text())["results"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_tolerance_override_must_be_finite_and_positive(value, capsys):
+    code = cli.main(["verify", "--manifolds", "flat-r4",
                      "--identities", "key2.full", "--points", "1",
-                     "--tol", "key2.full=1e-30", "--deterministic",
-                     "--out", str(tmp_path / "r.json")])
-    assert code == 1
+                     "--tol", f"key2.full={value}"])
+    assert code == 2
+    assert "key2.full" in capsys.readouterr().err
 
 
 def test_negative_control_run_exits_0(tmp_path):

@@ -193,9 +193,18 @@ def test_single_identity_check_api(cp_sds, cp_schwarzschild):
     assert r.jet_order_used == cp_sds.jet_order
     r = check_identity("gap.pointwise-plus", cp_schwarzschild)
     assert r.status == "not_applicable"
-    r = check_identity("key2.full", cp_schwarzschild, tol=1e-30)
-    assert r.status == "fail"
+    # A tolerance override decides the status: fail below the measured
+    # residual, pass at exactly it.  The row must have a nonzero residual.
+    rel = check_identity("key2.full", cp_schwarzschild).residual_rel
+    assert rel > 0.0
+    r = check_identity("key2.full", cp_schwarzschild, tol=rel / 2)
+    assert r.status == "fail" and r.residual_rel == rel
+    assert check_identity("key2.full", cp_schwarzschild,
+                          tol=rel).status == "pass"
     from weylforge.suite import ConfigError
+    for bad in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ConfigError):
+            check_identity("key2.full", cp_schwarzschild, tol=bad)
     with pytest.raises(ConfigError):
         check_identity("bogus", cp_sds)
 

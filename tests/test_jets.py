@@ -227,6 +227,54 @@ def test_mul_operator_broadcasts_leading_axes(rng):
     assert np.array_equal(op[..., 0, :jets.n_coeffs(2)], m)
 
 
+def _mul_reference(a, b, order_out):
+    """Product of two coefficient vectors through monomial dicts."""
+    out = {}
+    for ma, ca in zip(jets.MONOMIALS, a):
+        for mb, cb in zip(jets.MONOMIALS, b):
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) <= order_out:
+                out[m] = out.get(m, 0.0) + ca * cb
+    return np.array([out.get(m, 0.0)
+                     for m in jets.MONOMIALS[:jets.n_coeffs(order_out)]])
+
+
+@pytest.mark.parametrize("orders", [(6, 6, 6), (4, 2, 3), (5, 3, 2),
+                                    (2, 5, 6), (3, 1, 6), (0, 4, 4),
+                                    (4, 0, 1), (6, 6, 0)])
+def test_mul_coeffs_matches_monomial_reference(rng, orders):
+    """Mixed orders, with order_out below, between and above the factors'.
+
+    Integer coefficients keep every sum exact, so equality is exact whatever
+    the summation order.
+    """
+    oa, ob, oo = orders
+    a = rng.integers(-8, 9, size=(2, jets.n_coeffs(oa))).astype(float)
+    b = rng.integers(-8, 9, size=(2, jets.n_coeffs(ob))).astype(float)
+    got = jets.mul_coeffs(a, b, oa, ob, oo)
+    assert got.shape == (2, jets.n_coeffs(oo))
+    for i in range(2):
+        assert np.array_equal(got[i], _mul_reference(a[i], b[i], oo))
+
+
+@pytest.mark.parametrize("shapes", [((), (4, 4, 4, 4)), ((4, 4, 4, 4), ()),
+                                    ((3, 1), (2,)), ((2,), (3, 1, 2)),
+                                    ((1, 4, 1), (4, 1, 3))])
+def test_mul_coeffs_broadcasts_operands_of_different_rank(rng, shapes):
+    """Leading axes align from the right, as for a scalar jet times a
+    rank-4 jet tensor in weyl_jets."""
+    sa, sb = shapes
+    a = rng.integers(-8, 9, size=sa + (jets.n_coeffs(3),)).astype(float)
+    b = rng.integers(-8, 9, size=sb + (jets.n_coeffs(2),)).astype(float)
+    got = jets.mul_coeffs(a, b, 3, 2, 4)
+    shape = np.broadcast_shapes(sa, sb)
+    assert got.shape == shape + (jets.n_coeffs(4),)
+    ab = np.broadcast_to(a, shape + a.shape[-1:])
+    bb = np.broadcast_to(b, shape + b.shape[-1:])
+    for idx in np.ndindex(*shape):
+        assert np.array_equal(got[idx], _mul_reference(ab[idx], bb[idx], 4))
+
+
 # -- central-finite-difference oracle over the catalog metrics ---------------
 
 def _fd1(f, x, i, h=1e-4):
