@@ -14,9 +14,13 @@ change.  The script prints:
 - how many applicable rows have a bit-identical `residual_rel`;
 - for each identity, the largest |delta residual_rel| / tol over its
   applicable rows, with tol the report's override or the registry's
-  `spec.tol` of this checkout.
+  `spec.tol` of this checkout;
+- for each identity, the largest ratio of the change's `scale` to the
+  parent's over its applicable rows.  A ratio above 1 + 1e-12 means the
+  change divides by more, a looser check, and is flagged.
 
-It exits 0 when rows and `summary.ok` are identical and 1 otherwise.
+It exits 0 when rows and `summary.ok` are identical and no check got looser,
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,16 +35,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from weylforge.identities import REGISTRY  # noqa: E402
 
 KEY = ("identity_id", "manifold", "point", "status", "jet_order_used")
+LOOSER = 1.0 + 1e-12
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """Row identity, bit-identical count and max |d residual_rel|/tol."""
+    """Row identity, bit-identical count, max |d residual_rel|/tol and max
+    scale ratio per identity, and the identities whose check got looser."""
     rows_p, rows_c = parent["results"], change["results"]
     keys_p = [tuple(json.dumps(r[k]) for k in KEY) for r in rows_p]
     keys_c = [tuple(json.dumps(r[k]) for k in KEY) for r in rows_c]
     overrides = change["config"].get("tolerance_overrides", {})
     applicable = bit_identical = 0
     worst: dict[str, float] = {}
+    scale_ratio: dict[str, float] = {}
     if keys_p == keys_c:
         for rp, rc in zip(rows_p, rows_c):
             if rp["status"] == "not_applicable":
@@ -51,6 +58,8 @@ def compare(parent: dict, change: dict) -> dict:
             bit_identical += rp["residual_rel"] == rc["residual_rel"]
             delta = abs(rc["residual_rel"] - rp["residual_rel"]) / tol
             worst[sid] = max(worst.get(sid, 0.0), delta)
+            scale_ratio[sid] = max(scale_ratio.get(sid, 0.0),
+                                   rc["scale"] / rp["scale"])
     return {
         "rows_identical": keys_p == keys_c,
         "rows": (len(rows_p), len(rows_c)),
@@ -59,6 +68,8 @@ def compare(parent: dict, change: dict) -> dict:
         "applicable": applicable,
         "bit_identical": bit_identical,
         "max_delta_over_tol": dict(sorted(worst.items())),
+        "max_scale_ratio": dict(sorted(scale_ratio.items())),
+        "looser": sorted(sid for sid, r in scale_ratio.items() if r > LOOSER),
     }
 
 
@@ -80,7 +91,13 @@ def main(argv=None) -> int:
         for sid, v in sorted(res["max_delta_over_tol"].items(),
                              key=lambda kv: -kv[1]):
             print(f"  {v:.3e}  {sid}")
-    return 0 if res["rows_identical"] and res["ok_identical"] else 1
+        print("max scale ratio change / parent per identity:")
+        for sid, v in sorted(res["max_scale_ratio"].items(),
+                             key=lambda kv: -kv[1]):
+            flag = "  LOOSER" if v > LOOSER else ""
+            print(f"  {v:.15f}  {sid}{flag}")
+    ok = res["rows_identical"] and res["ok_identical"] and not res["looser"]
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

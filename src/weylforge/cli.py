@@ -27,6 +27,15 @@ def _parse_tol(pairs) -> dict:
     return out
 
 
+def _exponents(key: str, item: str) -> tuple:
+    """The exponent tuple 'e1,e2,e3,e4': four non-negative integers."""
+    exp = [e.strip() for e in key.split(",")]
+    if len(exp) != 4 or not all(e.isdecimal() for e in exp):
+        raise ConfigError(f"bad exponent tuple in {item!r}: expected four "
+                          f"non-negative integers e1,e2,e3,e4")
+    return tuple(int(e) for e in exp)
+
+
 def _parse_conformal(args) -> dict | None:
     """Monomial coefficients for the conformal factor exponent.
 
@@ -39,17 +48,13 @@ def _parse_conformal(args) -> dict | None:
         text = item.strip()
         if text.startswith("{"):
             for key, val in json.loads(text).items():
-                exp = tuple(int(x) for x in key.split(","))
-                coeffs[exp] = float(val)
+                coeffs[_exponents(key, item)] = float(val)
             continue
         if "=" not in text:
             raise ConfigError(
                 f"--conformal-phi expects e1,e2,e3,e4=coeff, got {item!r}")
         key, val = text.split("=", 1)
-        exp = tuple(int(x) for x in key.split(","))
-        if len(exp) != 4 or any(e < 0 for e in exp):
-            raise ConfigError(f"bad exponent tuple in {item!r}")
-        coeffs[exp] = float(val)
+        coeffs[_exponents(key, item)] = float(val)
     return coeffs or None
 
 

@@ -31,10 +31,6 @@ from .algebra import DEGENERACY_RTOL, TwoFormFrame
 DIM = 4
 
 
-class DegenerateFrameError(RuntimeError):
-    """Raised when an ill-posed unscaled extraction is forced."""
-
-
 @dataclass
 class EigenframeDerivatives:
     """Projection coefficients of 2 nabla W_sector onto the eigenframe."""

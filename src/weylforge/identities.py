@@ -1,12 +1,25 @@
 """Registry of pointwise curvature identities as residual checks.
 
 Every check consumes a CurvaturePoint (plus duality-sector data where needed)
-and returns a pair (residual_abs, scale): the residual is the norm of the
-difference between the two sides, the scale the norm of the largest additive
-term.  The suite divides by max(scale, |Riem|^(h/2), 1e-30) where h is the
-identity's homogeneity weight (frame components of every term scale as c^-h
-under g -> c^2 g), so relative residuals are scale invariant and "0 = 0"
-points pass no matter how the round-off noise falls.
+and returns a pair (residual_abs, scale).  The suite divides the residual by
+max(scale, |Riem|^(h/2), 1e-30) where h is the identity's homogeneity weight
+(frame components of every term scale as c^-h under g -> c^2 g), so relative
+residuals are scale invariant and "0 = 0" points pass no matter how the
+round-off noise falls.
+
+Most identities are data, a TermList: one or more equations
+sum(lhs) = sum(rhs), each term coeff * einsum(subscripts, *operands) over
+operands named as in PointData.operand.  A sector variant reads W, nabla^k W
+and the Laplacian fields from its duality sector, so one list serves the full
+identity and both halves.  The residual is the largest Frobenius norm of
+sum(lhs) - sum(rhs) over the equations.  The scale is the largest term norm,
+unless an equation names its bounds: terms, the summed left side, or products
+of operand norms such as |W| |Riem|.  Named bounds serve a pure X = 0
+statement, whose terms all vanish together; the commutators, whose two
+left-hand terms are far larger than their difference; and
+bochner2.pro-boch-weyl, whose scale leaves out one of its terms.  The
+checks that delegate to algebra and framecalc, and the block decomposition,
+stay functions.
 
 Identities carry a hypothesis gate (any metric / harmonic Weyl / Einstein /
 Einstein with parallel sector), re-verified numerically at each point before
@@ -17,7 +30,8 @@ violated; that expectation is part of the suite's pass criteria.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -26,8 +40,9 @@ import numpy as np
 from . import algebra, framecalc
 from .charts import CurvaturePoint, required_jet_order
 
-ein = np.einsum
 DIM = 4
+_EYE = np.eye(DIM)
+_SECTOR_NAME = {1: "plus", -1: "minus"}
 
 FLOOR = 1e-30
 
@@ -55,8 +70,7 @@ class SectorPack:
 
     def __init__(self, pd: "PointData", sign: int):
         cp = pd.cp
-        self.sign = sign
-        self.name = "plus" if sign == 1 else "minus"
+        self.name = _SECTOR_NAME[sign]
         o = cp.orientation
         self.stacks = {k: algebra.project_sector(cp.nabla_w[k], sign, o)
                        for k in cp.nabla_w}
@@ -64,7 +78,7 @@ class SectorPack:
         self.w_norm = _frobenius(self.w)
         self.dw_norm = (_frobenius(self.stacks[1])
                         if 1 in self.stacks else 0.0)
-        self.div_norm = (_frobenius(ein("tijkt->ijk", self.stacks[1]))
+        self.div_norm = (_frobenius(np.einsum("tijkt->ijk", self.stacks[1]))
                          if 1 in self.stacks else 0.0)
         self.frame = algebra.derdzinski_frame(pd.blocks, self.name)
         self._ed = None
@@ -106,6 +120,32 @@ class PointData:
     def lap(self, key: str) -> float:
         return self.cp.laplacians[key]
 
+    def operand(self, name: str, sign: int | None = None):
+        """The term operand `name` at this point.
+
+        `W`, `nw<k>` (nabla^k W) and `lap_<field>` (the scalar Laplacian
+        field) are read from duality sector `sign` when it is set, or from
+        the sector that a trailing `+` or `-` names.  `g` is the frame
+        metric.  Any other name (`riem`, `ric`, `R`, or a CurvaturePoint
+        field such as `cotton`) is read whole, whatever the sign.
+        """
+        if name[-1] in "+-":
+            name, sign = name[:-1], 1 if name[-1] == "+" else -1
+        if name == "W":
+            return self.W if sign is None else self.sector(sign).w
+        if name.startswith("nw"):
+            k = int(name[2:])
+            return self.nw(k) if sign is None else self.sector(sign).stacks[k]
+        if name.startswith("lap_"):
+            key = name[4:]
+            return self.lap(key if sign is None
+                            else f"{key}_{_SECTOR_NAME[sign]}")
+        if name == "g":
+            return _EYE
+        if name in ("riem", "ric", "R"):
+            return getattr(self, name)
+        return getattr(self.cp, name)
+
     @property
     def blocks(self) -> algebra.CurvatureOperatorBlocks:
         if self._blocks is None:
@@ -129,11 +169,11 @@ class PointData:
 
     @property
     def div_w_norm(self) -> float:
-        return _frobenius(ein("tijkt->ijk", self.nw(1)))
+        return _frobenius(np.einsum("tijkt->ijk", self.nw(1)))
 
     @property
     def is_einstein(self) -> bool:
-        ric0 = self.ric - (self.R / 4.0) * np.eye(DIM)
+        ric0 = self.ric - (self.R / 4.0) * _EYE
         return _frobenius(ric0) <= \
             EINSTEIN_GATE_RTOL * max(self.riem_norm, FLOOR)
 
@@ -181,44 +221,367 @@ class PointData:
 
 
 # ---------------------------------------------------------------------------
-# Evaluators: each returns (residual_abs, scale)
+# Identities as term lists
 # ---------------------------------------------------------------------------
 
-def _norms(*arrays) -> float:
-    return max(_frobenius(a) for a in arrays)
+# einsum plans a contraction path only for terms of two or more tensors with
+# at least this many distinct indices: below it, planning costs more than it
+# saves (measured on the registry's terms, single-threaded).
+_PLAN_MIN_INDICES = 8
 
 
-def ev_weyl_decomposition(pd: PointData):
-    w = pd.W
-    traces = max(np.abs(ein("iikl->kl", w)).max(),
-                 np.abs(ein("ijil->jl", w)).max(),
-                 np.abs(ein("ijki->jk", w)).max(),
-                 np.abs(ein("ijjl->il", w)).max(),
-                 np.abs(ein("ijkj->ik", w)).max(),
-                 np.abs(ein("ijkk->ij", w)).max())
-    sym = max(np.abs(w + ein("jikl->ijkl", w)).max(),
-              np.abs(w + ein("ijlk->ijkl", w)).max(),
-              np.abs(w - ein("klij->ijkl", w)).max())
-    return max(traces, sym), pd.riem_norm
+@dataclass(frozen=True)
+class Term:
+    """coeff * einsum(subscripts, *operands).
+
+    `operands` is a space-separated list of PointData.operand names; an
+    empty subscript marks a scalar operand (R or a Laplacian field).
+    """
+
+    name: str
+    coeff: float
+    subscripts: str
+    operands: str
+    # (einsum over the tensor operands or None, their names, the scalar
+    # operands' names, whether einsum plans a path), split once
+    _split: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inputs, out = self.subscripts.split("->")
+        pairs = list(zip(inputs.split(","), self.operands.split(),
+                         strict=True))
+        tensors = tuple(name for sub, name in pairs if sub)
+        spec = ",".join(sub for sub, _ in pairs if sub) + "->" + out
+        plan = len(tensors) > 1 and \
+            len(set(spec) - set(",->")) >= _PLAN_MIN_INDICES
+        object.__setattr__(self, "_split", (
+            spec if tensors else None, tensors,
+            tuple(name for sub, name in pairs if not sub), plan))
+
+    def value(self, pd: PointData, sign: int | None):
+        spec, tensors, scalars, plan = self._split
+        coeff = self.coeff
+        for name in scalars:
+            coeff *= pd.operand(name, sign)
+        if spec is None:
+            return float(coeff)
+        value = np.einsum(spec, *(pd.operand(n, sign) for n in tensors),
+                          optimize=plan)
+        if spec.endswith("->"):
+            value = float(value)
+        return value if coeff == 1.0 else coeff * value
 
 
-def ev_conformal_flat(pd: PointData):
-    return pd.w_norm, pd.riem_norm
+@dataclass(frozen=True)
+class Equation:
+    """sum(lhs) = sum(rhs), with optional named scale bounds.
+
+    Each bound in `scale` is a term name, "lhs" (the norm of the summed left
+    side), or (coeff, "op op ...") for |coeff| times the product of those
+    operands' norms.  With no bounds the scale is the largest term norm.
+    """
+
+    lhs: tuple
+    rhs: tuple = ()
+    scale: tuple = ()
 
 
-def ev_riemann_einstein_form(pd: PointData):
-    d = np.eye(DIM)
-    rhs = pd.W + (pd.R / 12.0) * (ein("ik,jt->ijkt", d, d)
-                                  - ein("it,jk->ijkt", d, d))
-    return _norms(pd.riem - rhs), _norms(pd.riem, rhs)
+def _sum(values: list):
+    """Sum of term values: floats, or arrays summed into one C-ordered
+    array, since einsum returns its results in permuted layouts and adding
+    arrays of different layouts is slow."""
+    if len(values) == 1:
+        return values[0]
+    if not values or isinstance(values[0], float):
+        return sum(values, 0.0)
+    total = np.zeros(values[0].shape)
+    for v in values:
+        total += v
+    return total
 
+
+def _norm(value) -> float:
+    return abs(value) if isinstance(value, float) else _frobenius(value)
+
+
+@dataclass(frozen=True)
+class TermList:
+    """A registry evaluator: the residual and scale of its equations."""
+
+    equations: tuple
+    sign: int | None = None
+
+    @property
+    def terms(self) -> tuple:
+        return tuple(t for eq in self.equations for t in eq.lhs + eq.rhs)
+
+    def __call__(self, pd: PointData) -> tuple[float, float]:
+        residual = scale = 0.0
+        for eq in self.equations:
+            values = {t.name: t.value(pd, self.sign) for t in eq.lhs + eq.rhs}
+            lhs = _sum([values[t.name] for t in eq.lhs])
+            rhs = _sum([values[t.name] for t in eq.rhs])
+            residual = max(residual, _norm(lhs - rhs))
+            for bound in eq.scale or tuple(values):
+                if bound == "lhs":
+                    size = _norm(lhs)
+                elif isinstance(bound, str):
+                    size = _norm(values[bound])
+                else:
+                    coeff, names = bound
+                    size = abs(coeff) * math.prod(
+                        _frobenius(pd.operand(n, self.sign))
+                        for n in names.split())
+                scale = max(scale, size)
+        return residual, scale
+
+
+_WEYL_DECOMPOSITION = (
+    *(Equation((Term(f"W_{s[:4]}", 1.0, s, "W"),), scale=((1.0, "riem"),))
+      for s in ("iikl->kl", "ijil->jl", "ijki->jk", "ijjl->il", "ijkj->ik",
+                "ijkk->ij")),
+    Equation((Term("W_ijkl (antisym 12)", 1.0, "ijkl->ijkl", "W"),),
+             (Term("W_jikl", -1.0, "jikl->ijkl", "W"),), ((1.0, "riem"),)),
+    Equation((Term("W_ijkl (antisym 34)", 1.0, "ijkl->ijkl", "W"),),
+             (Term("W_ijlk", -1.0, "ijlk->ijkl", "W"),), ((1.0, "riem"),)),
+    Equation((Term("W_ijkl (pair sym)", 1.0, "ijkl->ijkl", "W"),),
+             (Term("W_klij", 1.0, "klij->ijkl", "W"),), ((1.0, "riem"),)),
+)
+
+_CONFORMAL_FLAT = (Equation((Term("W_ijkl", 1.0, "ijkl->ijkl", "W"),),
+                            scale=((1.0, "riem"),)),)
+
+_RIEMANN_EINSTEIN_FORM = (Equation(
+    (Term("Riem_ijkt", 1.0, "ijkt->ijkt", "riem"),),
+    (Term("W_ijkt", 1.0, "ijkt->ijkt", "W"),
+     Term("R g_ik g_jt", 1.0 / 12.0, ",ik,jt->ijkt", "R g g"),
+     Term("R g_it g_jk", -1.0 / 12.0, ",it,jk->ijkt", "R g g"))),)
+
+_BIANCHI1 = (Equation((Term("W_ijkt", 1.0, "ijkt->ijkt", "W"),
+                       Term("W_itjk", 1.0, "itjk->ijkt", "W"),
+                       Term("W_iktj", 1.0, "iktj->ijkt", "W"))),)
+
+_COTTON_SYMMETRIES = (
+    Equation((Term("C_ijk", 1.0, "ijk->ijk", "cotton"),),
+             (Term("C_ikj", -1.0, "ikj->ijk", "cotton"),)),
+    Equation((Term("C_ijk (cyclic)", 1.0, "ijk->ijk", "cotton"),),
+             (Term("C_jki", -1.0, "jki->ijk", "cotton"),
+              Term("C_kij", -1.0, "kij->ijk", "cotton"))),
+)
+
+_COTTON_TRACES = tuple(
+    Equation((Term(f"C_{s[:3]}", 1.0, s, "cotton"),),
+             scale=((1.0, "cotton"),))
+    for s in ("iik->k", "iji->j", "ijj->i"))
+
+_COTTON_DEFS_AGREE = (Equation(
+    (Term("C_ijk", 1.0, "ijk->ijk", "cotton"),),
+    (Term("C_ijk from div W", 1.0, "ijk->ijk", "cotton_div"),)),)
+
+_HARMALL = (
+    Equation((Term("div W", 1.0, "tijkt->ijk", "nw1"),),
+             scale=((1.0, "nw1"),)),
+    Equation((Term("div Riem", 1.0, "tijkt->ijk", "nabla_riem"),),
+             scale=((1.0, "nabla_riem"),)),
+)
+
+_FAKE_SECOND_BIANCHI = (Equation(
+    (Term("nabla_l W_ijkt", 1.0, "ijktl->ijktl", "nw1"),
+     Term("nabla_t W_ijlk", 1.0, "ijlkt->ijktl", "nw1"),
+     Term("nabla_k W_ijtl", 1.0, "ijtlk->ijktl", "nw1")),
+    tuple(Term(f"C_{c} g_{d}", sgn * 0.5, f"{c},{d}->ijktl", "cotton g")
+          for c, d, sgn in (("itl", "jk", 1), ("ilk", "jt", 1),
+                            ("ikt", "jl", 1), ("jtl", "ik", -1),
+                            ("jlk", "it", -1), ("jkt", "il", -1)))),)
+
+# Terms that several identities share, at coefficient 1.
+_NABLA_W_SQ = Term("|nabla W|^2", 1.0, "ijklt,ijklt->", "nw1 nw1")
+_R_NABLA_W_SQ = Term("R |nabla W|^2", 1.0, ",ijklt,ijklt->", "R nw1 nw1")
+_W_NW_NW = Term("W_ijkl nabla W_ijpqt nabla W_klpqt", 1.0,
+                "ijkl,ijpqt,klpqt->", "W nw1 nw1")
+_W3 = Term("W_ijkl W_ijpq W_klpq", 1.0, "ijkl,ijpq,klpq->", "W W W")
+
+_GRAD_SWAP = Term("<nabla W, nabla W swapped>", 1.0, "ijklt,ijktl->",
+                  "nw1 nw1")
+_GRADWEYL_GENERAL = (Equation(
+    (_GRAD_SWAP,),
+    (replace(_NABLA_W_SQ, coeff=0.5),
+     Term("|div W|^2", -1.0, "tijkt,sijks->", "nw1 nw1"))),)
+_GRADWEYL_HARMONIC = (Equation((_GRAD_SWAP,),
+                               (replace(_NABLA_W_SQ, coeff=0.5),)),)
+
+# Commutators of nabla^2 W: the slot of W that couples, as (W subscripts
+# with that slot summed over r, the index of the slot).
+_SLOTS = (("rjkl", "i"), ("irkl", "j"), ("ijrl", "k"), ("ijkr", "l"))
+_COMMUTATOR2 = (Term("nabla^2 W", 1.0, "ijklst->ijklst", "nw2"),
+                Term("nabla^2 W swapped", -1.0, "ijklts->ijklst", "nw2"))
+_WW_SLOTS = tuple(Term(f"W_{w} W_r{x}st", 1.0, f"{w},r{x}st->ijklst", "W W")
+                  for w, x in _SLOTS)
+
+
+def _commutation(k: int) -> tuple:
+    """nabla^k W with its last two derivative slots swapped equals one
+    Riemann coupling per slot of nabla^(k-2) W."""
+    top = "abcdefghijkl"[:4 + k]
+    base, i1, i2 = top[:-2], top[-2], top[-1]
+    lhs = (Term(f"nabla^{k} W", 1.0, f"{top}->{top}", f"nw{k}"),
+           Term(f"nabla^{k} W swapped", -1.0, f"{base}{i2}{i1}->{top}",
+                f"nw{k}"))
+    rhs = tuple(
+        Term(f"Riem slot {s + 1}", 1.0,
+             f"{base[:s]}p{base[s + 1:]},p{base[s]}{i1}{i2}->{top}",
+             f"nw{k - 2} riem")
+        for s in range(len(base)))
+    return (Equation(lhs, rhs, ("lhs", (1.0, f"nw{k - 2} riem"))),)
+
+
+_COMMUTE2_WEYL_RICCI = (Equation(
+    _COMMUTATOR2,
+    _WW_SLOTS
+    + tuple(Term(f"W_{w} Ric_{r} g_{d}", sgn * 0.5, f"{w},{r},{d}->ijklst",
+                 "W ric g")
+            for w, x in _SLOTS
+            for r, d, sgn in (("rs", f"{x}t", 1), ("rt", f"{x}s", -1),
+                              (f"{x}t", "rs", 1), (f"{x}s", "rt", -1)))
+    + tuple(Term(f"R W_{w} g_{a} g_{b}", sgn / 6.0, f",{w},{a},{b}->ijklst",
+                 "R W g g")
+            for w, x in _SLOTS
+            for a, b, sgn in (("rs", f"{x}t", -1), ("rt", f"{x}s", 1))),
+    ("lhs", (1.0, "W W"), (1.0, "W ric"))),)
+
+_COMMUTE2_EINSTEIN = (Equation(
+    _COMMUTATOR2,
+    _WW_SLOTS + tuple(
+        Term(f"R W_{w} g_{d}", sgn / 12.0, f",{w},{d}->ijklst", "R W g")
+        for w, d, sgn in (("sjkl", "it", 1), ("tjkl", "is", -1),
+                          ("iskl", "jt", 1), ("itkl", "js", -1),
+                          ("ijsl", "kt", 1), ("ijtl", "ks", -1),
+                          ("ijks", "lt", 1), ("ijkt", "ls", -1))),
+    ("lhs", (1.0, "W W"), (1.0 / 12.0, "R W"))),)
+
+_COMMUTE2_EINSTEIN_CONTRACTED = (Equation(
+    (Term("nabla_i nabla_s W_ijkl", 1.0, "ijklsi->jkls", "nw2"),),
+    tuple(Term(f"W_{w} W_r{x}si", 1.0, f"{w},r{x}si->jkls", "W W")
+          for w, x in _SLOTS[1:])
+    + (Term("R W_sjkl", 0.25, ",sjkl->jkls", "R W"),)),)
+
+_COMMUTE3 = (Equation(
+    (Term("nabla^3 W", 1.0, "ijkltrs->ijkltrs", "nw3"),
+     Term("nabla^3 W swapped", -1.0, "ijkltsr->ijkltrs", "nw3")),
+    (Term("nabla_t W_vjkl Riem_virs", 1.0, "vjklt,virs->ijkltrs", "nw1 riem"),
+     Term("nabla_t W_ivkl Riem_vjrs", 1.0, "ivklt,vjrs->ijkltrs", "nw1 riem"),
+     Term("nabla_t W_ijvl Riem_vkrs", 1.0, "ijvlt,vkrs->ijkltrs", "nw1 riem"),
+     Term("nabla_t W_ijkv Riem_vlrs", 1.0, "ijkvt,vlrs->ijkltrs", "nw1 riem"),
+     Term("nabla_v W_ijkl Riem_vtrs", 1.0, "ijklv,vtrs->ijkltrs",
+          "nw1 riem")),
+    ("lhs", (1.0, "nw1 riem"))),)
+
+_KEY1 = (Equation(
+    (Term("W_ijkl nabla W_jpqtk nabla W_ipqtl", 1.0, "ijkl,jpqtk,ipqtl->",
+          "W nw1 nw1"),),
+    (replace(_W_NW_NW, coeff=-0.5),)),)
+_KEY2 = (Equation(
+    (Term("W_ijkl nabla W_ipkqt nabla W_jplqt", 1.0, "ijkl,ipkqt,jplqt->",
+          "W nw1 nw1"),),
+    (replace(_W_NW_NW, coeff=0.5),)),)
+
+_MIX_ORTHOGONALITY = tuple(
+    Equation((Term(f"W{a} nabla W{b} nabla W{b}", 1.0, "ijkl,jpqtk,ipqtl->",
+                   f"W{a} nw1{b} nw1{b}"),),
+             scale=((1.0, f"W{a} nw1{b} nw1{b}"),))
+    for a, b in (("+", "-"), ("-", "+")))
+
+_DELTA_W = Term("Delta W", 1.0, "ijklss->ijkl", "nw2")
+_WW_QUADRATIC = (Term("W_ipjq W_pqkl", -2.0, "ipjq,pqkl->ijkl", "W W"),
+                 Term("W_ipql W_jpqk", 2.0, "ipql,jpqk->ijkl", "W W"),
+                 Term("W_ipqk W_jpql", -2.0, "ipqk,jpql->ijkl", "W W"))
+# General-dimension Laplacian of a divergence-free Weyl tensor at n = 4.
+_LAPLACIAN_HARMONIC_WEYL = (Equation(
+    (_DELTA_W,),
+    tuple(Term(f"Ric_{r} W_{w}", c, f"{r},{w}->ijkl", "ric W")
+          for r, w, c in (("ip", "pjkl", 0.5), ("jp", "pikl", -0.5),
+                          ("lp", "pjki", 0.5), ("lp", "pikj", -0.5),
+                          ("kp", "pjli", -0.5), ("kp", "pilj", 0.5)))
+    + _WW_QUADRATIC
+    + tuple(Term(f"Ric_pq W_{w} g_{d}", c, f"pq,{w},{d}->ijkl", "ric W g")
+            for w, d, c in (("piql", "kj", 0.5), ("pjql", "ki", -0.5),
+                            ("pikq", "lj", 0.5), ("pjkq", "li", -0.5)))),)
+# Four-dimensional harmonic-Weyl Laplacian: Delta W = R/2 W - 2(...).
+_LAPLACIAN_4D = (Equation(
+    (_DELTA_W,),
+    (Term("R W_ijkl", 0.5, ",ijkl->ijkl", "R W"),) + _WW_QUADRATIC),)
+
+_DELTA_W_SQ = Term("Delta|W|^2", 0.5, "->", "lap_w")
+_BOCHNER1_GENERAL = (Equation(
+    (_DELTA_W_SQ,),
+    (_NABLA_W_SQ,
+     Term("Ric_pq W_pikl W_qikl", 2.0, "pq,pikl,qikl->", "ric W W"),
+     Term("W_ijkl W_ipkq W_jplq", -4.0, "ijkl,ipkq,jplq->", "W W W"),
+     replace(_W3, coeff=-1.0))),)
+_BOCHNER1_4D = (Equation(
+    (_DELTA_W_SQ,),
+    (_NABLA_W_SQ, Term("R |W|^2", 0.5, ",ijkl,ijkl->", "R W W"),
+     replace(_W3, coeff=-3.0))),)
+
+# The first rough Bochner formula, Riemann form and Weyl form.
+_DELTA_DW = Term("Delta|nabla W|^2", 0.5, "->", "lap_dw")
+_NABLA2_W_SQ = Term("|nabla^2 W|^2", 1.0, "ijklst,ijklst->", "nw2 nw2")
+_INNER_NABLA_LAP = Term("<nabla W, nabla Delta W>", 1.0, "ijklt,ijklsst->",
+                        "nw1 nw3")
+_PRO_BOCH = (Equation(
+    (_DELTA_DW,),
+    (_NABLA2_W_SQ, _INNER_NABLA_LAP, replace(_R_NABLA_W_SQ, coeff=0.25),
+     Term("nabla W_ijkls nabla W_rjklt Riem_rist", 8.0, "ijkls,rjklt,rist->",
+          "nw1 nw1 riem"))),)
+# Its scale takes the same bounds as the Riemann form's: it leaves out the
+# (2/3) R <nabla W, nabla W^t> term.
+_PRO_BOCH_WEYL = (Equation(
+    (_DELTA_DW,),
+    (_NABLA2_W_SQ, _INNER_NABLA_LAP, replace(_R_NABLA_W_SQ, coeff=0.25),
+     Term("nabla W_ijkls nabla W_rjklt W_rist", 8.0, "ijkls,rjklt,rist->",
+          "nw1 nw1 W"),
+     Term("R <nabla W, nabla W^t>", 2.0 / 3.0, ",ijkls,sjkli->",
+          "R nw1 nw1")),
+    (_DELTA_DW.name, _NABLA2_W_SQ.name, _INNER_NABLA_LAP.name,
+     _R_NABLA_W_SQ.name, "nabla W_ijkls nabla W_rjklt W_rist")),)
+
+_TEO_SBF = (Equation(
+    (_DELTA_DW,),
+    (_NABLA2_W_SQ, replace(_R_NABLA_W_SQ, coeff=13.0 / 12.0),
+     replace(_W_NW_NW, coeff=-10.0))),)
+_LEM_PAOLO = (Equation(
+    (_INNER_NABLA_LAP,),
+    (replace(_R_NABLA_W_SQ, coeff=0.5), replace(_W_NW_NW, coeff=-6.0))),)
+
+# The second rough Bochner formula (k = 2).
+_BOCHNERK_K2 = (Equation(
+    (Term("Delta|nabla^2 W|^2", 0.5, "->", "lap_d2w"),),
+    (Term("|nabla^3 W|^2", 1.0, "ijklstu,ijklstu->", "nw3 nw3"),
+     Term("<nabla^2 W, nabla^2 Delta W>", 1.0, "ijklsu,ijklsttu->",
+          "nw2 nw4"),
+     Term("R |nabla^2 W|^2", 0.25, ",ijklst,ijklst->", "R nw2 nw2"),
+     Term("nabla^2 W_ijkltr nabla^2 W_pjklts Riem_pirs", 8.0,
+          "ijkltr,pjklts,pirs->", "nw2 nw2 riem"),
+     Term("nabla^2 W_ijkltr nabla^2 W_ijklps Riem_ptrs", 2.0,
+          "ijkltr,ijklps,ptrs->", "nw2 nw2 riem"))),)
+
+_GAP_POINTWISE = (Equation((Term("|W|^2", 6.0, "ijkl,ijkl->", "W W"),),
+                           (Term("R^2", 1.0, ",->", "R R"),)),)
+
+
+# ---------------------------------------------------------------------------
+# Evaluators that delegate to algebra and framecalc
+# ---------------------------------------------------------------------------
 
 def ev_block_decomposition(pd: PointData):
-    d = np.eye(DIM)
+    d = _EYE
     ric0 = pd.ric - (pd.R / 4.0) * d
-    kn_ric = (ein("ik,jl->ijkl", ric0, d) - ein("il,jk->ijkl", ric0, d)
-              + ein("ik,jl->ijkl", d, ric0) - ein("il,jk->ijkl", d, ric0))
-    kn_gg = 2.0 * (ein("ik,jl->ijkl", d, d) - ein("il,jk->ijkl", d, d))
+    kn_ric = (np.einsum("ik,jl->ijkl", ric0, d)
+              - np.einsum("il,jk->ijkl", ric0, d)
+              + np.einsum("ik,jl->ijkl", d, ric0)
+              - np.einsum("il,jk->ijkl", d, ric0))
+    kn_gg = 2.0 * (np.einsum("ik,jl->ijkl", d, d)
+                   - np.einsum("il,jk->ijkl", d, d))
     rebuilt = pd.W + 0.5 * kn_ric + (pd.R / 24.0) * kn_gg
     m_direct = algebra.pair_matrix(pd.riem)
     m_rebuilt = algebra.pair_matrix(rebuilt)
@@ -229,185 +592,9 @@ def ev_block_decomposition(pd: PointData):
     return float(res), float(np.abs(m_direct).max())
 
 
-def ev_bianchi1(pd: PointData):
-    w = pd.W
-    res = w + ein("itjk->ijkt", w) + ein("iktj->ijkt", w)
-    return np.abs(res).max(), np.abs(w).max()
-
-
-def ev_cotton_symmetries(pd: PointData):
-    c = pd.cp.cotton
-    res = max(np.abs(c + ein("ikj->ijk", c)).max(),
-              np.abs(c + ein("jki->ijk", c) + ein("kij->ijk", c)).max())
-    return float(res), float(np.abs(c).max())
-
-
-def ev_cotton_traces(pd: PointData):
-    c = pd.cp.cotton
-    res = max(np.abs(ein("iik->k", c)).max(), np.abs(ein("iji->j", c)).max(),
-              np.abs(ein("ijj->i", c)).max())
-    return float(res), float(np.abs(c).max())
-
-
-def ev_cotton_defs_agree(pd: PointData):
-    c1, c2 = pd.cp.cotton, pd.cp.cotton_div
-    return _norms(c1 - c2), _norms(c1, c2)
-
-
-def ev_harmall(pd: PointData):
-    div_w = ein("tijkt->ijk", pd.nw(1))
-    div_riem = ein("tijkt->ijk", pd.cp.nabla_riem)
-    res = _norms(div_w, div_riem)
-    return res, _norms(pd.nw(1), pd.cp.nabla_riem)
-
-
-def ev_fake_second_bianchi(pd: PointData):
-    nw, c, d = pd.nw(1), pd.cp.cotton, np.eye(DIM)
-    lhs = nw + ein("ijlkt->ijktl", nw) + ein("ijtlk->ijktl", nw)
-    rhs = 0.5 * (ein("itl,jk->ijktl", c, d) + ein("ilk,jt->ijktl", c, d)
-                 + ein("ikt,jl->ijktl", c, d) - ein("jtl,ik->ijktl", c, d)
-                 - ein("jlk,it->ijktl", c, d) - ein("jkt,il->ijktl", c, d))
-    return _norms(lhs - rhs), max(_norms(nw), _norms(c))
-
-
-def ev_gradweyl_general(pd: PointData):
-    nw = pd.nw(1)
-    lhs = float(ein("ijklt,ijktl->", nw, nw))
-    ndw2 = float((nw ** 2).sum())
-    div2 = float((ein("tijkt->ijk", nw) ** 2).sum())
-    rhs = 0.5 * ndw2 - div2
-    return abs(lhs - rhs), max(abs(lhs), 0.5 * ndw2, div2)
-
-
-def ev_gradweyl_harmonic(pd: PointData):
-    nw = pd.nw(1)
-    lhs = float(ein("ijklt,ijktl->", nw, nw))
-    rhs = 0.5 * float((nw ** 2).sum())
-    return abs(lhs - rhs), max(abs(lhs), rhs)
-
-
-def _commutator2(pd: PointData):
-    nw2 = pd.nw(2)
-    return nw2 - ein("ijklts->ijklst", nw2)
-
-
-def ev_commute2_riemann(pd: PointData):
-    w, riem = pd.W, pd.riem
-    lhs = _commutator2(pd)
-    rhs = (ein("rjkl,rist->ijklst", w, riem) + ein("irkl,rjst->ijklst", w, riem)
-           + ein("ijrl,rkst->ijklst", w, riem)
-           + ein("ijkr,rlst->ijklst", w, riem))
-    return _norms(lhs - rhs), max(_norms(lhs), pd.w_norm * pd.riem_norm)
-
-
-def _ric_coupling(w, ric, d, wstr, x):
-    return (ein(f"{wstr},rs,{x}t->ijklst", w, ric, d)
-            - ein(f"{wstr},rt,{x}s->ijklst", w, ric, d)
-            + ein(f"{wstr},{x}t,rs->ijklst", w, ric, d)
-            - ein(f"{wstr},{x}s,rt->ijklst", w, ric, d))
-
-
-def ev_commute2_weyl_ricci(pd: PointData):
-    w, ric, rs, d = pd.W, pd.ric, pd.R, np.eye(DIM)
-    lhs = _commutator2(pd)
-    ww = (ein("rjkl,rist->ijklst", w, w) + ein("irkl,rjst->ijklst", w, w)
-          + ein("ijrl,rkst->ijklst", w, w) + ein("ijkr,rlst->ijklst", w, w))
-    ric_part = 0.5 * (_ric_coupling(w, ric, d, "rjkl", "i")
-                      + _ric_coupling(w, ric, d, "irkl", "j")
-                      + _ric_coupling(w, ric, d, "ijrl", "k")
-                      + _ric_coupling(w, ric, d, "ijkr", "l"))
-
-    def r_term(wstr, x):
-        return (ein(f"{wstr},rs,{x}t->ijklst", w, d, d)
-                - ein(f"{wstr},rt,{x}s->ijklst", w, d, d))
-
-    r_part = (rs / 6.0) * (r_term("rjkl", "i") + r_term("irkl", "j")
-                           + r_term("ijrl", "k") + r_term("ijkr", "l"))
-    rhs = ww + ric_part - r_part
-    scale = max(_norms(lhs), pd.w_norm ** 2,
-                pd.w_norm * _frobenius(ric))
-    return _norms(lhs - rhs), scale
-
-
-def _einstein_commutator_rhs(pd: PointData):
-    w, rs, d = pd.W, pd.R, np.eye(DIM)
-    return (ein("rjkl,rist->ijklst", w, w) + ein("irkl,rjst->ijklst", w, w)
-            + ein("ijrl,rkst->ijklst", w, w) + ein("ijkr,rlst->ijklst", w, w)
-            + (rs / 12.0) * (
-                ein("sjkl,it->ijklst", w, d) - ein("tjkl,is->ijklst", w, d)
-                + ein("iskl,jt->ijklst", w, d) - ein("itkl,js->ijklst", w, d)
-                + ein("ijsl,kt->ijklst", w, d) - ein("ijtl,ks->ijklst", w, d)
-                + ein("ijks,lt->ijklst", w, d) - ein("ijkt,ls->ijklst", w, d)))
-
-
-def ev_commute2_einstein(pd: PointData):
-    lhs = _commutator2(pd)
-    rhs = _einstein_commutator_rhs(pd)
-    scale = max(_norms(lhs), pd.w_norm ** 2, abs(pd.R) * pd.w_norm / 12.0)
-    return _norms(lhs - rhs), scale
-
-
-def ev_commute2_einstein_contracted(pd: PointData):
-    w, rs = pd.W, pd.R
-    lhs = ein("ijklsi->jkls", pd.nw(2))
-    rhs = (ein("irkl,rjsi->jkls", w, w) + ein("ijrl,rksi->jkls", w, w)
-           + ein("ijkr,rlsi->jkls", w, w) + (rs / 4.0) * ein("sjkl->jkls", w))
-    scale = max(_norms(lhs), pd.w_norm ** 2, abs(rs) * pd.w_norm / 4.0)
-    return _norms(lhs - rhs), scale
-
-
-def ev_commute3_direct(pd: PointData):
-    nw, nw3, riem = pd.nw(1), pd.nw(3), pd.riem
-    lhs = nw3 - ein("ijkltsr->ijkltrs", nw3)
-    rhs = (ein("vjklt,virs->ijkltrs", nw, riem)
-           + ein("ivklt,vjrs->ijkltrs", nw, riem)
-           + ein("ijvlt,vkrs->ijkltrs", nw, riem)
-           + ein("ijkvt,vlrs->ijkltrs", nw, riem)
-           + ein("ijklv,vtrs->ijkltrs", nw, riem))
-    scale = max(_norms(lhs), _norms(nw) * pd.riem_norm)
-    return _norms(lhs - rhs), scale
-
-
-def commutation_k_residual(pd: PointData, k: int):
-    """General k-th order commutation: swap the last two derivative slots.
-
-    Right side: four Weyl-slot couplings of nabla^(k-2) W with Riemann plus
-    one coupling per surviving derivative slot.
-    """
-    if k < 3:
-        raise ValueError("commutation_k applies to k >= 3")
-    base = pd.nw(k - 2)
-    top = pd.nw(k)
-    riem = pd.riem
-    rank = 4 + k
-    letters = "abcdefghijkl"[:rank]
-    swapped = letters[:-2] + letters[-1] + letters[-2]
-    lhs = top - ein(f"{swapped}->{letters}", top)
-    i1, i2 = letters[-2], letters[-1]
-    rhs = np.zeros_like(top)
-    for slot in range(4 + (k - 2)):
-        src = letters[:4 + (k - 2)]
-        repl = src[:slot] + "p" + src[slot + 1:]
-        rhs = rhs + ein(f"{repl},p{src[slot]}{i1}{i2}->{letters}", base, riem,
-                        optimize=True)
-    scale = max(_norms(lhs), _norms(base) * pd.riem_norm)
-    return _norms(lhs - rhs), scale
-
-
-def ev_algebra_quadratic(pd: PointData, sign: int | None = None):
-    w = pd.W if sign is None else pd.sector(sign).w
-    res, scale = algebra.quadratic_identity_residual(w)
-    return float(res), float(scale)
-
-
-def ev_algebra_cubic(pd: PointData, sign: int | None = None):
-    w = pd.W if sign is None else pd.sector(sign).w
-    res, scale = algebra.cubic_identity_residual(w)
-    return float(res), float(scale)
-
-
-def ev_algebra_quartic(pd: PointData, sign: int):
-    res, scale = algebra.quartic_identity_residual(pd.sector(sign).w)
+def ev_algebra(residual: Callable, pd: PointData, sign: int | None = None):
+    """An algebra.*_identity_residual of W or of one of its sectors."""
+    res, scale = residual(pd.operand("W", sign))
     return float(res), float(scale)
 
 
@@ -421,7 +608,7 @@ def ev_derdzinski_reconstruction(pd: PointData):
     res = 0.0
     for sign in (1, -1):
         pack = pd.sector(sign)
-        res = max(res, _norms(pack.frame.reconstruct() - pack.w))
+        res = max(res, _frobenius(pack.frame.reconstruct() - pack.w))
     return res, pd.w_norm
 
 
@@ -447,213 +634,6 @@ def ev_divz_relations(pd: PointData, sign: int):
     pack = pd.sector(sign)
     return framecalc.div_free_relations_residual(pack.ed, pack.frame)
 
-
-def _key1_terms(w, nw):
-    lhs = float(ein("ijkl,jpqtk,ipqtl->", w, nw, nw, optimize=True))
-    rhs = -0.5 * float(ein("ijkl,ijpqt,klpqt->", w, nw, nw, optimize=True))
-    return lhs, rhs
-
-
-def ev_key1(pd: PointData, sign: int | None = None):
-    if sign is None:
-        w, nw = pd.W, pd.nw(1)
-    else:
-        pack = pd.sector(sign)
-        w, nw = pack.w, pack.stacks[1]
-    lhs, rhs = _key1_terms(w, nw)
-    return abs(lhs - rhs), max(abs(lhs), abs(rhs))
-
-
-def ev_key2(pd: PointData, sign: int | None = None):
-    if sign is None:
-        w, nw = pd.W, pd.nw(1)
-    else:
-        pack = pd.sector(sign)
-        w, nw = pack.w, pack.stacks[1]
-    lhs = float(ein("ijkl,ipkqt,jplqt->", w, nw, nw, optimize=True))
-    rhs = 0.5 * float(ein("ijkl,ijpqt,klpqt->", w, nw, nw, optimize=True))
-    return abs(lhs - rhs), max(abs(lhs), abs(rhs))
-
-
-def ev_mix_orthogonality(pd: PointData):
-    plus, minus = pd.sector(1), pd.sector(-1)
-    m1 = float(ein("ijkl,jpqtk,ipqtl->", plus.w, minus.stacks[1],
-                   minus.stacks[1], optimize=True))
-    m2 = float(ein("ijkl,jpqtk,ipqtl->", minus.w, plus.stacks[1],
-                   plus.stacks[1], optimize=True))
-    scale = max(plus.w_norm * _norms(minus.stacks[1]) ** 2,
-                minus.w_norm * _norms(plus.stacks[1]) ** 2)
-    return max(abs(m1), abs(m2)), scale
-
-
-def _delta_w(pd: PointData):
-    return ein("ijklss->ijkl", pd.nw(2))
-
-
-def ev_laplacian_harmonic_weyl(pd: PointData):
-    """General-dimension Laplacian of a divergence-free Weyl tensor at n = 4."""
-    w, ric, d = pd.W, pd.ric, np.eye(DIM)
-    lhs = _delta_w(pd)
-    rhs = (ein("ip,pjkl->ijkl", ric, w) - ein("jp,pikl->ijkl", ric, w)
-           - 2.0 * (ein("ipjq,pqkl->ijkl", w, w)
-                    - ein("ipql,jpqk->ijkl", w, w)
-                    + ein("ipqk,jpql->ijkl", w, w))
-           + 0.5 * (ein("jp,pikl->ijkl", ric, w) - ein("ip,pjkl->ijkl", ric, w)
-                    + ein("lp,pjki->ijkl", ric, w)
-                    - ein("lp,pikj->ijkl", ric, w)
-                    - ein("kp,pjli->ijkl", ric, w)
-                    + ein("kp,pilj->ijkl", ric, w))
-           + 0.5 * (ein("pq,piql,kj->ijkl", ric, w, d)
-                    - ein("pq,pjql,ki->ijkl", ric, w, d)
-                    + ein("pq,pikq,lj->ijkl", ric, w, d)
-                    - ein("pq,pjkq,li->ijkl", ric, w, d)))
-    scale = max(_norms(lhs), pd.w_norm ** 2,
-                pd.w_norm * _frobenius(ric))
-    return _norms(lhs - rhs), scale
-
-
-def ev_laplacian_4d(pd: PointData):
-    """Four-dimensional harmonic-Weyl Laplacian: Delta W = R/2 W - 2(...)."""
-    w = pd.W
-    lhs = _delta_w(pd)
-    rhs = (pd.R / 2.0) * w - 2.0 * (ein("ipjq,pqkl->ijkl", w, w)
-                                    - ein("ipql,jpqk->ijkl", w, w)
-                                    + ein("ipqk,jpql->ijkl", w, w))
-    scale = max(_norms(lhs), abs(pd.R) * pd.w_norm / 2.0, pd.w_norm ** 2)
-    return _norms(lhs - rhs), scale
-
-
-def _w3_pair(w):
-    return float(ein("ijkl,ijpq,klpq->", w, w, w, optimize=True))
-
-
-def ev_bochner1_general(pd: PointData):
-    w, ric = pd.W, pd.ric
-    lhs = 0.5 * pd.lap("w")
-    ndw2 = float((pd.nw(1) ** 2).sum())
-    ricterm = 2.0 * float(ein("pq,pikl,qikl->", ric, w, w, optimize=True))
-    w3c = float(ein("ijkl,ipkq,jplq->", w, w, w, optimize=True))
-    rhs = ndw2 + ricterm - 2.0 * (2.0 * w3c + 0.5 * _w3_pair(w))
-    scale = max(abs(lhs), ndw2, abs(ricterm), 4.0 * abs(w3c),
-                abs(_w3_pair(w)))
-    return abs(lhs - rhs), scale
-
-
-def ev_bochner1_4d(pd: PointData):
-    w = pd.W
-    lhs = 0.5 * pd.lap("w")
-    ndw2 = float((pd.nw(1) ** 2).sum())
-    w3 = _w3_pair(w)
-    rhs = ndw2 + (pd.R / 2.0) * pd.w_norm ** 2 - 3.0 * w3
-    scale = max(abs(lhs), ndw2, abs(pd.R) * pd.w_norm ** 2 / 2.0,
-                3.0 * abs(w3))
-    return abs(lhs - rhs), scale
-
-
-def ev_bochner1_sector(pd: PointData, sign: int):
-    pack = pd.sector(sign)
-    lhs = 0.5 * pd.lap("w_" + pack.name)
-    ndw2 = float((pack.stacks[1] ** 2).sum())
-    w3 = _w3_pair(pack.w)
-    rhs = ndw2 + (pd.R / 2.0) * pack.w_norm ** 2 - 3.0 * w3
-    scale = max(abs(lhs), ndw2, abs(pd.R) * pack.w_norm ** 2 / 2.0,
-                3.0 * abs(w3))
-    return abs(lhs - rhs), scale
-
-
-def _rough_bochner1(pd: PointData, lap_value, w4, s1, s2, s3, riemann_form):
-    """Common core of the first rough Bochner formula.
-
-    lap_value = Delta |nabla W_s|^2; s1..s3 are the (possibly projected)
-    derivative stacks; `w4` is the full Weyl tensor for the Weyl-form terms.
-    """
-    lhs = 0.5 * lap_value
-    n2 = float((s2 ** 2).sum())
-    ndw2 = float((s1 ** 2).sum())
-    inner = float(ein("ijklt,ijklsst->", s1, s3, optimize=True))
-    if riemann_form:
-        coupling = 8.0 * float(ein("ijkls,rjklt,rist->", s1, s1, pd.riem,
-                                   optimize=True))
-        rhs = n2 + inner + (pd.R / 4.0) * ndw2 + coupling
-    else:
-        coupling = 8.0 * float(ein("ijkls,rjklt,rist->", s1, s1, w4,
-                                   optimize=True))
-        grad_contr = float(ein("ijkls,sjkli->", s1, s1))
-        rhs = n2 + inner + (pd.R / 4.0) * ndw2 + coupling \
-            + (2.0 / 3.0) * pd.R * grad_contr
-    scale = max(abs(lhs), n2, abs(inner), abs(pd.R) * ndw2 / 4.0,
-                abs(coupling))
-    return abs(lhs - rhs), scale
-
-
-def ev_bochner2_pro_boch(pd: PointData):
-    return _rough_bochner1(pd, pd.lap("dw"), pd.W, pd.nw(1), pd.nw(2),
-                           pd.nw(3), riemann_form=True)
-
-
-def ev_bochner2_pro_boch_weyl(pd: PointData):
-    return _rough_bochner1(pd, pd.lap("dw"), pd.W, pd.nw(1), pd.nw(2),
-                           pd.nw(3), riemann_form=False)
-
-
-def ev_bochner2_sector(pd: PointData, sign: int):
-    pack = pd.sector(sign)
-    return _rough_bochner1(pd, pd.lap("dw_" + pack.name), pd.W,
-                           pack.stacks[1], pack.stacks[2], pack.stacks[3],
-                           riemann_form=True)
-
-
-def ev_bochner2_teo_sbf(pd: PointData):
-    w, nw = pd.W, pd.nw(1)
-    lhs = 0.5 * pd.lap("dw")
-    n2 = float((pd.nw(2) ** 2).sum())
-    ndw2 = float((nw ** 2).sum())
-    w3t = float(ein("ijkl,ijpqt,klpqt->", w, nw, nw, optimize=True))
-    rhs = n2 + (13.0 / 12.0) * pd.R * ndw2 - 10.0 * w3t
-    scale = max(abs(lhs), n2, abs(pd.R) * ndw2 * 13.0 / 12.0, 10.0 * abs(w3t))
-    return abs(lhs - rhs), scale
-
-
-def ev_lem_paolo(pd: PointData):
-    w, nw = pd.W, pd.nw(1)
-    lhs = float(ein("ijklt,ijklsst->", nw, pd.nw(3), optimize=True))
-    ndw2 = float((nw ** 2).sum())
-    w3t = float(ein("ijkl,ijpqt,klpqt->", w, nw, nw, optimize=True))
-    rhs = 0.5 * pd.R * ndw2 - 6.0 * w3t
-    scale = max(abs(lhs), abs(pd.R) * ndw2 / 2.0, 6.0 * abs(w3t))
-    return abs(lhs - rhs), scale
-
-
-def _rough_bochner2(pd: PointData, lap_value, s2, s3, s4):
-    lhs = 0.5 * lap_value
-    n3 = float((s3 ** 2).sum())
-    n2 = float((s2 ** 2).sum())
-    inner = float(ein("ijklsu,ijklsttu->", s2, s4, optimize=True))
-    c8 = 8.0 * float(ein("ijkltr,pjklts,pirs->", s2, s2, pd.riem,
-                         optimize=True))
-    c2 = 2.0 * float(ein("ijkltr,ijklps,ptrs->", s2, s2, pd.riem,
-                         optimize=True))
-    rhs = n3 + inner + (pd.R / 4.0) * n2 + c8 + c2
-    scale = max(abs(lhs), n3, abs(inner), abs(pd.R) * n2 / 4.0, abs(c8),
-                abs(c2))
-    return abs(lhs - rhs), scale
-
-
-def ev_bochnerk_k2(pd: PointData):
-    return _rough_bochner2(pd, pd.lap("d2w"), pd.nw(2), pd.nw(3), pd.nw(4))
-
-
-def ev_bochnerk_k2_sector(pd: PointData, sign: int):
-    pack = pd.sector(sign)
-    return _rough_bochner2(pd, pd.lap("d2w_" + pack.name), pack.stacks[2],
-                           pack.stacks[3], pack.stacks[4])
-
-
-def ev_gap_pointwise(pd: PointData, sign: int):
-    n2 = pd.sector(sign).w_norm ** 2
-    lhs = 6.0 * n2
-    rhs = pd.R ** 2
-    return abs(lhs - rhs), max(lhs, abs(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -690,98 +670,104 @@ class OutOfScopeEntry:
 
 
 def _sector_id(base: str, sign: int) -> str:
-    return f"{base}-plus" if sign == 1 else f"{base}-minus"
+    return f"{base}-{_SECTOR_NAME[sign]}"
 
 
 def _build_registry():
     specs = [
         IdentitySpec("weyl.decomposition", ("Weyl",), "any", 0, (), 2,
-                     1e-12, ev_weyl_decomposition),
+                     1e-12, TermList(_WEYL_DECOMPOSITION)),
         IdentitySpec("weyl.conformal-flat", ("Weyl",), "conformal", 0, (),
-                     2, 1e-9, ev_conformal_flat),
+                     2, 1e-9, TermList(_CONFORMAL_FLAT)),
         IdentitySpec("riemann.einstein-form", ("RiemannEinstein",), "einstein",
-                     0, (), 2, 1e-10, ev_riemann_einstein_form),
+                     0, (), 2, 1e-10, TermList(_RIEMANN_EINSTEIN_FORM)),
         IdentitySpec("operator.block-decomposition", ("conv", "dec"), "any",
                      0, (), 2, 1e-10, ev_block_decomposition),
         IdentitySpec("bianchi1.weyl", ("bianchi1-weyl",), "any", 0, (), 2,
-                     1e-12, ev_bianchi1),
+                     1e-12, TermList(_BIANCHI1)),
         IdentitySpec("cotton.symmetries", ("CottonSym",), "any", 1, (), 3,
-                     1e-10, ev_cotton_symmetries),
+                     1e-10, TermList(_COTTON_SYMMETRIES)),
         IdentitySpec("cotton.traces", ("CottonTraces",), "any", 1, (), 3,
-                     1e-10, ev_cotton_traces),
+                     1e-10, TermList(_COTTON_TRACES)),
         IdentitySpec("cotton.defs-agree",
                      ("def_cot", "def_Cotton_comp_Weyl"), "any", 1, (), 3,
-                     1e-8, ev_cotton_defs_agree),
+                     1e-8, TermList(_COTTON_DEFS_AGREE)),
         IdentitySpec("harmall.div-free", ("harmall",), "einstein", 1, (),
-                     3, 1e-9, ev_harmall),
+                     3, 1e-9, TermList(_HARMALL)),
         IdentitySpec("bianchi2.fake-weyl", ("fake2ndBianchiWeyl",), "any", 1,
-                     (), 3, 1e-8, ev_fake_second_bianchi),
+                     (), 3, 1e-8, TermList(_FAKE_SECOND_BIANCHI)),
         IdentitySpec("gradweyl.general", ("lem_GradWeylNorm",), "any", 1,
-                     (), 6, 1e-8, ev_gradweyl_general),
+                     (), 6, 1e-8, TermList(_GRADWEYL_GENERAL)),
         IdentitySpec("gradweyl.harmonic",
                      ("GradWeylNormEinstein", "lem_GradWeylNorm"), "harmonic",
-                     1, (), 6, 1e-8, ev_gradweyl_harmonic),
+                     1, (), 6, 1e-8, TermList(_GRADWEYL_HARMONIC)),
         IdentitySpec("commute2.riemann", ("SecondDerivWeylusingRiem",), "any",
-                     2, (), 4, 1e-8, ev_commute2_riemann),
+                     2, (), 4, 1e-8, TermList(_commutation(2))),
         IdentitySpec("commute2.weyl-ricci", ("lem-comsec",), "any", 2, (),
-                     4, 1e-8, ev_commute2_weyl_ricci),
+                     4, 1e-8, TermList(_COMMUTE2_WEYL_RICCI)),
         IdentitySpec("commute2.einstein", ("lem-comsec",), "einstein", 2,
-                     (), 4, 1e-8, ev_commute2_einstein),
+                     (), 4, 1e-8, TermList(_COMMUTE2_EINSTEIN)),
         IdentitySpec("commute2.einstein-contracted", ("lem-comsec",),
                      "einstein", 2, (), 4, 1e-8,
-                     ev_commute2_einstein_contracted),
+                     TermList(_COMMUTE2_EINSTEIN_CONTRACTED)),
         IdentitySpec("commute3.riemann", ("ThirdDerivWeylusingRiem",), "any",
-                     3, (), 5, 1e-6, ev_commute3_direct),
+                     3, (), 5, 1e-6, TermList(_COMMUTE3)),
         IdentitySpec("commutek.k3", ("CommutationWeylKorder",), "any", 3,
-                     (), 5, 1e-6, partial(commutation_k_residual, k=3)),
+                     (), 5, 1e-6, TermList(_commutation(3))),
         IdentitySpec("commutek.k4", ("CommutationWeylKorder",), "any", 4,
-                     (), 6, 1e-5, partial(commutation_k_residual, k=4)),
+                     (), 6, 1e-5, TermList(_commutation(4))),
         IdentitySpec("algebra.quadratic", ("WeylWeylMetric",), "any", 0,
-                     (), 4, 1e-12, ev_algebra_quadratic),
+                     (), 4, 1e-12,
+                     partial(ev_algebra, algebra.quadratic_identity_residual)),
         IdentitySpec("algebra.cubic", ("WWW",), "any", 0, (), 6, 1e-12,
-                     ev_algebra_cubic),
+                     partial(ev_algebra, algebra.cubic_identity_residual)),
         IdentitySpec("algebra.quaternionic", ("quaternionic-structure",
                      "eq-derw"), "any", 0, (), 0, 1e-12,
                      ev_algebra_quaternionic),
         IdentitySpec("derdzinski.reconstruction", ("eq-derw",), "any", 0,
                      (), 2, 1e-10, ev_derdzinski_reconstruction),
         IdentitySpec("mix.orthogonality", ("eq-mix",), "any", 1, (), 8,
-                     1e-8, ev_mix_orthogonality),
+                     1e-8, TermList(_MIX_ORTHOGONALITY)),
         IdentitySpec("key2.full", ("lem-key2",), "any", 1, (), 8, 1e-8,
-                     ev_key2),
+                     TermList(_KEY2)),
         IdentitySpec("key1.full", ("lem-key1",), "harmonic", 1, (), 8,
-                     1e-7, ev_key1),
+                     1e-7, TermList(_KEY1)),
         IdentitySpec("laplacian.harmonic-weyl", ("LaplacianOfHarmonicWeyl",),
-                     "harmonic", 2, (), 4, 1e-8, ev_laplacian_harmonic_weyl),
+                     "harmonic", 2, (), 4, 1e-8,
+                     TermList(_LAPLACIAN_HARMONIC_WEYL)),
         IdentitySpec("laplacian.4d", ("eq-bw",), "harmonic", 2, (), 4,
-                     1e-8, ev_laplacian_4d),
+                     1e-8, TermList(_LAPLACIAN_4D)),
         IdentitySpec("bochner1.general", ("BWHarmonicWeyl",), "harmonic", 2,
-                     ("w",), 6, 1e-8, ev_bochner1_general),
+                     ("w",), 6, 1e-8, TermList(_BOCHNER1_GENERAL)),
         IdentitySpec("bochner1.4d", ("nice",), "harmonic", 2, ("w",), 6,
-                     1e-8, ev_bochner1_4d),
+                     1e-8, TermList(_BOCHNER1_4D)),
         IdentitySpec("bochner2.pro-boch", ("pro-boch",), "einstein", 3,
-                     ("dw",), 8, 1e-6, ev_bochner2_pro_boch),
+                     ("dw",), 8, 1e-6, TermList(_PRO_BOCH)),
         IdentitySpec("bochner2.pro-boch-weyl", ("pro-boch",), "einstein", 3,
-                     ("dw",), 8, 1e-6, ev_bochner2_pro_boch_weyl),
+                     ("dw",), 8, 1e-6, TermList(_PRO_BOCH_WEYL)),
         IdentitySpec("bochner2.teo-sbf", ("teo-sbf",), "einstein", 3,
-                     ("dw",), 8, 1e-6, ev_bochner2_teo_sbf),
+                     ("dw",), 8, 1e-6, TermList(_TEO_SBF)),
         IdentitySpec("lem-paolo", ("lem-paolo",), "harmonic", 3, (), 8,
-                     1e-6, ev_lem_paolo),
+                     1e-6, TermList(_LEM_PAOLO)),
         IdentitySpec("bochnerk.k2", ("pro-boch-k", "BochnerBIG"), "einstein",
-                     4, ("d2w",), 10, 1e-5, ev_bochnerk_k2),
+                     4, ("d2w",), 10, 1e-5, TermList(_BOCHNERK_K2)),
     ]
     for sign in (1, -1):
         sfx = partial(_sector_id, sign=sign)
         specs += [
             IdentitySpec(sfx("algebra.quadratic.sector"), ("WeylWeylMetric",),
                          "any", 0, (), 4, 1e-12,
-                         partial(ev_algebra_quadratic, sign=sign), sign),
+                         partial(ev_algebra,
+                                 algebra.quadratic_identity_residual,
+                                 sign=sign), sign),
             IdentitySpec(sfx("algebra.cubic.sector"), ("WWW",), "any", 0,
-                         (), 6, 1e-12, partial(ev_algebra_cubic, sign=sign),
-                         sign),
+                         (), 6, 1e-12,
+                         partial(ev_algebra, algebra.cubic_identity_residual,
+                                 sign=sign), sign),
             IdentitySpec(sfx("algebra.quartic.sector"), ("lem-quart",), "any",
                          0, (), 8, 1e-12,
-                         partial(ev_algebra_quartic, sign=sign), sign),
+                         partial(ev_algebra, algebra.quartic_identity_residual,
+                                 sign=sign), sign),
             IdentitySpec(sfx("derder.reconstruction"), ("eq-derder",), "any",
                          1, (), 3, 1e-8,
                          partial(ev_derder_reconstruction, sign=sign), sign),
@@ -793,25 +779,25 @@ def _build_registry():
                          "sector-harmonic", 1, (), 3, 1e-7,
                          partial(ev_divz_relations, sign=sign), sign),
             IdentitySpec(sfx("key1.sector"), ("lem-key1",), "sector-harmonic",
-                         1, (), 8, 1e-7, partial(ev_key1, sign=sign),
+                         1, (), 8, 1e-7, TermList(_KEY1, sign),
                          sign),
             IdentitySpec(sfx("key2.sector"), ("lem-key2",), "any", 1, (),
-                         8, 1e-8, partial(ev_key2, sign=sign), sign),
+                         8, 1e-8, TermList(_KEY2, sign), sign),
             IdentitySpec(sfx("bochner1.sector"), ("niceself",),
                          "sector-harmonic", 2, ("w_pm",), 6, 1e-8,
-                         partial(ev_bochner1_sector, sign=sign), sign),
+                         TermList(_BOCHNER1_4D, sign), sign),
             IdentitySpec(sfx("bochner2.pro-boch"),
                          ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 3,
                          ("dw_pm",), 8, 1e-6,
-                         partial(ev_bochner2_sector, sign=sign), sign),
+                         TermList(_PRO_BOCH, sign), sign),
             IdentitySpec(sfx("bochnerk.k2"),
                          ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 4,
                          ("d2w_pm",), 10, 1e-5,
-                         partial(ev_bochnerk_k2_sector, sign=sign), sign),
+                         TermList(_BOCHNERK_K2, sign), sign),
             IdentitySpec(sfx("gap.pointwise"),
                          ("final-proposition", "lem-quart"),
                          "einstein-parallel-sector", 1, (), 4, 1e-8,
-                         partial(ev_gap_pointwise, sign=sign), sign),
+                         TermList(_GAP_POINTWISE, sign), sign),
         ]
     return {s.id: s for s in specs}
 

@@ -1,0 +1,57 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "bench" / "canon_diff.py"
+_SPEC = importlib.util.spec_from_file_location("canon_diff", _PATH)
+canon_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(canon_diff)
+
+
+def _row(sid, point, residual_rel, scale, status="pass"):
+    return {"identity_id": sid, "manifold": "s4-round", "point": point,
+            "status": status, "jet_order_used": 6,
+            "residual_rel": residual_rel, "scale": scale}
+
+
+def _report(rows, ok=True):
+    return {"config": {"tolerance_overrides": {}}, "results": rows,
+            "summary": {"ok": ok}}
+
+
+PARENT = _report([_row("bianchi1.weyl", [0.1, 0.2, 0.3, 0.4], 1e-16, 2.0),
+                  _row("bianchi1.weyl", [0.5, 0.6, 0.7, 0.8], 0.0, 3.0),
+                  _row("key2.full", [0.1, 0.2, 0.3, 0.4], 0.0, 0.0,
+                       "not_applicable")])
+
+
+def test_identical_reports():
+    res = canon_diff.compare(PARENT, json.loads(json.dumps(PARENT)))
+    assert res["rows_identical"] and res["ok_identical"]
+    assert res["applicable"] == 2 and res["bit_identical"] == 2
+    assert res["max_scale_ratio"] == {"bianchi1.weyl": 1.0}
+    assert res["looser"] == []
+
+
+def test_differing_rows():
+    change = json.loads(json.dumps(PARENT))
+    change["results"][1]["status"] = "fail"
+    change["summary"]["ok"] = False
+    res = canon_diff.compare(PARENT, change)
+    assert not res["rows_identical"] and not res["ok_identical"]
+
+
+def test_raised_scale_is_flagged():
+    change = json.loads(json.dumps(PARENT))
+    change["results"][0]["residual_rel"] = 2e-16
+    change["results"][1]["scale"] = 3.0 * (1.0 + 1e-9)
+    res = canon_diff.compare(PARENT, change)
+    assert res["rows_identical"] and res["bit_identical"] == 1
+    assert res["max_delta_over_tol"]["bianchi1.weyl"] == pytest.approx(1e-4)
+    assert res["max_scale_ratio"]["bianchi1.weyl"] == pytest.approx(1 + 1e-9)
+    assert res["looser"] == ["bianchi1.weyl"]
+    # a scale raised by round-off only is not a looser check
+    change["results"][1]["scale"] = 3.0 * (1.0 + 1e-15)
+    assert canon_diff.compare(PARENT, change)["looser"] == []

@@ -196,6 +196,18 @@ def test_conformal_phi_flag(tmp_path):
                      "--points", "1"]) == 2
 
 
+@pytest.mark.parametrize("phi", ['{"1,0": 0.1}', '{"-1,0,0,0": 0.1}',
+                                 '{"1,0,0,0,1": 0.1}', "1,0=0.1",
+                                 "-1,0,0,0=0.1", "1,0,0,0,1=0.1",
+                                 "1,0,x,0=0.1"])
+def test_conformal_phi_exponents_are_four_non_negative_integers(phi, capsys):
+    """Both forms of --conformal-phi reject a malformed exponent tuple as a
+    configuration error before any chart is built."""
+    assert cli.main(["verify", "--manifolds", "conformally-flat",
+                     "--points", "1", f"--conformal-phi={phi}"]) == 2
+    assert "bad exponent tuple" in capsys.readouterr().err
+
+
 def test_console_entry_point_runs():
     proc = run_cli(["list", "identities"])
     assert proc.returncode == 0

@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from weylforge import charts
+from weylforge import charts, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
-                                  PointData, commutation_k_residual,
-                                  ev_commute3_direct, gate_satisfied,
+                                  PointData, TermList, gate_satisfied,
                                   residual_rel, static_applicable)
 from weylforge.suite import RunConfig, run_suite
 
@@ -25,11 +26,39 @@ def test_registry_is_well_formed():
     assert not out_ids & set(REGISTRY)
 
 
+def test_term_lists_are_well_formed():
+    """Term names identify terms; only the delegating checks and the block
+    decomposition are hand-written functions."""
+    for sid, spec in REGISTRY.items():
+        ev = spec.evaluate
+        if not isinstance(ev, TermList):
+            continue
+        assert ev.sign == spec.sector, sid
+        names = [t.name for t in ev.terms]
+        assert len(names) == len(set(names)), sid
+        for t in ev.terms:
+            assert "..." not in t.subscripts, (sid, t.name)
+        for eq in ev.equations:
+            for bound in eq.scale:
+                if isinstance(bound, str) and bound != "lhs":
+                    assert bound in names, (sid, bound)
+    hand_written = {sid.removesuffix("-plus").removesuffix("-minus")
+                    for sid, spec in REGISTRY.items()
+                    if not isinstance(spec.evaluate, TermList)}
+    assert hand_written == {
+        "operator.block-decomposition", "algebra.quadratic", "algebra.cubic",
+        "algebra.quadratic.sector", "algebra.cubic.sector",
+        "algebra.quartic.sector", "algebra.quaternionic",
+        "derdzinski.reconstruction", "derder.reconstruction", "derder.norm",
+        "derder.cubic", "divz.relations"}
+
+
 def test_commutation_k3_two_code_paths_agree(cp_sds):
-    """The generic k-order commutation at k = 3 matches the direct formula."""
+    """The generated k-order commutation at k = 3 matches the explicit
+    third-order term list."""
     pd = PointData(cp_sds)
-    r1, s1 = ev_commute3_direct(pd)
-    r2, s2 = commutation_k_residual(pd, k=3)
+    r1, s1 = REGISTRY["commute3.riemann"].evaluate(pd)
+    r2, s2 = REGISTRY["commutek.k3"].evaluate(pd)
     assert r1 == pytest.approx(r2, rel=1e-12, abs=1e-25)
     assert s1 == pytest.approx(s2, rel=1e-12)
 
@@ -235,3 +264,71 @@ def test_point_data_is_freed_by_reference_counting(cp_sds):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# Terms whose coefficient, scaled by 1.05, fails no row of the mutation
+# sample below.  Each belongs to a pure X = 0 statement whose terms vanish
+# identically under its hypothesis (Weyl and Cotton tensors are trace-free,
+# W = 0 on a conformally flat chart, div W = div Riem = 0 on an Einstein
+# one, and W+ contracts to zero against the quadratic in nabla W- of
+# mix.orthogonality), so no chart can show the change.
+UNDETECTED_MUTATIONS = {
+    *(("weyl.decomposition", f"W_{t}")
+      for t in ("iikl", "ijil", "ijki", "ijjl", "ijkj", "ijkk")),
+    ("weyl.conformal-flat", "W_ijkl"),
+    *(("cotton.traces", f"C_{t}") for t in ("iik", "iji", "ijj")),
+    ("harmall.div-free", "div W"),
+    ("harmall.div-free", "div Riem"),
+    ("mix.orthogonality", "W+ nabla W- nabla W-"),
+    ("mix.orthogonality", "W- nabla W+ nabla W+"),
+}
+
+
+@pytest.fixture(scope="module")
+def mutation_rows(catalog):
+    """(spec, PointData) pairs that are applicable, not negative-control
+    evaluations, and pass: 2 points per catalog chart, depth 4, every
+    scalar Laplacian field."""
+    out = []
+    for name, chart in catalog.items():
+        for point in rng.sample_box(chart.domain, 2, 42, name):
+            pd = PointData(curvature_at(chart, point, depth=4,
+                                        laplacians=tuple(charts._LAP_STACK)))
+            for spec in REGISTRY.values():
+                if not isinstance(spec.evaluate, TermList):
+                    continue
+                if chart.properties.negative_control and \
+                        spec.id in CONTROL_EXPECT_FAIL:
+                    continue
+                if not (static_applicable(spec, chart.properties)
+                        and gate_satisfied(spec, pd)):
+                    continue
+                rel, _ = residual_rel(spec, pd, *spec.evaluate(pd))
+                if rel <= spec.tol:
+                    out.append((spec, pd))
+    return out
+
+
+def _scaled(ev: TermList, name: str, factor: float) -> TermList:
+    def side(terms):
+        return tuple(replace(t, coeff=factor * t.coeff) if t.name == name
+                     else t for t in terms)
+    return replace(ev, equations=tuple(
+        replace(eq, lhs=side(eq.lhs), rhs=side(eq.rhs))
+        for eq in ev.equations))
+
+
+def test_every_term_can_fail(mutation_rows):
+    """Scaling one term's coefficient by 1.05 fails at least one passing
+    row, for every term of every term-list identity but the listed ones."""
+    undetected = set()
+    for sid, spec in REGISTRY.items():
+        if not isinstance(spec.evaluate, TermList):
+            continue
+        rows = [pd for s, pd in mutation_rows if s is spec]
+        for term in spec.evaluate.terms:
+            mutated = _scaled(spec.evaluate, term.name, 1.05)
+            if not any(residual_rel(spec, pd, *mutated(pd))[0] > spec.tol
+                       for pd in rows):
+                undetected.add((sid, term.name))
+    assert undetected == UNDETECTED_MUTATIONS
