@@ -4,7 +4,7 @@
 Usage (from the root of the change's checkout):
 
     python3 bench/contract_gemm.py --parent DIR [--pairs 10] [--seconds 56]
-        [--first-seed 301] [--out BENCH_<tag>.json]
+        [--first-seed 301] --out BENCH_<tag>.json
 
 DIR is a checkout of the parent commit.  For each workload of BENCHMARK.json
 the script runs `perfbench/run.py --trace 0` in both checkouts `--pairs`
@@ -16,7 +16,8 @@ the exact `mul_pairs` counters, and counts the multiply-adds of the dense
 products in `jets.contract_slot` over one iteration of each workload of the
 change, from the shapes of its arguments: the traced `mul_pairs` count only
 operator builds and elementwise jet products.  It wrote
-BENCH_contract_gemm.json (the default `--out`) and BENCH_jet_kernel.json.
+BENCH_contract_gemm.json, BENCH_jet_kernel.json and BENCH_serial_points.json;
+`--out` is required so that no run overwrites a committed result.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=56.0)
     p.add_argument("--first-seed", type=int, default=301)
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_contract_gemm.json")
+    p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -6,8 +6,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import charts, suite
 from .identities import OUT_OF_SCOPE, REGISTRY
 from .suite import ConfigError, RunConfig
@@ -129,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", default=None, help="write the report to a file")
     ver.add_argument("--deterministic", action="store_true",
                      help="suppress the report timestamp")
-    ver.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: WEYL_FORGE_THREADS or auto)")
     ver.add_argument("--conformal-phi", action="append",
                      metavar="E1,E2,E3,E4=COEFF",
                      help="monomial coefficient of the conformal factor "
@@ -166,13 +162,10 @@ def main(argv=None) -> int:
             output_path=args.out,
             deterministic=args.deterministic,
             conformal_coeffs=_parse_conformal(args.conformal_phi),
-            threads=args.threads,
         )
         report = suite.run_suite(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (charts.DomainError, charts.CapacityError, ValueError) as exc:
+    # ConfigError and charts.DomainError are ValueErrors
+    except (charts.CapacityError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

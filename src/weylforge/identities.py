@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import algebra, framecalc
-from .charts import CurvaturePoint, required_jet_order
+from .charts import CapacityError, CurvaturePoint, required_jet_order
 
 DIM = 4
 _EYE = np.eye(DIM)
@@ -65,6 +65,14 @@ def _frobenius(a) -> float:
     return float(np.sqrt((a * a).sum()))
 
 
+def _computed(fields: dict, key, what: str):
+    try:
+        return fields[key]
+    except KeyError:
+        raise CapacityError(
+            f"{what} {key!r} not computed at this point") from None
+
+
 class SectorPack:
     """Cached duality-sector data at a point."""
 
@@ -86,11 +94,14 @@ class SectorPack:
         # a reference cycle that only the cyclic collector frees
         self._trivial_scale = pd.riem_norm ** 1.5
 
+    def stack(self, k: int) -> np.ndarray:
+        return _computed(self.stacks, k, f"{self.name} derivative stack")
+
     @property
     def ed(self) -> framecalc.EigenframeDerivatives:
         if self._ed is None:
             self._ed = framecalc.extract_frame_derivatives(
-                self.stacks[1], self.frame,
+                self.stack(1), self.frame,
                 trivial_scale=self._trivial_scale)
         return self._ed
 
@@ -110,15 +121,10 @@ class PointData:
         self._blocks = None
 
     def nw(self, k: int) -> np.ndarray:
-        try:
-            return self.cp.nabla_w[k]
-        except KeyError:
-            from .charts import CapacityError
-            raise CapacityError(
-                f"derivative stack {k} not computed at this point") from None
+        return _computed(self.cp.nabla_w, k, "derivative stack")
 
     def lap(self, key: str) -> float:
-        return self.cp.laplacians[key]
+        return _computed(self.cp.laplacians, key, "Laplacian field")
 
     def operand(self, name: str, sign: int | None = None):
         """The term operand `name` at this point.
@@ -135,7 +141,7 @@ class PointData:
             return self.W if sign is None else self.sector(sign).w
         if name.startswith("nw"):
             k = int(name[2:])
-            return self.nw(k) if sign is None else self.sector(sign).stacks[k]
+            return self.nw(k) if sign is None else self.sector(sign).stack(k)
         if name.startswith("lap_"):
             key = name[4:]
             return self.lap(key if sign is None
@@ -621,12 +627,12 @@ def ev_derder_reconstruction(pd: PointData, sign: int):
 
 def ev_derder_norm(pd: PointData, sign: int):
     pack = pd.sector(sign)
-    return framecalc.norm_expansion_residual(pack.ed, pack.stacks[1])
+    return framecalc.norm_expansion_residual(pack.ed, pack.stack(1))
 
 
 def ev_derder_cubic(pd: PointData, sign: int):
     pack = pd.sector(sign)
-    return framecalc.cubic_contraction_residual(pack.w, pack.stacks[1],
+    return framecalc.cubic_contraction_residual(pack.w, pack.stack(1),
                                                 pack.frame, pack.ed)
 
 

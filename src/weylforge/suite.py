@@ -4,10 +4,12 @@ For each requested manifold the runner plans the jet order, derivative depth
 and scalar-Laplacian fields needed by the identities that could apply there
 (declared chart properties drive the planning; every declared property is
 re-verified numerically at each sampled point and a contradiction fails the
-whole run).  Each (manifold, point) pair is evaluated independently -- an
-optional thread pool parallelizes over points -- and the report is assembled
-in a fixed (identity, manifold, point-index) order, so output is byte-stable
-for a fixed configuration.
+whole run).  Each chart's points are evaluated in index order in the calling
+thread; the only parallelism is BLAS's own threads inside the jet
+contractions.  Every identity at a point goes through one check (gate,
+residual, relative residual, status), and the report is assembled in a fixed
+(identity, manifold, point-index) order, so output is byte-stable for a
+fixed configuration.
 
 On a negative-control chart the identities in CONTROL_EXPECT_FAIL are
 evaluated despite their failed hypotheses; each must be violated beyond its
@@ -19,14 +21,12 @@ unexpected failure, 2 configuration error.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import charts, identities, rng
-from .charts import CapacityError, MetricChart, curvature_at, required_jet_order
+from . import charts, rng
+from .charts import MetricChart, curvature_at, required_jet_order
 from .identities import (CONTROL_EXPECT_FAIL, CONTROL_MIN_FRACTION, REGISTRY,
                          IdentitySpec, PointData, gate_satisfied,
                          residual_rel, static_applicable)
@@ -48,6 +48,8 @@ class RunConfig:
     output_path: str | None = None
     deterministic: bool = False
     conformal_coeffs: dict | None = None
+    # accepted and ignored: points run serially.  perfbench still builds
+    # RunConfig(threads=...) and reads it back.
     threads: int | None = None
 
     def as_dict(self) -> dict:
@@ -96,42 +98,21 @@ class SuiteReport:
     exit_code: int
 
 
-def resolve_manifolds(names, catalog) -> list:
-    if list(names) == ["all"]:
-        return list(catalog)
-    out = []
+def resolve_names(kind: str, names, known) -> list:
+    """The selected names in the given order; ("all",) selects all of
+    `known`.  An empty selection or a name listed twice is a ConfigError."""
+    names = list(names)
+    if names == ["all"]:
+        return list(known)
+    if not names:
+        raise ConfigError(f"no {kind} selected")
     for n in names:
-        if n not in catalog:
+        if n not in known:
             raise ConfigError(
-                f"unknown manifold {n!r}; valid: {', '.join(sorted(catalog))}")
-        out.append(n)
-    return out
-
-
-def resolve_identities(names) -> list:
-    if list(names) == ["all"]:
-        return list(REGISTRY)
-    out = []
-    for n in names:
-        if n not in REGISTRY:
-            raise ConfigError(
-                f"unknown identity {n!r}; valid: {', '.join(sorted(REGISTRY))}")
-        out.append(n)
-    return out
-
-
-def _thread_count(cfg: RunConfig) -> int:
-    if cfg.threads is not None:
-        n = cfg.threads
-    else:
-        raw = os.environ.get("WEYL_FORGE_THREADS", "0")
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 0
-    if n <= 0:
-        n = min(4, os.cpu_count() or 1)
-    return max(1, n)
+                f"unknown {kind} {n!r}; valid: {', '.join(sorted(known))}")
+        if names.count(n) > 1:
+            raise ConfigError(f"{kind} {n!r} is listed more than once")
+    return names
 
 
 def _audit_point(chart: MetricChart, pd: PointData) -> list:
@@ -170,46 +151,58 @@ def _gate_contradicts_declaration(spec: IdentitySpec, pd: PointData) -> bool:
     return True
 
 
+def _row(sid: str, pd: PointData, status: str, res_abs=0.0, scale=0.0,
+         rel=0.0) -> IdentityCheckResult:
+    cp = pd.cp
+    return IdentityCheckResult(sid, cp.chart.name, tuple(map(float, cp.point)),
+                               float(res_abs), float(scale), float(rel),
+                               status, cp.jet_order)
+
+
+def _check(spec: IdentitySpec, pd: PointData, tol: float,
+           control: float | None = None) -> IdentityCheckResult:
+    """One identity at one point: gate, residual, relative residual, status.
+
+    `control` is the violation threshold of a negative-control identity,
+    which is evaluated despite its gate; None for an ordinary check.
+    """
+    if control is None and not gate_satisfied(spec, pd):
+        return _row(spec.id, pd, "not_applicable")
+    res_abs, scale = spec.evaluate(pd)
+    rel, floor = residual_rel(spec, pd, res_abs, scale)
+    if control is None:
+        status = "pass" if rel <= tol else "fail"
+    else:
+        status = "expected-fail" if rel > control else "unexpected-pass"
+    return _row(spec.id, pd, status, res_abs, floor, rel)
+
+
 def _evaluate_point(chart, point, attempted, requested, order, depth, laps,
                     tolerances, control_ids):
+    """Rows for every requested identity at one point, and the point's
+    declaration mismatches."""
     cp = curvature_at(chart, point, depth=depth, laplacians=laps,
                       jet_order=order)
     pd = PointData(cp)
-    mismatches = [{"manifold": chart.name, "point": list(map(float, point)),
-                   "problem": msg} for msg in _audit_point(chart, pd)]
-    rows = []
+    where = {"manifold": chart.name, "point": list(map(float, point))}
+    mismatches = [{**where, "problem": msg} for msg in _audit_point(chart, pd)]
     attempted_ids = {s.id for s in attempted}
+    rows = []
     for sid in requested:
         spec = REGISTRY[sid]
         if sid not in attempted_ids:
-            rows.append((sid, IdentityCheckResult(
-                sid, chart.name, tuple(map(float, point)), 0.0, 0.0, 0.0,
-                "not_applicable", cp.jet_order)))
+            rows.append(_row(sid, pd, "not_applicable"))
             continue
-        tol = tolerances.get(sid, spec.tol)
-        is_control = sid in control_ids
-        if not is_control and not gate_satisfied(spec, pd):
-            if static_applicable(spec, chart.properties) and \
-                    _gate_contradicts_declaration(spec, pd):
-                mismatches.append({
-                    "manifold": chart.name,
-                    "point": list(map(float, point)),
-                    "problem": f"{sid}: declared properties imply gate "
-                               f"'{spec.gate}' but measurement fails it"})
-            rows.append((sid, IdentityCheckResult(
-                sid, chart.name, tuple(map(float, point)), 0.0, 0.0, 0.0,
-                "not_applicable", cp.jet_order)))
-            continue
-        res_abs, scale = spec.evaluate(pd)
-        rel, floor = residual_rel(spec, pd, res_abs, scale)
-        if is_control:
-            status = "expected-fail" if rel > control_ids[sid] \
-                else "unexpected-pass"
-        else:
-            status = "pass" if rel <= tol else "fail"
-        rows.append((sid, IdentityCheckResult(
-            sid, chart.name, tuple(map(float, point)), float(res_abs),
-            float(floor), float(rel), status, cp.jet_order)))
+        row = _check(spec, pd, tolerances.get(sid, spec.tol),
+                     control_ids.get(sid))
+        # an attempted identity off the control list is statically
+        # applicable, so a failed gate may contradict the declaration
+        if row.status == "not_applicable" and \
+                _gate_contradicts_declaration(spec, pd):
+            mismatches.append({
+                **where, "problem": f"{sid}: declared properties imply gate "
+                                    f"'{spec.gate}' but measurement fails it"})
+        rows.append(row)
     return rows, mismatches
 
 
@@ -227,51 +220,36 @@ def check_identity(identity_id: str, cp, tol: float | None = None
 
     Applies the measured hypothesis gate; the result status is pass, fail or
     not_applicable.  The point must carry the derivative depth and Laplacian
-    fields the identity needs.
+    fields the identity needs, else CapacityError.
     """
-    if identity_id not in REGISTRY:
-        raise ConfigError(
-            f"unknown identity {identity_id!r}; valid: "
-            f"{', '.join(sorted(REGISTRY))}")
-    if tol is not None:
-        _check_tolerance(identity_id, tol)
+    resolve_names("identity", [identity_id], REGISTRY)
     spec = REGISTRY[identity_id]
+    if tol is None:
+        tol = spec.tol
+    else:
+        _check_tolerance(identity_id, tol)
     pd = cp if isinstance(cp, PointData) else PointData(cp)
-    point = tuple(map(float, pd.cp.point))
-    if not gate_satisfied(spec, pd):
-        return IdentityCheckResult(identity_id, pd.cp.chart.name, point, 0.0,
-                                   0.0, 0.0, "not_applicable",
-                                   pd.cp.jet_order)
-    res_abs, scale = spec.evaluate(pd)
-    rel, floor = residual_rel(spec, pd, res_abs, scale)
-    threshold = spec.tol if tol is None else tol
-    status = "pass" if rel <= threshold else "fail"
-    return IdentityCheckResult(identity_id, pd.cp.chart.name, point,
-                               float(res_abs), float(floor), float(rel),
-                               status, pd.cp.jet_order)
+    return _check(spec, pd, tol)
 
 
 def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
     if catalog is None:
         catalog = charts.build_catalog(cfg.conformal_coeffs)
-    manifolds = resolve_manifolds(cfg.manifolds, catalog)
-    requested = resolve_identities(cfg.identities)
+    manifolds = resolve_names("manifold", cfg.manifolds, catalog)
+    requested = resolve_names("identity", cfg.identities, REGISTRY)
     if cfg.points_per_manifold < 1:
         raise ConfigError("points_per_manifold must be >= 1")
     for tid, tol in cfg.tolerance_overrides.items():
         if tid not in REGISTRY:
             raise ConfigError(f"tolerance override for unknown identity {tid!r}")
         _check_tolerance(tid, tol)
-    if cfg.jet_order != "auto":
-        k = int(cfg.jet_order)
-        if not 2 <= k <= 8:
-            raise ConfigError("jet_order must be 'auto' or an integer in 2..8")
+    fixed_order = None if cfg.jet_order == "auto" else int(cfg.jet_order)
+    if fixed_order is not None and not 2 <= fixed_order <= 8:
+        raise ConfigError("jet_order must be 'auto' or an integer in 2..8")
 
-    all_rows = []
+    results = []
     mismatches = []
     capacity_skipped = []
-    n_threads = _thread_count(cfg)
-
     for name in manifolds:
         chart = catalog[name]
         control_ids = dict(CONTROL_EXPECT_FAIL) \
@@ -279,45 +257,25 @@ def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
         attempted = [REGISTRY[sid] for sid in requested
                      if static_applicable(REGISTRY[sid], chart.properties)
                      or sid in control_ids]
-        if cfg.jet_order != "auto":
-            order = int(cfg.jet_order)
-            kept = []
-            for s in attempted:
-                if required_jet_order(s.depth, s.laplacians) <= order:
-                    kept.append(s)
-                else:
-                    capacity_skipped.append((s.id, name))
-            attempted = kept
+        if fixed_order is not None:
+            capacity_skipped += [(s.id, name) for s in attempted
+                                 if s.jet_order > fixed_order]
+            attempted = [s for s in attempted if s.jet_order <= fixed_order]
         depth = max([s.depth for s in attempted] + [1])
         laps = tuple(sorted({f for s in attempted for f in s.laplacians}))
-        if cfg.jet_order == "auto":
-            order = required_jet_order(depth, laps)
-        else:
-            order = int(cfg.jet_order)
-            depth = min(depth, order - 2)
-        points = rng.sample_box(chart.domain, cfg.points_per_manifold,
-                                cfg.seed, name)
+        order = required_jet_order(depth, laps) if fixed_order is None \
+            else fixed_order
+        depth = min(depth, order - 2)
+        for point in rng.sample_box(chart.domain, cfg.points_per_manifold,
+                                    cfg.seed, name):
+            rows, point_mismatches = _evaluate_point(
+                chart, point, attempted, requested, order, depth, laps,
+                cfg.tolerance_overrides, control_ids)
+            results += rows
+            mismatches += point_mismatches
 
-        def work(idx_point):
-            idx, point = idx_point
-            return idx, _evaluate_point(chart, point, attempted, requested,
-                                        order, depth, laps,
-                                        cfg.tolerance_overrides, control_ids)
-
-        if n_threads > 1 and len(points) > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                outcomes = list(pool.map(work, enumerate(points)))
-        else:
-            outcomes = [work(ip) for ip in enumerate(points)]
-        outcomes.sort(key=lambda item: item[0])
-        for idx, (rows, point_mismatch) in outcomes:
-            mismatches.extend(point_mismatch)
-            for sid, row in rows:
-                all_rows.append(((sid, name, idx), row))
-
-    all_rows.sort(key=lambda item: item[0])
-    results = [row for _, row in all_rows]
-
+    # stable: within one (identity, manifold) the rows stay in point order
+    results.sort(key=lambda r: (r.identity_id, r.manifold))
     summary, exit_code = _summarize(results, mismatches, capacity_skipped,
                                     catalog)
     env = _environment(cfg.deterministic)

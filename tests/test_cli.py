@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from weylforge import cli
+from weylforge import cli, suite
 
 
 def run_cli(args):
@@ -72,7 +72,7 @@ def test_deterministic_reports_are_byte_identical_across_processes():
             "--manifolds", "schwarzschild",
             "--identities", "bochner2.pro-boch-plus,bochnerk.k2-minus",
             "--points", "1", "--seed", "42", "--deterministic",
-            "--format", "json", "--threads", "1"]
+            "--format", "json"]
     outputs = []
     for hash_seed in ("1", "2", "3"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
@@ -93,7 +93,7 @@ def test_deterministic_reports_are_byte_identical_across_blas_threads():
             "--identities",
             "bochner2.pro-boch-plus,bochnerk.k2-minus,commutek.k4",
             "--points", "2", "--seed", "42", "--deterministic",
-            "--format", "json", "--threads", "2"]
+            "--format", "json"]
     outputs = []
     for blas_threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
@@ -214,9 +214,35 @@ def test_console_entry_point_runs():
     assert "bochner2.teo-sbf" in proc.stdout
 
 
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("WEYL_FORGE_THREADS", "2")
-    code = cli.main(["verify", "--manifolds", "flat-r4", "--points", "4",
-                     "--identities", "bianchi1.weyl", "--deterministic",
-                     "--out", str(tmp_path / "r.json")])
-    assert code == 0
+def test_threads_flag_is_gone(capsys):
+    """Points run serially; --threads is no longer an option."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--threads", "2", "--points", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_reports_ignore_the_threads_field():
+    """RunConfig.threads is accepted and ignored."""
+    texts = set()
+    for threads in (None, 1, 4):
+        cfg = suite.RunConfig(
+            manifolds=("schwarzschild", "flat-r4"),
+            identities=("bianchi1.weyl", "key2.full", "commute2.riemann"),
+            points_per_manifold=3, seed=5, deterministic=True,
+            threads=threads)
+        texts.add(suite.render_json(suite.run_suite(cfg)))
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--manifolds", ",", "no manifold selected"),
+    ("--identities", "", "no identity selected"),
+    ("--manifolds", "flat-r4,flat-r4", "'flat-r4' is listed more than once"),
+    ("--identities", "bianchi1.weyl,key2.full,bianchi1.weyl",
+     "'bianchi1.weyl' is listed more than once")])
+def test_empty_or_repeated_selection_exits_2(flag, value, message, capsys):
+    """An empty selection would check nothing and report ok; a repeated
+    name would report every row twice."""
+    assert cli.main(["verify", flag, value, "--points", "1"]) == 2
+    assert message in capsys.readouterr().err

@@ -238,6 +238,22 @@ def test_single_identity_check_api(cp_sds, cp_schwarzschild):
         check_identity("bogus", cp_sds)
 
 
+def test_missing_fields_and_stacks_are_capacity_errors(catalog):
+    """A point without a Laplacian field or sector derivative stack that an
+    identity needs raises CapacityError naming it, as a missing full
+    nabla^k W does."""
+    from weylforge.suite import check_identity
+    cp = curvature_at(catalog["schwarzschild"], [4.0, 1.2, 0.8, 0.3],
+                      depth=1)
+    for sid, missing in (("bochner1.4d", "'w'"), ("bochner2.pro-boch", "'dw'"),
+                         ("bochner2.pro-boch-plus", "'dw_plus'")):
+        with pytest.raises(charts.CapacityError, match=missing):
+            check_identity(sid, cp)
+    for name in ("nw2", "nw2+", "nw2-"):
+        with pytest.raises(charts.CapacityError, match="derivative stack 2"):
+            PointData(cp).operand(name)
+
+
 def test_residual_scale_floor_keeps_trivial_points_passing(catalog):
     """On flat space every residual is 0/floor = 0."""
     cfg = RunConfig(manifolds=("flat-r4",), identities=("all",),
