@@ -14,13 +14,14 @@ change.  The script prints:
 - how many applicable rows have a bit-identical `residual_rel`;
 - for each identity, the largest |delta residual_rel| / tol over its
   applicable rows, with tol the report's override or the registry's
-  `spec.tol` of this checkout;
+  `spec.tol` of this checkout.  Above 0.05 (`BAR`) the residuals moved by
+  more than round-off should, and the identity is flagged;
 - for each identity, the largest ratio of the change's `scale` to the
   parent's over its applicable rows.  A ratio above 1 + 1e-12 means the
   change divides by more, a looser check, and is flagged.
 
-It exits 0 when rows and `summary.ok` are identical and no check got looser,
-and 1 otherwise.
+It exits 0 when rows and `summary.ok` are identical, no residual moved past
+the bar and no check got looser, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from weylforge.identities import REGISTRY  # noqa: E402
 
 KEY = ("identity_id", "manifold", "point", "status", "jet_order_used")
 LOOSER = 1.0 + 1e-12
+BAR = 0.05
 
 
 def compare(parent: dict, change: dict) -> dict:
     """Row identity, bit-identical count, max |d residual_rel|/tol and max
-    scale ratio per identity, and the identities whose check got looser."""
+    scale ratio per identity, the identities whose residuals moved past BAR
+    and those whose check got looser."""
     rows_p, rows_c = parent["results"], change["results"]
     keys_p = [tuple(json.dumps(r[k]) for k in KEY) for r in rows_p]
     keys_c = [tuple(json.dumps(r[k]) for k in KEY) for r in rows_c]
@@ -69,6 +72,7 @@ def compare(parent: dict, change: dict) -> dict:
         "bit_identical": bit_identical,
         "max_delta_over_tol": dict(sorted(worst.items())),
         "max_scale_ratio": dict(sorted(scale_ratio.items())),
+        "over_bar": sorted(sid for sid, d in worst.items() if d > BAR),
         "looser": sorted(sid for sid, r in scale_ratio.items() if r > LOOSER),
     }
 
@@ -90,13 +94,15 @@ def main(argv=None) -> int:
         print("max |delta residual_rel| / tol per identity:")
         for sid, v in sorted(res["max_delta_over_tol"].items(),
                              key=lambda kv: -kv[1]):
-            print(f"  {v:.3e}  {sid}")
+            flag = "  OVER BAR" if v > BAR else ""
+            print(f"  {v:.3e}  {sid}{flag}")
         print("max scale ratio change / parent per identity:")
         for sid, v in sorted(res["max_scale_ratio"].items(),
                              key=lambda kv: -kv[1]):
             flag = "  LOOSER" if v > LOOSER else ""
             print(f"  {v:.15f}  {sid}{flag}")
-    ok = res["rows_identical"] and res["ok_identical"] and not res["looser"]
+    ok = (res["rows_identical"] and res["ok_identical"]
+          and not res["over_bar"] and not res["looser"])
     return 0 if ok else 1
 
 

@@ -108,6 +108,32 @@ def project_sector(t: np.ndarray, sector: int, orientation: int = 1) -> np.ndarr
     return from_pair_matrix(np.swapaxes(m, 0, 1))
 
 
+def sector_forms(orientation: int = 1) -> np.ndarray:
+    """(2, 3, 4, 4): the orthonormal basis two-forms of both sectors.
+
+    Rows sector_seed(+1, orientation) / sqrt 2 (s = 0) and
+    sector_seed(-1, orientation) / sqrt 2 (s = 1) as antisymmetric matrices.
+    """
+    seeds = np.stack([sector_seed(1, orientation),
+                      sector_seed(-1, orientation)]) / np.sqrt(2.0)
+    return np.einsum("sxA,Aij->sxij", seeds, PAIR_FORMS)
+
+
+def from_sector_blocks(blocks: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """Frame components of a Weyl-type tensor from its sector blocks.
+
+    blocks[s, x, y, ...] are W+- blocks with any trailing slots, forms the
+    matching basis two-forms (sector_forms or a slice of it):
+    T_ijkl... = sum_{s,x,y} blocks[s, x, y, ...] forms[s, x, i, j]
+    forms[s, y, k, l], one (256 x 9) matrix product per sector.
+    """
+    out = 0.0
+    for f, b in zip(forms.reshape(-1, 3, DIM * DIM), blocks):
+        pairs = np.einsum("xa,yb->abxy", f, f).reshape(DIM ** 4, 9)
+        out = out + pairs @ b.reshape(9, -1)
+    return out.reshape((DIM,) * 4 + blocks.shape[3:])
+
+
 def hodge_star_matrix(orientation: int = 1) -> np.ndarray:
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")

@@ -1,27 +1,41 @@
 """From a metric chart to pointwise curvature data via jet arithmetic.
 
-Each catalog chart produces its metric components as jets at a point; from
-those, Christoffel symbols, the Riemann tensor, Ricci, scalar curvature, Weyl
-and covariant derivative stacks nabla^k W are computed as jet fields in
-coordinates, then evaluated and transformed into a pointwise orthonormal
-frame (Cholesky of g, orientation-corrected).  Scalar Laplacians of |W|^2,
-|nabla W|^2 and |nabla^2 W|^2 (and their duality-sector halves) come from
-differentiating the jet-valued scalar fields directly, which keeps the left
-sides of the Bochner checks independent of the component-assembled right
-sides.
+Each catalog chart produces its metric components as jets at a point.  From
+those come, as jet fields in coordinates, the inverse metric (a Neumann
+series whose k-th iterate is computed to order k only), the Christoffel
+symbols and the all-lower Riemann tensor (from the first-kind symbols
+Gamma_{l,ij}, so no jet product lowers an index of R).
 
-The inverse metric is a Neumann series whose k-th iterate is computed to
-order k only.  Christoffel symbols of the first kind, Gamma_{l,ij}, are
-formed once from metric derivatives; raised with g^-1 they give Gamma^k_ij,
-and with Gamma^k_ij they give the all-lower Riemann tensor directly, so no
-jet product lowers an index of R.
+The Weyl tensor and its derivatives live on Lambda^2 = Lambda+ + Lambda-.
+An orthonormal frame E is built once per point as jets (`orthonormal_frame`:
+a jet Cholesky of g, E^T g E = I), with its connection one-forms omega from
+Gamma and dE.  In the orthonormal basis two-forms of Lambda+ and Lambda-
+(algebra.sector_seed(+-1, orientation) / sqrt 2), W is two trace-free
+symmetric 3x3 blocks W+ and W- (`weyl_jets`: the diagonal blocks of the
+frame curvature operator, trace removed), and so is every nabla^k W, with k
+frame derivative slots after the blocks: a W-blocks stack of shape
+(2, 3, 3, 4, .., 4, nc).  `covariant_derivative` is E^j_c d_j, minus
+omega's action on the two block slots (the 3x3 matrices A+- of the
+self-dual and anti-self-dual parts of omega) and minus omega on each
+derivative slot.  The frame components of a full Weyl-type tensor square-sum
+to four times its blocks', and the Hodge star on its first pair is +1 on
+the plus block and -1 on the minus block, so |T|^2 and <T, *T> are fixed
+multiples of the two halves' sums of squares.  Full frame components are
+expanded at degree 0 only (CurvaturePoint.weyl, nabla_w and the sector
+stacks of identities.SectorPack).  Scalar Laplacians of |W|^2, |nabla W|^2
+and |nabla^2 W|^2 (and their duality-sector halves) come from
+differentiating these jet-valued scalar fields directly, which keeps the
+left sides of the Bochner checks independent of the component-assembled
+right sides.  nabla Riem and nabla Ric are coordinate covariant derivatives
+at degree 0, taken to the frame.
 
-Jet-order budget: the Weyl tensor consumes two metric orders and each
-covariant derivative one more, so depth-d derivative data needs metric jets
-of order d+2.  Each quantity is computed only to the degree its reader uses:
-the Laplacian fields at order 2, so the Laplacian of |nabla^k W|^2 needs
-order k+4, and nabla Riem / nabla Ric at degree 0.  `required_jet_order`
-states this plan; `IdentitySpec.jet_order` is derived from it.
+Jet-order budget: from metric jets of order K, Gamma has order K-1, and
+Riemann, E and W order K-2; omega has order K-3, and nabla^k W order K-2-k,
+so depth-d derivative data needs K >= d+2.  Each quantity is computed only
+to the degree its reader uses: Ricci and R at order 1, the Laplacian fields
+at order 2, so the Laplacian of |nabla^k W|^2 needs order k+4, and
+nabla Riem / nabla Ric at degree 0.  `required_jet_order` states this plan;
+`IdentitySpec.jet_order` is derived from it.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import jets
+from . import algebra, jets
 from .jets import (Jet, contract_slot, mul_coeffs, mul_operator, n_coeffs,
                    partial_coeffs)
 from .tensors import DenseTensor, perm_sign
@@ -43,8 +57,8 @@ DIM = 4
 
 _PERM_INDEX = np.array(list(itertools.permutations(range(4))))
 _PERM_SIGN = np.array([perm_sign(p) for p in _PERM_INDEX])
-_PERM4 = np.zeros((4, 4, 4, 4))
-_PERM4[tuple(_PERM_INDEX.T)] = _PERM_SIGN
+# index pairs i < j of the two-form pair basis
+_PAIR_I, _PAIR_J = np.array(algebra.PAIRS).T
 
 
 class DomainError(ValueError):
@@ -191,37 +205,77 @@ def ricci_jets(riem: np.ndarray, ginv: np.ndarray, order: int):
     return ric, rs
 
 
-def weyl_jets(riem, ric, rs, g, order: int) -> np.ndarray:
-    """Weyl jets in dimension 4 from the decomposition of the Riemann tensor."""
-    gt = g[..., :n_coeffs(order)]
-    p1 = mul_coeffs(ric[:, None, :, None, :], gt[None, :, None, :, :], order,
-                    order, order)  # p1[i,j,k,l] = Ric_ik g_jl
-    gg = mul_coeffs(gt[:, None, :, None, :], gt[None, :, None, :, :], order,
-                    order, order)  # gg[i,j,k,l] = g_ik g_jl
-    ricterm = (p1 - np.einsum("ijlkc->ijklc", p1)
-               + np.einsum("jilkc->ijklc", p1) - np.einsum("jiklc->ijklc", p1))
-    ggdiff = gg - np.einsum("ijlkc->ijklc", gg)
-    rterm = mul_coeffs(rs, ggdiff, order, order, order)
-    return riem - 0.5 * ricterm + rterm / 6.0
+def weyl_jets(riem: np.ndarray, frame: Coframe, order: int) -> np.ndarray:
+    """W+ and W- as jets of order `order`: (2, 3, 3, nc), plus block first.
+
+    In frame.forms' basis the curvature operator's diagonal blocks are
+    W+ + (R/12) 1 and W- + (R/12) 1, and W+- are trace free, so each is its
+    block with the trace taken out.  The block is
+    M_xy = sum_{A,B} Q_x[A] R_AB Q_y[B] over the coordinate pairs A, B:
+    Q_x = E B_x E^T is the basis two-form B_x of the orthonormal frame E in
+    coordinate components, taken from Lambda^2 E, whose entries are the
+    2x2 minors E_ia E_jb - E_ja E_ib.
+    """
+    nc = n_coeffs(order)
+    e = frame.e[..., :nc]
+    i, j = _PAIR_I, _PAIR_J
+    minors = mul_coeffs(np.stack([e[i][:, i], e[j][:, i]]),
+                        np.stack([e[j][:, j], e[i][:, j]]), order, order,
+                        order)
+    basis = frame.forms[:, :, i, j]                     # (2, 3, 6)
+    q = np.einsum("Aac,sxa->sxAc", minors[0] - minors[1], basis)
+    r6 = riem[i[:, None], j[:, None], i[None, :], j[None, :], :nc]
+    z = mul_coeffs(r6[None, None], q[:, :, None], order, order,
+                   order).sum(axis=3)                   # (2, 3, 6, nc)
+    m = mul_coeffs(q[:, :, None], z[:, None], order, order,
+                   order).sum(axis=3)                   # (2, 3, 3, nc)
+    trace = np.einsum("sxxc->sc", m) / 3.0
+    return m - np.einsum("xy,sc->sxyc", np.eye(3), trace)
 
 
-def covariant_derivative(t: np.ndarray, order_t: int, gamma: np.ndarray,
-                         order_gamma: int) -> np.ndarray:
-    """Covariant derivative of an all-lower jet tensor; new slot appended last.
+def covariant_derivative(t: np.ndarray, order_t: int, frame: np.ndarray,
+                         conn: np.ndarray, slots) -> np.ndarray:
+    """Covariant derivative of a jet tensor in a frame; new slot appended last.
 
-    (nabla T)_{i1..ir, s} = d_s T - sum_a Gamma^m_{s i_a} T_{..m..}.
+    (nabla T)_{i1..ir, c} = frame[j, c] d_j T_{i1..ir}
+                            - sum_a (slots[a] . conn)[m, i_a, c] T_{..m..}.
+    `frame` holds the frame vectors e_c = frame[j, c] d_j as jets (the
+    identity for coordinate components).  conn[G, c] are the connection's
+    independent components as jets, and slots[a] is a constant map
+    (.., m, i, G) from them to the connection matrix acting on slot a, or
+    None for a slot it does not act on; leading axes that slots[a] has
+    beyond (m, i, G) run along t's leading axes.  A W-blocks stack takes a
+    Coframe's conn with (None, sector_map, sector_map, vector_map, ..);
+    coordinate tensors take Gamma^m_ci as conn[(m, i), c] with the identity
+    map on every slot.  The result has order order_t - 1, and frame and
+    conn are read to that order.  Each term is one contraction against a
+    multiplication operator: frame's, and the maps applied to conn's.
     """
     oo = order_t - 1
-    out = np.stack([partial_coeffs(t, order_t, s) for s in range(DIM)], axis=-2)
-    gam = np.swapaxes(gamma, 1, 2)  # gam[m, i_a, s] = Gamma^m_{s i_a}
-    op = mul_operator(gam, order_gamma, order_t, oo)
-    for a in range(t.ndim - 1):
-        out = out - contract_slot(t, op, a)
+    n = n_coeffs(oo)
+    d = np.stack([partial_coeffs(t, order_t, j) for j in range(DIM)], axis=-2)
+    out = contract_slot(d, mul_operator(frame[..., :n], oo, oo, oo),
+                        d.ndim - 2)
+    conn_op = mul_operator(conn[..., :n], oo, oo, oo)
+    tt = t[..., :n]
+    ops = {}
+    for a, slot_map in enumerate(slots):
+        if slot_map is None:
+            continue
+        if id(slot_map) not in ops:
+            ops[id(slot_map)] = np.tensordot(slot_map, conn_op, axes=1)
+        lead = slot_map.ndim - 3
+        for idx in np.ndindex(slot_map.shape[:lead]):
+            out[idx] -= contract_slot(tt[idx], ops[id(slot_map)][idx],
+                                      a - lead)
     return out
 
 
 def raise_all_indices(t: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
-    """Raise every tensor index of an all-lower jet tensor."""
+    """Raise every tensor index of an all-lower jet tensor.
+
+    The frame pipeline raises no index; the coordinate path that the tests
+    compare it against does."""
     op = mul_operator(ginv[..., :n_coeffs(order)], order, order, order)
     out = t
     for a in range(t.ndim - 1):
@@ -229,16 +283,28 @@ def raise_all_indices(t: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray
     return out
 
 
-def norm_sq_field(t: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
-    """|T|^2 as a scalar jet field (all indices paired through g^-1)."""
-    rank = t.ndim - 1
-    up = raise_all_indices(t, ginv, order)
-    sq = mul_coeffs(up, t[..., :n_coeffs(order)], order, order, order)
-    return sq.sum(axis=tuple(range(rank)))
+def _sector_squares(t: np.ndarray, order: int) -> np.ndarray:
+    """Sum of squares of each sector block of a W-blocks stack: (2, nc)."""
+    tt = t[..., :n_coeffs(order)]
+    sq = mul_coeffs(tt, tt, order, order, order)
+    return sq.reshape(2, -1, sq.shape[-1]).sum(axis=1)
+
+
+def norm_sq_field(t: np.ndarray, order: int) -> np.ndarray:
+    """|T|^2 of a W-blocks stack as a scalar jet field.
+
+    Each sector basis two-form has two nonzero frame components per pair
+    and unit norm, so the full frame components of T square-sum to four
+    times its blocks'.
+    """
+    return 4.0 * _sector_squares(t, order).sum(axis=0)
 
 
 def epsilon_jets(g: np.ndarray, order: int, orientation: int) -> np.ndarray:
-    """Scalar jet orientation * sqrt(det g); eps_ijkl is it times [ijkl]."""
+    """Scalar jet orientation * sqrt(det g); eps_ijkl is it times [ijkl].
+
+    The frame pipeline takes the star from the sector blocks; the coordinate
+    path that the tests compare it against uses this."""
     gt = g[..., :n_coeffs(order)]
     # Leibniz expansion over the 24 permutations of columns
     term = gt[0, _PERM_INDEX[:, 0]]
@@ -248,27 +314,16 @@ def epsilon_jets(g: np.ndarray, order: int, orientation: int) -> np.ndarray:
     return orientation * jets.sqrt(Jet(order, det)).coeffs
 
 
-def duality_cross_field(t: np.ndarray, g: np.ndarray, ginv: np.ndarray,
-                        order: int, orientation: int) -> np.ndarray:
-    """<T, *T> as a scalar jet field, star acting on the leading index pair.
+def duality_cross_field(t: np.ndarray, order: int) -> np.ndarray:
+    """<T, *T> of a W-blocks stack as a scalar jet field, star acting on the
+    leading index pair.
 
-    With |T^+|^2 - |T^-|^2 = <T, *T> this yields the sector halves of |T|^2
-    for Weyl-type stacks: |T^pm|^2 = (|T|^2 pm <T, *T>) / 2.  The symbol
-    [ijab] is constant, so (*T)_{ij rest} = 1/2 eps [ijab] T^{ab}_{rest} is
-    contracted coefficient by coefficient and the scalar jet eps multiplies
-    the summed field once.
+    The Hodge star is +1 on the plus block and -1 on the minus block, so
+    <T, *T> = |T^+|^2 - |T^-|^2 = 4 (|T_+ blocks|^2 - |T_- blocks|^2), and
+    the sector halves of |T|^2 are |T^pm|^2 = (|T|^2 pm <T, *T>) / 2.
     """
-    rank = t.ndim - 1
-    up = raise_all_indices(t, ginv, order)
-    op = mul_operator(ginv[..., :n_coeffs(order)], order, order, order)
-    t2 = t
-    for a in range(2):  # T2 = T with the first two indices raised
-        t2 = contract_slot(t2, op, a)
-    star_sym = np.tensordot(_PERM4, t2, axes=([2, 3], [0, 1]))
-    cross = mul_coeffs(up, star_sym, order, order, order)
-    cross = cross.sum(axis=tuple(range(rank)))
-    eps = epsilon_jets(g, order, orientation)
-    return 0.5 * mul_coeffs(eps, cross, order, order, order)
+    sq = _sector_squares(t, order)
+    return 4.0 * (sq[0] - sq[1])
 
 
 def scalar_jet_laplacian(f: np.ndarray, order_f: int, ginv0: np.ndarray,
@@ -295,13 +350,101 @@ def scalar_jet_laplacian(f: np.ndarray, order_f: int, ginv0: np.ndarray,
 # Orthonormal frames
 # ---------------------------------------------------------------------------
 
-def orthonormal_frame(g0: np.ndarray) -> np.ndarray:
-    """Frame matrix E with E^T g0 E = I and det E > 0 (Cholesky transpose)."""
+def _cholesky_frame(g0: np.ndarray) -> np.ndarray:
+    """E0 with E0^T g0 E0 = I and det E0 > 0 (inverse Cholesky transpose)."""
     try:
         chol = np.linalg.cholesky(g0)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"metric not positive definite: {exc}") from exc
     return np.linalg.inv(chol).T
+
+
+@dataclass(frozen=True)
+class Coframe:
+    """An orthonormal frame of a metric as jets, with its connection.
+
+    e[j, a] = E^j_a, the frame vectors e_a = E^j_a d_j.  omega[m, a, k] =
+    <nabla_k e_a, e_m>, the connection one-forms in coordinate components,
+    one order below e; antisymmetric in (m, a).
+    forms[s, x] are the orthonormal basis two-forms
+    sector_seed(+-1, orientation) / sqrt 2 of Lambda+ (s = 0) and Lambda-
+    (s = 1) as 4x4 matrices, B_G for G = (s, x) in (6,).  With the two-form
+    inner product <X, Y> = (1/2) X_ij Y_ij:
+
+    - conn[G, c] = <B_G, Omega_c>, Omega_c[m, a] = <nabla_{e_c} e_a, e_m>:
+      the six so(4) components of the connection along each frame vector,
+      so Omega = vector_map . conn with vector_map[m, a, G] = B_G[m, a];
+    - sector_map[s, y, x, G] = <B_sy, [B_G, B_sx]>: sector_map . conn is
+      the connection's action on the Lambda+- basis (A+ and A-), zero
+      across sectors.
+    """
+
+    e: np.ndarray
+    omega: np.ndarray
+    conn: np.ndarray
+    forms: np.ndarray
+    vector_map: np.ndarray
+    sector_map: np.ndarray
+
+
+def orthonormal_frame(g: np.ndarray, order: int,
+                      orientation: int = 1) -> Coframe:
+    """The orthonormal frame E of the metric jets g, as order-`order` jets.
+
+    E^T g E = I with E upper triangular and of positive diagonal: the
+    inverse transpose of the Cholesky factor of g, so det E > 0.  Its
+    constant term E0 comes from the Cholesky factor of g0.  With
+    S = E0^T g E0 and E = E0 V, V = 1 + V_1 + V_2 + .. upper triangular,
+    degree d of V^T S V = 1 reads V_d + V_d^T + Q_d = 0, where Q_d is degree
+    d of V^T S V with V taken through degree d-1.  So V_d is the upper
+    triangle of -Q_d with half its diagonal, one pair of 4x4 jet products
+    per degree.
+
+    The connection, to order-1, comes from Gamma and dE:
+    omega[m, a, k] = (E^T (g d_k E + Gamma_{.,k.} E))_ma with the
+    first-kind symbols Gamma_{l,ki}, and conn from omega along e_c =
+    E^k_c d_k; order must be >= 1.
+    """
+    if order < 1:
+        raise CapacityError("the coframe needs jet order >= 1")
+    e0 = _cholesky_frame(g[..., 0])
+    nc = n_coeffs(order)
+    s = np.einsum("ia,ijc,jb->abc", e0, g[..., :nc], e0)
+    v = np.zeros((DIM, DIM, nc))
+    v[..., 0] = np.eye(DIM)
+    upper = np.triu(np.ones((DIM, DIM)), 1) + 0.5 * np.eye(DIM)
+    for d in range(1, order + 1):
+        sv = _jet_matmul(s, v, order, d - 1, d)
+        q = _jet_matmul(np.swapaxes(v, 0, 1), sv, d - 1, d, d)
+        lo, hi = n_coeffs(d - 1), n_coeffs(d)
+        v[..., lo:hi] = -upper[..., None] * q[..., lo:hi]
+    e = np.einsum("ij,jbc->ibc", e0, v)
+
+    # E^T g d_k E + E^T Gamma_{.,k.} E = V^T (S d_k V + E0^T Gamma_{.,k.} E0 V)
+    oc = order - 1
+    n = n_coeffs(oc)
+    dv = np.stack([partial_coeffs(v, order, k) for k in range(DIM)],
+                  axis=-2)                             # dv[l, a, k]
+    rot = np.einsum("jm,jkic,ia->mkac", e0,
+                    first_kind_jets(g, order)[..., :n], e0)  # E0^T Gamma E0
+    y = mul_coeffs(s[:, :, None, None, :n], dv[None], oc, oc,
+                   oc).sum(axis=1)                     # y[m, a, k]
+    y += np.swapaxes(mul_coeffs(rot[:, :, :, None], v[None, None, :, :, :n],
+                                oc, oc, oc).sum(axis=2), 1, 2)
+    omega = mul_coeffs(v[:, :, None, None, :n], y[:, None], oc, oc,
+                       oc).sum(axis=0)                 # omega[m, a, k]
+
+    forms = algebra.sector_forms(orientation)
+    basis = forms.reshape(6, DIM, DIM)
+    along_k = 0.5 * np.einsum("Gma,makn->Gkn", basis, omega)
+    conn = mul_coeffs(along_k[:, :, None], e[None, :, :, :n], oc, oc,
+                      oc).sum(axis=1)
+    bracket = (np.einsum("Gij,sxjk->sxGik", basis, forms)
+               - np.einsum("sxij,Gjk->sxGik", forms, basis))
+    sector_map = 0.5 * np.einsum("syik,sxGik->syxG", forms, bracket)
+    return Coframe(e=e, omega=omega, conn=conn, forms=forms,
+                   vector_map=np.moveaxis(basis, 0, -1),
+                   sector_map=sector_map)
 
 
 def to_frame(t: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -316,6 +459,11 @@ def to_frame(t: np.ndarray, frame: np.ndarray) -> np.ndarray:
 # Curvature evaluation at a point
 # ---------------------------------------------------------------------------
 
+# The coordinate frame d_j as an order-0 jet frame, and the map that takes
+# Gamma^m_ci as conn[(m, i), c] to the connection of one coordinate slot.
+_COORDINATES = np.eye(DIM)[..., None]
+_COORDINATE_MAP = np.eye(DIM * DIM).reshape(DIM, DIM, DIM * DIM)
+
 LAPLACIAN_FIELDS = ("w", "dw", "d2w", "w_pm", "dw_pm", "d2w_pm")
 
 _LAP_STACK = {"w": 0, "dw": 1, "d2w": 2, "w_pm": 0, "dw_pm": 1, "d2w_pm": 2}
@@ -329,10 +477,11 @@ def required_jet_order(depth: int, laplacians=()) -> int:
     """Metric jet order needed for `depth` and the named Laplacian fields.
 
     This is the one jet-order plan of `curvature_at`.  Metric jets of order
-    K give Gamma at order K-1, Riemann, Ricci and W at K-2, and nabla^k W at
-    K-2-k, so depth d needs K >= d+2.  The fields |nabla^k W|^2 and
-    <nabla^k W, *nabla^k W> are built at order 2, the highest degree
-    `scalar_jet_laplacian` reads, so their Laplacians need K >= k+4.
+    K give Gamma at order K-1, Riemann, the frame E and W at K-2, the
+    connection at K-3 and nabla^k W at K-2-k, so depth d needs K >= d+2.
+    The fields |nabla^k W|^2 and <nabla^k W, *nabla^k W> are built at
+    order 2, the highest degree `scalar_jet_laplacian` reads, so their
+    Laplacians need K >= k+4.
     nabla Riem and nabla Ric are read only at degree 0; they are computed at
     order 0 from order-1 truncations and an order-0 Gamma and need no more.
     `IdentitySpec.jet_order` is this function of a check's depth and fields.
@@ -360,6 +509,8 @@ class CurvaturePoint:
     scalar: float
     weyl: np.ndarray
     nabla_w: dict            # k -> frame components of nabla^k W, k = 0..depth
+    weyl_blocks: dict        # k -> W+- blocks of nabla^k W: (2, 3, 3, 4, ..)
+    forms: np.ndarray        # the blocks' basis two-forms, Coframe.forms
     nabla_riem: np.ndarray | None
     ric_deriv: np.ndarray | None
     d_scalar: np.ndarray | None
@@ -373,7 +524,7 @@ def christoffel(chart: MetricChart, point, jet_order: int) -> DenseTensor:
     if jet_order < 1:
         raise CapacityError("christoffel needs jet order >= 1")
     g = chart.metric_jets(point, jet_order)
-    orthonormal_frame(g[..., 0])  # positive-definiteness check
+    _cholesky_frame(g[..., 0])  # positive-definiteness check
     ginv = inverse_metric_jets(g, jet_order)
     return DenseTensor(christoffel_jets(g, ginv, jet_order), "udd",
                        jet_order - 1)
@@ -401,20 +552,29 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
 
     point = np.asarray(point, dtype=float)
     g = chart.metric_jets(point, order)
-    frame = orthonormal_frame(g[..., 0])
     ginv = inverse_metric_jets(g, order)
     gamma = christoffel_jets(g, ginv, order)
     riem = riemann_jets(g, gamma, order)
     o_r = order - 2
-    ric, rs = ricci_jets(riem, ginv, o_r)
-    weyl = weyl_jets(riem, ric, rs, g, o_r)
+    # Ricci and R are read at degree <= 1 only: their values, nabla Ric at
+    # degree 0 and dR
+    ric, rs = ricci_jets(riem, ginv, min(o_r, 1))
+    # the connection has order one less than E; order 2 (depth 0) needs no
+    # connection but builds E to order 1 all the same
+    cof = orthonormal_frame(g, max(o_r, 1), chart.orientation)
+    frame = cof.e[..., 0]
+    weyl = weyl_jets(riem, cof, o_r)
 
     stacks = {0: weyl}
     for k in range(1, depth + 1):
-        stacks[k] = covariant_derivative(stacks[k - 1], o_r - k + 1, gamma,
-                                         order - 1)
+        slots = (None, cof.sector_map, cof.sector_map) \
+            + (cof.vector_map,) * (k - 1)
+        stacks[k] = covariant_derivative(stacks[k - 1], o_r - k + 1, cof.e,
+                                         cof.conn, slots)
 
-    nabla_w = {k: to_frame(stacks[k][..., 0], frame) for k in stacks}
+    blocks = {k: stacks[k][..., 0] for k in stacks}
+    nabla_w = {k: algebra.from_sector_blocks(blocks[k], cof.forms)
+               for k in blocks}
     riem_f = to_frame(riem[..., 0], frame)
     ric_f = to_frame(ric[..., 0], frame)
     weyl_f = nabla_w[0]
@@ -422,15 +582,18 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
 
     nabla_riem_f = ric_deriv_f = d_scalar_f = cotton = cotton_div = None
     if depth >= 1:
-        # read at degree 0 only: order-1 inputs against the constant Gamma
-        lin, gamma_c = n_coeffs(1), gamma[..., :1]
-        nabla_riem = covariant_derivative(riem[..., :lin], 1, gamma_c, 0)
+        # read at degree 0 only: order-1 coordinate components against the
+        # constant Gamma, in the coordinate frame
+        lin = n_coeffs(1)
+        gam = np.swapaxes(gamma[..., :1], 1, 2).reshape(DIM * DIM, DIM, 1)
+        nabla_riem = covariant_derivative(riem[..., :lin], 1, _COORDINATES,
+                                          gam, (_COORDINATE_MAP,) * 4)
         nabla_riem_f = to_frame(nabla_riem[..., 0], frame)
-        ric_deriv = covariant_derivative(ric[..., :lin], 1, gamma_c, 0)
+        ric_deriv = covariant_derivative(ric[..., :lin], 1, _COORDINATES,
+                                         gam, (_COORDINATE_MAP,) * 2)
         ric_deriv_f = to_frame(ric_deriv[..., 0], frame)
         d_scalar_f = frame.T @ np.array(
-            [partial_coeffs(rs, o_r, d)[0] for d in range(DIM)])
-        from . import algebra
+            [partial_coeffs(rs, 1, d)[0] for d in range(DIM)])
         cotton = algebra.cotton_from_ricci(ric_deriv_f, d_scalar_f)
         cotton_div = algebra.cotton_from_weyl_divergence(nabla_w[1])
 
@@ -447,11 +610,10 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
                 raise CapacityError(
                     f"laplacian of |nabla^{k} W|^2 needs depth >= {k}")
             key = {0: "w", 1: "dw", 2: "d2w"}[k]
-            base = norm_sq_field(stacks[k], ginv, _FIELD_ORDER)
+            base = norm_sq_field(stacks[k], _FIELD_ORDER)
             lap[key] = scalar_jet_laplacian(base, _FIELD_ORDER, ginv0, gamma0)
             if want_pm:
-                cross = duality_cross_field(stacks[k], g, ginv, _FIELD_ORDER,
-                                            chart.orientation)
+                cross = duality_cross_field(stacks[k], _FIELD_ORDER)
                 lap_cross = scalar_jet_laplacian(cross, _FIELD_ORDER, ginv0,
                                                  gamma0)
                 lap[key + "_plus"] = 0.5 * (lap[key] + lap_cross)
@@ -460,7 +622,8 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
     return CurvaturePoint(
         chart=chart, point=point, frame=frame, orientation=chart.orientation,
         jet_order=order, depth=depth, riem=riem_f, ric=ric_f, scalar=scalar,
-        weyl=weyl_f, nabla_w=nabla_w, nabla_riem=nabla_riem_f,
+        weyl=weyl_f, nabla_w=nabla_w, weyl_blocks=blocks,
+        forms=cof.forms, nabla_riem=nabla_riem_f,
         ric_deriv=ric_deriv_f, d_scalar=d_scalar_f, cotton=cotton,
         cotton_div=cotton_div, laplacians=lap)
 

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sample points per manifold")
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--jet-order", default="auto",
-                     help="'auto' or a fixed metric jet order 2..8")
+                     help="'auto' or a fixed metric jet order 3..8")
     ver.add_argument("--tol", action="append", metavar="ID=VALUE",
                      help="override the pass threshold of one identity "
                      "(finite and > 0)")

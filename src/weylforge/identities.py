@@ -79,9 +79,9 @@ class SectorPack:
     def __init__(self, pd: "PointData", sign: int):
         cp = pd.cp
         self.name = _SECTOR_NAME[sign]
-        o = cp.orientation
-        self.stacks = {k: algebra.project_sector(cp.nabla_w[k], sign, o)
-                       for k in cp.nabla_w}
+        s = slice(0, 1) if sign == 1 else slice(1, 2)
+        self.stacks = {k: algebra.from_sector_blocks(b[s], cp.forms[s])
+                       for k, b in cp.weyl_blocks.items()}
         self.w = self.stacks[0]
         self.w_norm = _frobenius(self.w)
         self.dw_norm = (_frobenius(self.stacks[1])

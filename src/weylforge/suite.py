@@ -244,8 +244,11 @@ def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
             raise ConfigError(f"tolerance override for unknown identity {tid!r}")
         _check_tolerance(tid, tol)
     fixed_order = None if cfg.jet_order == "auto" else int(cfg.jet_order)
-    if fixed_order is not None and not 2 <= fixed_order <= 8:
-        raise ConfigError("jet_order must be 'auto' or an integer in 2..8")
+    if fixed_order is not None and not 3 <= fixed_order <= 8:
+        # W at order K-2 leaves nabla W for K >= 3 only
+        raise ConfigError(
+            "jet_order must be 'auto' or an integer in 3..8: the hypothesis "
+            "gates read nabla W at every point, which needs order >= 3")
 
     results = []
     mismatches = []

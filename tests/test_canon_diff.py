@@ -32,7 +32,7 @@ def test_identical_reports():
     assert res["rows_identical"] and res["ok_identical"]
     assert res["applicable"] == 2 and res["bit_identical"] == 2
     assert res["max_scale_ratio"] == {"bianchi1.weyl": 1.0}
-    assert res["looser"] == []
+    assert res["looser"] == [] and res["over_bar"] == []
 
 
 def test_differing_rows():
@@ -55,3 +55,23 @@ def test_raised_scale_is_flagged():
     # a scale raised by round-off only is not a looser check
     change["results"][1]["scale"] = 3.0 * (1.0 + 1e-15)
     assert canon_diff.compare(PARENT, change)["looser"] == []
+
+
+def test_residual_moved_past_the_bar_fails(tmp_path, capsys):
+    """|delta residual_rel| above 0.05 tol names the identity and exits 1;
+    at the bar it passes."""
+    tol = canon_diff.REGISTRY["bianchi1.weyl"].tol
+    change = json.loads(json.dumps(PARENT))
+    change["results"][1]["residual_rel"] = 0.05 * tol
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    for path, doc in zip(paths, (PARENT, change)):
+        path.write_text(json.dumps(doc))
+    assert canon_diff.compare(PARENT, change)["over_bar"] == []
+    assert canon_diff.main([str(p) for p in paths]) == 0
+    change["results"][1]["residual_rel"] = 0.06 * tol
+    paths[1].write_text(json.dumps(change))
+    assert canon_diff.compare(PARENT, change)["over_bar"] == \
+        ["bianchi1.weyl"]
+    capsys.readouterr()
+    assert canon_diff.main([str(p) for p in paths]) == 1
+    assert "bianchi1.weyl  OVER BAR" in capsys.readouterr().out

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import coordinate_reference as ref
 from weylforge import algebra as alg
 from weylforge import charts, jets
 from weylforge.charts import (CapacityError, DomainError, MetricChart,
@@ -278,9 +280,8 @@ def test_scalar_hessian_symmetry(catalog):
     ginv = charts.inverse_metric_jets(g, 4)
     gamma = charts.christoffel_jets(g, ginv, 4)
     riem = charts.riemann_jets(g, gamma, 4)
-    ric, rs = charts.ricci_jets(riem, ginv, 2)
-    weyl = charts.weyl_jets(riem, ric, rs, g, 2)
-    f = charts.norm_sq_field(weyl, ginv, 2)
+    weyl = charts.weyl_jets(riem, charts.orthonormal_frame(g, 2), 2)
+    f = charts.norm_sq_field(weyl, 2)
     grad = [jets.partial_coeffs(f, 2, p) for p in range(4)]
     hess = np.empty((4, 4))
     for p in range(4):
@@ -319,25 +320,26 @@ def test_jet_order_auto_selection():
 
 
 
-# -- the jet-order plan and the constant-symbol duality field -----------------
+# -- the jet-order plan and the duality field ---------------------------------
 
 def _weyl_stack(chart, point, order=6):
-    """g, g^-1, Gamma, Riemann, Ricci and [W, nabla W] from metric jets."""
-    g = chart.metric_jets(point, order)
-    ginv = charts.inverse_metric_jets(g, order)
-    gamma = charts.christoffel_jets(g, ginv, order)
-    riem = charts.riemann_jets(g, gamma, order)
-    ric, rs = charts.ricci_jets(riem, ginv, order - 2)
-    weyl = charts.weyl_jets(riem, ric, rs, g, order - 2)
-    dweyl = charts.covariant_derivative(weyl, order - 2, gamma, order - 1)
-    return g, ginv, gamma, riem, ric, [weyl, dweyl]
+    """g, g^-1, Gamma, Riemann, Ricci, the coordinate stack [W, nabla W] and
+    the W+- blocks [W, nabla W] from metric jets."""
+    g, ginv, gamma, riem, coord = ref.weyl_stack(chart, point, order, 1)
+    ric, _ = charts.ricci_jets(riem, ginv, order - 2)
+    cof = charts.orthonormal_frame(g, order - 2, chart.orientation)
+    weyl = charts.weyl_jets(riem, cof, order - 2)
+    dweyl = charts.covariant_derivative(
+        weyl, order - 2, cof.e, cof.conn,
+        (None, cof.sector_map, cof.sector_map))
+    return g, ginv, gamma, riem, ric, coord, [weyl, dweyl]
 
 
 def _duality_cross_reference(t, g, ginv, order, orientation):
     """<T, *T> with the full jet-valued eps_ijkl, contracted as a product."""
     rank = t.ndim - 1
     nc = jets.n_coeffs(order)
-    eps = np.multiply.outer(charts._PERM4,
+    eps = np.multiply.outer(ref._PERM4,
                             charts.epsilon_jets(g, order, orientation))
     up = charts.raise_all_indices(t, ginv, order)
     t2 = t[..., :nc]
@@ -351,25 +353,6 @@ def _duality_cross_reference(t, g, ginv, order, orientation):
     return cross.sum(axis=tuple(range(rank)))
 
 
-def _generic_metric_fn(point, order):
-    """delta + quadratic and linear terms: no symmetry, W+ and W- unequal."""
-    x = [jets.Jet.variable(i + 1, point[i], order) for i in range(4)]
-    g = np.zeros((4, 4, jets.n_coeffs(order)))
-    for i in range(4):
-        for j in range(i, 4):
-            e = (x[i] * x[j] * (0.1 / (1 + i + j))
-                 + x[(i + j) % 4] * (0.05 * (i - j)))
-            if i == j:
-                e = e + 1.0
-            g[i, j] = g[j, i] = e.coeffs
-    return g
-
-
-GENERIC = MetricChart(name="generic",
-                      coordinate_names=("x1", "x2", "x3", "x4"),
-                      domain=np.array([[-0.5, 0.5]] * 4),
-                      metric_fn=_generic_metric_fn)
-
 PLAN_POINTS = [("generic", [0.2, -0.1, 0.3, 0.15]),
                ("schwarzschild", [4.0, 1.2, 0.8, 0.3])]
 
@@ -378,16 +361,14 @@ PLAN_POINTS = [("generic", [0.2, -0.1, 0.3, 0.15]),
 def test_laplacian_fields_at_order_2_are_the_full_order_prefix(catalog, name,
                                                               point):
     """Degree <= 2 of a product needs only degree <= 2 of its factors."""
-    chart = GENERIC if name == "generic" else catalog[name]
-    g, ginv, _, _, _, stack = _weyl_stack(chart, point)
+    chart = ref.GENERIC if name == "generic" else catalog[name]
+    *_, stack = _weyl_stack(chart, point)
     nc2 = jets.n_coeffs(2)
     for k, t in enumerate(stack):
         full = 4 - k
-        pairs = [(charts.norm_sq_field(t, ginv, 2),
-                  charts.norm_sq_field(t, ginv, full)),
-                 (charts.duality_cross_field(t, g, ginv, 2, chart.orientation),
-                  charts.duality_cross_field(t, g, ginv, full,
-                                             chart.orientation))]
+        pairs = [(charts.norm_sq_field(t, 2), charts.norm_sq_field(t, full)),
+                 (charts.duality_cross_field(t, 2),
+                  charts.duality_cross_field(t, full))]
         for low, high in pairs:
             assert low.shape == (nc2,)
             assert np.abs(low - high[:nc2]).max() \
@@ -396,14 +377,18 @@ def test_laplacian_fields_at_order_2_are_the_full_order_prefix(catalog, name,
 
 @pytest.mark.parametrize("orientation", [1, -1])
 def test_duality_cross_matches_full_epsilon_jets(orientation):
-    g, ginv, _, _, _, stack = _weyl_stack(GENERIC, [0.2, -0.1, 0.3, 0.15])
-    for k, t in enumerate(stack):
+    """The block form |T+|^2 - |T-|^2 against the coordinate <T, *T> with
+    the full jet-valued eps_ijkl, at every order the stack has."""
+    chart = replace(ref.GENERIC, orientation=orientation)
+    g, ginv, _, _, _, coord, stack = _weyl_stack(chart,
+                                                 [0.2, -0.1, 0.3, 0.15])
+    for k, (t, c) in enumerate(zip(stack, coord)):
         order = 4 - k
-        got = charts.duality_cross_field(t, g, ginv, order, orientation)
-        ref = _duality_cross_reference(t, g, ginv, order, orientation)
-        norm = charts.norm_sq_field(t, ginv, order)
-        assert abs(ref[0]) > 1e-3 * norm[0]     # W+ and W- differ here
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        got = charts.duality_cross_field(t, order)
+        want = _duality_cross_reference(c, g, ginv, order, orientation)
+        norm = ref.norm_sq_field(c, ginv, order)
+        assert abs(want[0]) > 1e-3 * norm[0]     # W+ and W- differ here
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_epsilon_jets_is_the_signed_root_of_det_g(catalog):
@@ -418,12 +403,17 @@ def test_epsilon_jets_is_the_signed_root_of_det_g(catalog):
 @pytest.mark.parametrize("name,point", PLAN_POINTS)
 def test_nabla_riem_ric_at_degree_0_match_full_order(catalog, name, point):
     """An order-0 Gamma and order-1 inputs give the same degree-0 values."""
-    chart = GENERIC if name == "generic" else catalog[name]
-    _, _, gamma, riem, ric, _ = _weyl_stack(chart, point)
+    chart = ref.GENERIC if name == "generic" else catalog[name]
+    _, _, gamma, riem, ric, _, _ = _weyl_stack(chart, point)
     lin = jets.n_coeffs(1)
+    conn = np.swapaxes(gamma, 1, 2).reshape(16, 4, -1)  # Gamma^m_ci
+    coords = np.zeros((4, 4, jets.n_coeffs(3)))
+    coords[..., 0] = np.eye(4)
     for t in (riem, ric):
-        low = charts.covariant_derivative(t[..., :lin], 1, gamma[..., :1], 0)
-        high = charts.covariant_derivative(t, 4, gamma, 5)
+        slots = (charts._COORDINATE_MAP,) * (t.ndim - 1)
+        low = charts.covariant_derivative(t[..., :lin], 1, coords,
+                                          conn[..., :1], slots)
+        high = charts.covariant_derivative(t, 4, coords, conn, slots)
         assert low.shape[-1] == 1
         assert np.array_equal(low[..., 0], high[..., 0])
 
