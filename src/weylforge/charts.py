@@ -29,13 +29,17 @@ left sides of the Bochner checks independent of the component-assembled
 right sides.  nabla Riem and nabla Ric are coordinate covariant derivatives
 at degree 0, taken to the frame.
 
-Jet-order budget: from metric jets of order K, Gamma has order K-1, and
-Riemann, E and W order K-2; omega has order K-3, and nabla^k W order K-2-k,
-so depth-d derivative data needs K >= d+2.  Each quantity is computed only
-to the degree its reader uses: Ricci and R at order 1, the Laplacian fields
-at order 2, so the Laplacian of |nabla^k W|^2 needs order k+4, and
-nabla Riem / nabla Ric at degree 0.  `required_jet_order` states this plan;
-`IdentitySpec.jet_order` is derived from it.
+Jet-order budget: from metric jets of order K, Riemann, E and W have order
+K-2; omega has order K-3, and nabla^k W order K-2-k, so depth-d derivative
+data needs K >= d+2.  Each quantity is computed only to the degree its
+reader uses: g^-1 and Gamma at order K-2 (Riemann's quadratic terms read no
+more, and its derivative terms come from the first-kind symbols, which need
+no g^-1), Ricci and R at order 1, the Laplacian fields at order 2, so the
+Laplacian of |nabla^k W|^2 needs order k+4, and nabla Riem / nabla Ric at
+degree 0.  `required_jet_order` states this plan; `IdentitySpec.jet_order`
+is derived from it.  Each coordinate stage also forms only the independent
+components its readers use: Gamma^k_ij and Riemann's quadratic terms on
+symmetric index pairs, and the coframe on the triangles of E and omega.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ _PERM_INDEX = np.array(list(itertools.permutations(range(4))))
 _PERM_SIGN = np.array([perm_sign(p) for p in _PERM_INDEX])
 # index pairs i < j of the two-form pair basis
 _PAIR_I, _PAIR_J = np.array(algebra.PAIRS).T
+# index pairs i <= j of two symmetric slots, and _SYM[i, j] = _SYM[j, i] the
+# pair of (i, j)
+_SYM_I, _SYM_J = np.triu_indices(DIM)
+_SYM = np.empty((DIM, DIM), dtype=np.intp)
+_SYM[_SYM_I, _SYM_J] = _SYM[_SYM_J, _SYM_I] = np.arange(len(_SYM_I))
 
 
 class DomainError(ValueError):
@@ -131,19 +140,46 @@ def _jet_matmul(a, b, order_a, order_b, order_out):
     return prod.sum(axis=1)
 
 
+def _matmul_terms(wanted, a_nonzero, b_nonzero):
+    """The terms A[r, j] B[j, c] of the entries (r, c) in `wanted` of a
+    product C = A B, with the entries of A and B known to be zero left out:
+    a_nonzero and b_nonzero are boolean masks of A's and B's shapes.
+
+    Returns the index triples (r, j, c), grouped by entry in the order of
+    `wanted`, and the reduceat start of each entry's group.
+    """
+    terms, starts = [], []
+    for r, c in wanted:
+        starts.append(len(terms))
+        terms += [(r, j, c) for j in range(DIM)
+                  if a_nonzero[r, j] and b_nonzero[j, c]]
+    r, j, c = np.array(terms).T
+    return r, j, c, np.array(starts)
+
+
+def _pruned_matmul(a, b, terms, order_a, order_b, order_out):
+    """The wanted entries of the jet matrix product a b, from a table of
+    `_matmul_terms`: shape (len(wanted),) + trailing axes + (nc,).  Axes of
+    a and b after the first two broadcast."""
+    r, j, c, starts = terms
+    prod = mul_coeffs(a[r, j], b[j, c], order_a, order_b, order_out)
+    return np.add.reduceat(prod, starts, axis=0)
+
+
 def inverse_metric_jets(g: np.ndarray, order: int) -> np.ndarray:
-    """Neumann-series inverse of a jet-valued symmetric matrix.
+    """Neumann-series inverse of a jet-valued symmetric matrix, as jets of
+    order `order`; g's coefficients above `order` are not read.
 
     g = g0 (1 - s) with s = -g0^-1 (g - g0), so g^-1 = (sum_k s^k) g0^-1.
     s has no constant term, so x_k = 1 + s x_{k-1} is final through degree
     k, and iterate k reads x_{k-1} to order k-1 and writes order k only.
     """
-    g0 = g[..., 0]
-    g0inv = np.linalg.inv(g0)
-    delta = g.copy()
+    nc = n_coeffs(order)
+    g0inv = np.linalg.inv(g[..., 0])
+    delta = g[..., :nc].copy()
     delta[:, :, 0] = 0.0
     s = -np.einsum("ik,kjc->ijc", g0inv, delta)
-    x = np.zeros_like(g)
+    x = np.zeros((DIM, DIM, nc))
     x[:, :, 0] = np.eye(DIM)
     for k in range(1, order + 1):
         x[..., :n_coeffs(k)] = _jet_matmul(s, x, order, k - 1, k)
@@ -164,11 +200,15 @@ def first_kind_jets(g: np.ndarray, order: int) -> np.ndarray:
 
 
 def christoffel_jets(g: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
-    """Gamma^k_ij = g^kl Gamma_{l,ij} as jets of order `order`-1."""
+    """Gamma^k_ij = g^kl Gamma_{l,ij} as jets of order `order`-1.
+
+    g is read to order `order` and ginv to order-1.  Gamma is symmetric in
+    (i, j), so the products are formed on the ten pairs i <= j and gathered
+    to the (4, 4, 4, nc) layout.
+    """
     og = order - 1
-    prod = mul_coeffs(ginv[:, :, None, None, :n_coeffs(og)],
-                      first_kind_jets(g, order)[None], og, og, og)
-    return prod.sum(axis=1)
+    low = first_kind_jets(g, order)[:, _SYM_I, _SYM_J]
+    return _jet_matmul(ginv[..., :n_coeffs(og)], low, og, og, og)[:, _SYM]
 
 
 def riemann_jets(g: np.ndarray, gamma: np.ndarray, order: int) -> np.ndarray:
@@ -178,19 +218,23 @@ def riemann_jets(g: np.ndarray, gamma: np.ndarray, order: int) -> np.ndarray:
     R_ijkl = d_k Gamma_{i,lj} - d_l Gamma_{i,kj}
              + Gamma_{m,li} Gamma^m_kj - Gamma_{m,ki} Gamma^m_lj,
     which is g_im R^m_jkl with g_im d_k Gamma^m_lj expanded through
-    d_k g_im = Gamma_{i,km} + Gamma_{m,ki}.  The quadratic terms are one jet
-    product set, and no product with g lowers the result.
+    d_k g_im = Gamma_{i,km} + Gamma_{m,ki}.  g is read to order `order` and
+    gamma to order-2, which is all the quadratic terms reach.  Those are one
+    jet product set, Gamma_{m,li} Gamma^m_kj on the pairs l <= i and k <= j
+    where both factors are symmetric, gathered to all (l, i, k, j); no
+    product with g lowers the result.
     """
     og = order - 1
     oo = order - 2
+    n = n_coeffs(oo)
     low = first_kind_jets(g, order)
     dlow = np.stack([partial_coeffs(low, og, d) for d in range(DIM)], axis=-2)
     # dlow[i, l, j, k] = d_k Gamma_{i,lj}
     t1 = np.einsum("iljkc->ijklc", dlow)
     t2 = np.einsum("ikjlc->ijklc", dlow)
-    prod = mul_coeffs(low[:, :, :, None, None, :],
-                      gamma[:, None, None, :, :, :], og, og, oo)
-    q = prod.sum(axis=0)  # q[l, i, k, j] = Gamma_{m,li} Gamma^m_kj
+    pairs = _jet_matmul(np.swapaxes(low[:, _SYM_I, _SYM_J, :n], 0, 1),
+                        gamma[:, _SYM_I, _SYM_J, :n], oo, oo, oo)
+    q = pairs[_SYM[:, :, None, None], _SYM]  # q[l, i, k, j]
     return (t1 - t2 + np.einsum("likjc->ijklc", q)
             - np.einsum("kiljc->ijklc", q))
 
@@ -387,6 +431,20 @@ class Coframe:
     sector_map: np.ndarray
 
 
+# Term tables of the coframe's jet products.  V, its derivatives and E are
+# upper triangular, so a product skips their lower triangles; V^T S V = 1 is
+# symmetric and V_d is read off its upper triangle, and omega is
+# antisymmetric and formed on its pairs m < a.
+_FULL = np.ones((6, DIM), dtype=bool)
+_UPPER = np.triu(_FULL[:DIM])
+_SV_TERMS = _matmul_terms(np.ndindex(DIM, DIM), _FULL, _UPPER)    # S V
+_Q_TERMS = _matmul_terms(zip(_SYM_I, _SYM_J), _UPPER.T, _FULL)    # V^T (S V)
+_Y_TERMS = _matmul_terms(algebra.PAIRS, _FULL, _UPPER)            # y, l < a
+_OMEGA_TERMS = _matmul_terms(algebra.PAIRS, _UPPER.T,             # V^T y
+                             np.triu(_UPPER, 1))
+_CONN_TERMS = _matmul_terms(np.ndindex(6, DIM), _FULL, _UPPER)    # omega E
+
+
 def orthonormal_frame(g: np.ndarray, order: int,
                       orientation: int = 1) -> Coframe:
     """The orthonormal frame E of the metric jets g, as order-`order` jets.
@@ -397,12 +455,14 @@ def orthonormal_frame(g: np.ndarray, order: int,
     S = E0^T g E0 and E = E0 V, V = 1 + V_1 + V_2 + .. upper triangular,
     degree d of V^T S V = 1 reads V_d + V_d^T + Q_d = 0, where Q_d is degree
     d of V^T S V with V taken through degree d-1.  So V_d is the upper
-    triangle of -Q_d with half its diagonal, one pair of 4x4 jet products
-    per degree.
+    triangle of -Q_d with half its diagonal: per degree one product S V
+    and the upper triangle of V^T (S V), each skipping V's zero lower
+    triangle.
 
     The connection, to order-1, comes from Gamma and dE:
     omega[m, a, k] = (E^T (g d_k E + Gamma_{.,k.} E))_ma with the
-    first-kind symbols Gamma_{l,ki}, and conn from omega along e_c =
+    first-kind symbols Gamma_{l,ki}, formed on its six components m < a
+    and filled in antisymmetrically, and conn from omega along e_c =
     E^k_c d_k; order must be >= 1.
     """
     if order < 1:
@@ -412,33 +472,38 @@ def orthonormal_frame(g: np.ndarray, order: int,
     s = np.einsum("ia,ijc,jb->abc", e0, g[..., :nc], e0)
     v = np.zeros((DIM, DIM, nc))
     v[..., 0] = np.eye(DIM)
-    upper = np.triu(np.ones((DIM, DIM)), 1) + 0.5 * np.eye(DIM)
+    half = np.where(_SYM_I == _SYM_J, 0.5, 1.0)[:, None]
+    vt = np.swapaxes(v, 0, 1)
     for d in range(1, order + 1):
-        sv = _jet_matmul(s, v, order, d - 1, d)
-        q = _jet_matmul(np.swapaxes(v, 0, 1), sv, d - 1, d, d)
+        sv = _pruned_matmul(s, v, _SV_TERMS, order, d - 1, d)
+        q = _pruned_matmul(vt, sv.reshape(DIM, DIM, -1), _Q_TERMS, d - 1, d,
+                           d)
         lo, hi = n_coeffs(d - 1), n_coeffs(d)
-        v[..., lo:hi] = -upper[..., None] * q[..., lo:hi]
+        v[_SYM_I, _SYM_J, lo:hi] = -half * q[:, lo:hi]
     e = np.einsum("ij,jbc->ibc", e0, v)
 
     # E^T g d_k E + E^T Gamma_{.,k.} E = V^T (S d_k V + E0^T Gamma_{.,k.} E0 V)
+    # = V^T y: omega on its pairs m < a reads y on the pairs l < a only
     oc = order - 1
     n = n_coeffs(oc)
     dv = np.stack([partial_coeffs(v, order, k) for k in range(DIM)],
                   axis=-2)                             # dv[l, a, k]
-    rot = np.einsum("jm,jkic,ia->mkac", e0,
-                    first_kind_jets(g, order)[..., :n], e0)  # E0^T Gamma E0
-    y = mul_coeffs(s[:, :, None, None, :n], dv[None], oc, oc,
-                   oc).sum(axis=1)                     # y[m, a, k]
-    y += np.swapaxes(mul_coeffs(rot[:, :, :, None], v[None, None, :, :, :n],
-                                oc, oc, oc).sum(axis=2), 1, 2)
-    omega = mul_coeffs(v[:, :, None, None, :n], y[:, None], oc, oc,
-                       oc).sum(axis=0)                 # omega[m, a, k]
+    rot = np.einsum("jm,jkxc,xi->mikc", e0,
+                    first_kind_jets(g, order)[..., :n], e0)  # E0^T Gamma_k E0
+    y = np.zeros((DIM, DIM, DIM, n))                    # y[l, a, k]
+    y[_PAIR_I, _PAIR_J] = (
+        _pruned_matmul(s[:, :, None, :n], dv, _Y_TERMS, oc, oc, oc)
+        + _pruned_matmul(rot, v[:, :, None, :n], _Y_TERMS, oc, oc, oc))
+    pairs = _pruned_matmul(vt[:, :, None, :n], y, _OMEGA_TERMS, oc, oc, oc)
+    omega = np.zeros((DIM, DIM, DIM, n))                # omega[m, a, k]
+    omega[_PAIR_I, _PAIR_J] = pairs
+    omega[_PAIR_J, _PAIR_I] = -pairs
 
     forms = algebra.sector_forms(orientation)
     basis = forms.reshape(6, DIM, DIM)
-    along_k = 0.5 * np.einsum("Gma,makn->Gkn", basis, omega)
-    conn = mul_coeffs(along_k[:, :, None], e[None, :, :, :n], oc, oc,
-                      oc).sum(axis=1)
+    along_k = np.einsum("Gp,pkn->Gkn", basis[:, _PAIR_I, _PAIR_J], pairs)
+    conn = _pruned_matmul(along_k, e[..., :n], _CONN_TERMS, oc, oc,
+                          oc).reshape(6, DIM, n)
     bracket = (np.einsum("Gij,sxjk->sxGik", basis, forms)
                - np.einsum("sxij,Gjk->sxGik", forms, basis))
     sector_map = 0.5 * np.einsum("syik,sxGik->syxG", forms, bracket)
@@ -477,8 +542,9 @@ def required_jet_order(depth: int, laplacians=()) -> int:
     """Metric jet order needed for `depth` and the named Laplacian fields.
 
     This is the one jet-order plan of `curvature_at`.  Metric jets of order
-    K give Gamma at order K-1, Riemann, the frame E and W at K-2, the
-    connection at K-3 and nabla^k W at K-2-k, so depth d needs K >= d+2.
+    K give Riemann, the frame E and W at K-2, the connection at K-3 and
+    nabla^k W at K-2-k, so depth d needs K >= d+2.  g^-1 and Gamma are
+    built to order K-2 only, all that Riemann's quadratic terms read.
     The fields |nabla^k W|^2 and <nabla^k W, *nabla^k W> are built at
     order 2, the highest degree `scalar_jet_laplacian` reads, so their
     Laplacians need K >= k+4.
@@ -525,7 +591,7 @@ def christoffel(chart: MetricChart, point, jet_order: int) -> DenseTensor:
         raise CapacityError("christoffel needs jet order >= 1")
     g = chart.metric_jets(point, jet_order)
     _cholesky_frame(g[..., 0])  # positive-definiteness check
-    ginv = inverse_metric_jets(g, jet_order)
+    ginv = inverse_metric_jets(g, jet_order - 1)
     return DenseTensor(christoffel_jets(g, ginv, jet_order), "udd",
                        jet_order - 1)
 
@@ -552,8 +618,9 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
 
     point = np.asarray(point, dtype=float)
     g = chart.metric_jets(point, order)
-    ginv = inverse_metric_jets(g, order)
-    gamma = christoffel_jets(g, ginv, order)
+    # g^-1 and Gamma at order K-2: Riemann's quadratic terms read no more
+    ginv = inverse_metric_jets(g, order - 2)
+    gamma = christoffel_jets(g, ginv, order - 1)
     riem = riemann_jets(g, gamma, order)
     o_r = order - 2
     # Ricci and R are read at degree <= 1 only: their values, nabla Ric at

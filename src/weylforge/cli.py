@@ -21,8 +21,22 @@ def _parse_tol(pairs) -> dict:
         if "=" not in item:
             raise ConfigError(f"--tol expects id=value, got {item!r}")
         key, val = item.split("=", 1)
-        out[key.strip()] = float(val)
+        try:
+            out[key.strip()] = float(val)
+        except ValueError:
+            raise ConfigError(f"--tol {key.strip()}: value {val!r} is not a "
+                              f"number") from None
     return out
+
+
+def _parse_jet_order(value: str):
+    if value == "auto":
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"--jet-order expects 'auto' or an integer, got "
+                          f"{value!r}") from None
 
 
 def _exponents(key: str, item: str) -> tuple:
@@ -148,16 +162,13 @@ def main(argv=None) -> int:
                 list_manifolds(sys.stdout)
             return 0
 
-        jet_order = args.jet_order
-        if jet_order != "auto":
-            jet_order = int(jet_order)
         cfg = RunConfig(
             manifolds=_split_list(args.manifolds),
             identities=_split_list(args.identities),
             points_per_manifold=args.points,
             seed=args.seed,
             tolerance_overrides=_parse_tol(args.tol),
-            jet_order=jet_order,
+            jet_order=_parse_jet_order(args.jet_order),
             output_format=args.format,
             output_path=args.out,
             deterministic=args.deterministic,

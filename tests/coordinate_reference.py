@@ -9,6 +9,11 @@ coordinate formulation it replaced, as an independent check:
 - |T|^2 with every index raised through g^-1 (charts.raise_all_indices);
 - <T, *T> with the star as eps = orientation sqrt(det g) (charts.epsilon_jets)
   times the constant symbol [ijab] on the leading index pair.
+
+It also keeps the coordinate stages as full products over every index
+combination, where the pipeline forms only the independent components:
+Gamma^k_ij on all (i, j), and the coframe solve and its connection with
+every entry of V, y and omega.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from weylforge import charts, jets
+from weylforge import algebra, charts, jets
 from weylforge.jets import contract_slot, mul_coeffs, mul_operator, n_coeffs
 from weylforge.tensors import perm_sign
 
@@ -75,12 +80,62 @@ def duality_cross_field(t, g, ginv, order, orientation):
     return 0.5 * mul_coeffs(eps, cross, order, order, order)
 
 
+def christoffel_jets(g, ginv, order):
+    """Gamma^k_ij = g^kl Gamma_{l,ij} of order order-1, on all 16 (i, j)."""
+    og = order - 1
+    prod = mul_coeffs(ginv[:, :, None, None, :n_coeffs(og)],
+                      charts.first_kind_jets(g, order)[None], og, og, og)
+    return prod.sum(axis=1)
+
+
+def _jet_matmul(a, b, order_a, order_b, order_out):
+    return mul_coeffs(a[:, :, None], b[None], order_a, order_b,
+                      order_out).sum(axis=1)
+
+
+def coframe(g, order, orientation):
+    """(E, omega, conn) of charts.orthonormal_frame from full 4x4 products:
+    V_d from all of V^T S V, y = S d_k V + E0^T Gamma_k E0 V and
+    omega = V^T y on every (m, a)."""
+    e0 = charts._cholesky_frame(g[..., 0])
+    nc = n_coeffs(order)
+    s = np.einsum("ia,ijc,jb->abc", e0, g[..., :nc], e0)
+    v = np.zeros((4, 4, nc))
+    v[..., 0] = np.eye(4)
+    upper = np.triu(np.ones((4, 4)), 1) + 0.5 * np.eye(4)
+    for d in range(1, order + 1):
+        sv = _jet_matmul(s, v, order, d - 1, d)
+        q = _jet_matmul(np.swapaxes(v, 0, 1), sv, d - 1, d, d)
+        lo, hi = n_coeffs(d - 1), n_coeffs(d)
+        v[..., lo:hi] = -upper[..., None] * q[..., lo:hi]
+    e = np.einsum("ij,jbc->ibc", e0, v)
+
+    oc = order - 1
+    n = n_coeffs(oc)
+    dv = np.stack([jets.partial_coeffs(v, order, k) for k in range(4)],
+                  axis=-2)                             # dv[l, a, k]
+    rot = np.einsum("jm,jkic,ia->mkac", e0,
+                    charts.first_kind_jets(g, order)[..., :n], e0)
+    y = mul_coeffs(s[:, :, None, None, :n], dv[None], oc, oc,
+                   oc).sum(axis=1)                     # y[m, a, k]
+    y += np.swapaxes(mul_coeffs(rot[:, :, :, None], v[None, None, :, :, :n],
+                                oc, oc, oc).sum(axis=2), 1, 2)
+    omega = mul_coeffs(v[:, :, None, None, :n], y[:, None], oc, oc,
+                       oc).sum(axis=0)                 # omega[m, a, k]
+
+    basis = algebra.sector_forms(orientation).reshape(6, 4, 4)
+    along_k = 0.5 * np.einsum("Gma,makn->Gkn", basis, omega)
+    conn = mul_coeffs(along_k[:, :, None], e[None, :, :, :n], oc, oc,
+                      oc).sum(axis=1)
+    return e, omega, conn
+
+
 def weyl_stack(chart, point, order, depth):
     """Metric jets, g^-1, Gamma, Riemann and the coordinate stack
     [W, nabla W, .., nabla^depth W] (nabla^k W of order order-2-k)."""
     g = chart.metric_jets(point, order)
     ginv = charts.inverse_metric_jets(g, order)
-    gamma = charts.christoffel_jets(g, ginv, order)
+    gamma = christoffel_jets(g, ginv, order)
     riem = charts.riemann_jets(g, gamma, order)
     o_r = order - 2
     ric, rs = charts.ricci_jets(riem, ginv, o_r)

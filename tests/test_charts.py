@@ -199,6 +199,34 @@ def test_inverse_metric_jets_is_the_jet_inverse(catalog, name, t):
     assert np.abs(prod - ident).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("name,t", CATALOG_POINTS)
+def test_trimmed_inverse_and_christoffel_are_the_full_order_prefix(catalog,
+                                                                   name, t):
+    """g^-1 and Gamma at order K-2, as curvature_at builds them, equal the
+    degree <= K-2 prefix of the full-order jets (Gamma on all 16 index
+    pairs), relative to the summed magnitudes of the terms of g^-1 = x g0^-1
+    and of g^kl Gamma_{l,ij}."""
+    order = 6
+    n = jets.n_coeffs(order - 2)
+    g = catalog[name].metric_jets(_catalog_point(catalog[name], t), order)
+    full = charts.inverse_metric_jets(g, order)
+    ginv = charts.inverse_metric_jets(g, order - 2)
+    assert ginv.shape == (4, 4, n)
+    g0inv = np.linalg.inv(g[..., 0])
+    x = np.abs(np.einsum("ikc,kj->ijc", full, g[..., 0]))
+    scale = np.einsum("ikc,kj->ijc", x, np.abs(g0inv)).max()
+    assert np.abs(ginv - full[..., :n]).max() <= 1e-14 * scale
+
+    full = ref.christoffel_jets(g, charts.inverse_metric_jets(g, order),
+                                order)
+    gamma = charts.christoffel_jets(g, ginv, order - 1)
+    assert gamma.shape == (4, 4, 4, n)
+    scale = jets.mul_coeffs(np.abs(ginv)[:, :, None, None],
+                            np.abs(charts.first_kind_jets(g, order - 1))[None],
+                            order - 2, order - 2, order - 2).sum(axis=1).max()
+    assert np.abs(gamma - full[..., :n]).max() <= 1e-14 * scale
+
+
 def _riemann_mixed_reference(g, gamma, order):
     """R_ijkl = g_im R^m_jkl with
     R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj
@@ -222,15 +250,64 @@ def _riemann_mixed_reference(g, gamma, order):
 @pytest.mark.parametrize("name,t", CATALOG_POINTS)
 def test_riemann_jets_matches_mixed_index_formula(catalog, name, t):
     """The first-kind form agrees with lowering R^m_jkl, as order-4 jets,
-    relative to the largest term of the mixed-index formula."""
+    relative to the largest term of the mixed-index formula: from Gamma at
+    order K-1, and at order K-2 as curvature_at builds it."""
     order = 6
     g = catalog[name].metric_jets(_catalog_point(catalog[name], t), order)
     gamma = charts.christoffel_jets(g, charts.inverse_metric_jets(g, order),
                                     order)
-    ref, scale = _riemann_mixed_reference(g, gamma, order)
-    riem = charts.riemann_jets(g, gamma, order)
-    assert riem.shape == ref.shape
-    assert np.abs(riem - ref).max() <= 1e-13 * scale
+    want, scale = _riemann_mixed_reference(g, gamma, order)
+    trimmed = charts.christoffel_jets(
+        g, charts.inverse_metric_jets(g, order - 2), order - 1)
+    for gam in (gamma, trimmed):
+        riem = charts.riemann_jets(g, gam, order)
+        assert riem.shape == want.shape
+        assert np.abs(riem - want).max() <= 1e-13 * scale
+
+
+# Coefficient pairs per point that each coordinate stage of an order-6
+# curvature_at multiplies: g^-1 and Gamma at order 4, the symmetric index
+# pairs of Gamma and of Riemann's quadratic terms, and the coframe's
+# triangular products.  A stage that widens an order or an index set again
+# exceeds its budget.
+STAGE_BUDGETS = {"inverse_metric_jets": 41_280, "christoffel_jets": 79_200,
+                 "riemann_jets": 198_000, "orthonormal_frame": 81_600}
+
+
+def test_coordinate_stage_work_budget(catalog, monkeypatch):
+    """Count each jets.mul_coeffs call's coefficient pairs (its elements
+    times the summed lengths of its degree-pair tables) toward the stage
+    open at the time."""
+    counts = dict.fromkeys(STAGE_BUDGETS, 0)
+    open_stage = []
+    mul = jets.mul_coeffs
+
+    def counting(a, b, order_a, order_b, order_out):
+        out = mul(a, b, order_a, order_b, order_out)
+        if open_stage:
+            table = jets._product_table(order_a, order_b, order_out)
+            per_elem = sum(len(ia) for _, _, ia, _, _ in table)
+            counts[open_stage[-1]] += out.size // out.shape[-1] * per_elem
+        return out
+
+    def staged(name, fn):
+        def run(*args, **kwargs):
+            open_stage.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_stage.pop()
+        return run
+
+    monkeypatch.setattr(jets, "mul_coeffs", counting)
+    monkeypatch.setattr(charts, "mul_coeffs", counting)
+    for name in STAGE_BUDGETS:
+        monkeypatch.setattr(charts, name, staged(name, getattr(charts, name)))
+    cp = curvature_at(catalog["schwarzschild"], [4.0, 1.2, 0.8, 0.3], depth=2,
+                      laplacians=charts.LAPLACIAN_FIELDS)
+    assert cp.jet_order == 6
+    for name, budget in STAGE_BUDGETS.items():
+        assert 0 < counts[name] <= budget, (name, counts[name])
 
 
 # -- scalar Laplacians ---------------------------------------------------------

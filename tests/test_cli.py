@@ -54,6 +54,15 @@ def test_bad_jet_order_exits_2(capsys):
     assert code == 2
 
 
+def test_non_integer_jet_order_names_the_flag(capsys):
+    code = cli.main(["verify", "--jet-order", "abc", "--points", "1",
+                     "--manifolds", "flat-r4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--jet-order" in err and "'abc'" in err
+    assert "invalid literal" not in err
+
+
 def test_jet_order_2_is_rejected_before_any_point_runs(capsys):
     """The gates read nabla W at every point, and order 2 leaves W only."""
     args = ["verify", "--points", "1", "--manifolds", "s4-round,schwarzschild",
@@ -180,6 +189,16 @@ def test_tolerance_override_must_be_finite_and_positive(value, capsys):
                      "--tol", f"key2.full={value}"])
     assert code == 2
     assert "key2.full" in capsys.readouterr().err
+
+
+def test_non_numeric_tolerance_names_the_flag_and_identity(capsys):
+    code = cli.main(["verify", "--manifolds", "flat-r4",
+                     "--identities", "key2.full", "--points", "1",
+                     "--tol", "key2.full=abc"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--tol key2.full" in err and "'abc'" in err
+    assert "could not convert" not in err
 
 
 def test_negative_control_run_exits_0(tmp_path):

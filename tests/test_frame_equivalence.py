@@ -95,7 +95,9 @@ def test_coframe_is_orthonormal_and_its_connection_antisymmetric(name, t):
     assert np.all(np.tril(np.ones((4, 4)), -1)[..., None] * e == 0.0)
 
     # omega_k = E^T g d_k E + E^T Gamma_k E: the symmetric parts of the two
-    # terms are -+(1/2) E^T d_k g E and cancel
+    # terms are -+(1/2) E^T d_k g E and cancel.  The coframe forms omega on
+    # m < a only, so the antisymmetry is checked on the full products of
+    # the reference, and the coframe's E, omega and conn against them.
     omega, oc = cof.omega, order - 1
     nc = jets.n_coeffs(oc)
     assert omega.shape == (4, 4, 4, nc)
@@ -105,13 +107,21 @@ def test_coframe_is_orthonormal_and_its_connection_antisymmetric(name, t):
                            oc).sum(axis=0)              # (E^T d_k g)[m, l, k]
     half = 0.5 * jets.mul_coeffs(half[:, :, None], e[None, :, :, None, :nc],
                                  oc, oc, oc).sum(axis=1)
-    size = max(np.abs(omega).max(), np.abs(half).max())
-    assert np.abs(omega + np.swapaxes(omega, 0, 1)).max() <= 1e-13 * size
+    ref_e, ref_omega, ref_conn = ref.coframe(g, order, chart.orientation)
+    size = max(np.abs(ref_omega).max(), np.abs(half).max())
+    assert np.abs(ref_omega + np.swapaxes(ref_omega, 0, 1)).max() <= \
+        1e-13 * size
+    assert np.abs(omega - ref_omega).max() <= 1e-13 * size
+    assert np.abs(e - ref_e).max() <= 1e-14 * np.abs(ref_e).max()
     # conn holds omega along the frame vectors e_c = E^k_c d_k
     along = jets.mul_coeffs(omega[:, :, :, None], e[None, None, :, :, :nc],
                             oc, oc, oc).sum(axis=2)
+    terms = jets.mul_coeffs(np.abs(omega)[:, :, :, None],
+                            np.abs(e)[None, None, :, :, :nc], oc, oc,
+                            oc).sum(axis=2).max()
     rebuilt = np.einsum("maG,Gcn->macn", cof.vector_map, cof.conn)
     assert np.abs(rebuilt - along).max() <= 1e-13 * np.abs(along).max()
+    assert np.abs(cof.conn - ref_conn).max() <= 1e-13 * terms
 
 
 def test_reversed_orientation_swaps_the_sectors():
