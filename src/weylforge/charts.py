@@ -12,14 +12,14 @@ a jet Cholesky of g, E^T g E = I), with its connection one-forms omega from
 Gamma and dE.  In the orthonormal basis two-forms of Lambda+ and Lambda-
 (algebra.sector_seed(+-1, orientation) / sqrt 2), W is two trace-free
 symmetric 3x3 blocks W+ and W- (`weyl_jets`: the diagonal blocks of the
-frame curvature operator, trace removed), and so is every nabla^k W, with k
-frame derivative slots after the blocks: a W-blocks stack of shape
-(2, 3, 3, 4, .., 4, nc).  `covariant_derivative` is E^j_c d_j, minus
-omega's action on the two block slots (the 3x3 matrices A+- of the
-self-dual and anti-self-dual parts of omega) and minus omega on each
+frame curvature operator C^T R C, C = Lambda^2 E, trace removed), and so is
+every nabla^k W, with k frame derivative slots after the blocks: a W-blocks
+stack of shape (2, 3, 3, 4, .., 4, nc).  `covariant_derivative` is E^j_c
+d_j, minus omega's action on the two block slots (the 3x3 matrices A+- of
+the self-dual and anti-self-dual parts of omega) and minus omega on each
 derivative slot.  The frame components of a full Weyl-type tensor square-sum
-to four times its blocks', and the Hodge star on its first pair is +1 on
-the plus block and -1 on the minus block, so |T|^2 and <T, *T> are fixed
+to four times its blocks', and the Hodge star on its first pair is +1 on the
+plus block and -1 on the minus block, so |T|^2 and <T, *T> are fixed
 multiples of the two halves' sums of squares.  Full frame components are
 expanded at degree 0 only (CurvaturePoint.weyl, nabla_w and the sector
 stacks of identities.SectorPack).  Scalar Laplacians of |W|^2, |nabla W|^2
@@ -37,9 +37,11 @@ more, and its derivative terms come from the first-kind symbols, which need
 no g^-1), Ricci and R at order 1, the Laplacian fields at order 2, so the
 Laplacian of |nabla^k W|^2 needs order k+4, and nabla Riem / nabla Ric at
 degree 0.  `required_jet_order` states this plan; `IdentitySpec.jet_order`
-is derived from it.  Each coordinate stage also forms only the independent
-components its readers use: Gamma^k_ij and Riemann's quadratic terms on
-symmetric index pairs, and the coframe on the triangles of E and omega.
+is derived from it.  Each stage also forms only the independent components
+its readers use: Gamma^k_ij on symmetric index pairs, Riemann's quadratic
+terms on one triangle of the pairs of such pairs, the coframe on the
+triangles of E and omega, and the frame curvature operator on the upper
+triangles of the compound C and of the symmetric C^T R C.
 """
 
 from __future__ import annotations
@@ -63,11 +65,22 @@ _PERM_INDEX = np.array(list(itertools.permutations(range(4))))
 _PERM_SIGN = np.array([perm_sign(p) for p in _PERM_INDEX])
 # index pairs i < j of the two-form pair basis
 _PAIR_I, _PAIR_J = np.array(algebra.PAIRS).T
-# index pairs i <= j of two symmetric slots, and _SYM[i, j] = _SYM[j, i] the
-# pair of (i, j)
-_SYM_I, _SYM_J = np.triu_indices(DIM)
-_SYM = np.empty((DIM, DIM), dtype=np.intp)
-_SYM[_SYM_I, _SYM_J] = _SYM[_SYM_J, _SYM_I] = np.arange(len(_SYM_I))
+
+
+def _symmetric_pairs(n: int):
+    """Index pairs i <= j of two symmetric slots of size n, and the n x n
+    matrix whose entries (i, j) and (j, i) hold the number of that pair."""
+    i, j = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    return i, j, pair
+
+
+# pairs of two symmetric vector slots (10), of two such pairs (55), and of
+# two two-form slots (21)
+_SYM_I, _SYM_J, _SYM = _symmetric_pairs(DIM)
+_SYM2_I, _SYM2_J, _SYM2 = _symmetric_pairs(len(_SYM_I))
+_SYM6_I, _SYM6_J, _SYM6 = _symmetric_pairs(len(algebra.PAIRS))
 
 
 class DomainError(ValueError):
@@ -151,7 +164,7 @@ def _matmul_terms(wanted, a_nonzero, b_nonzero):
     terms, starts = [], []
     for r, c in wanted:
         starts.append(len(terms))
-        terms += [(r, j, c) for j in range(DIM)
+        terms += [(r, j, c) for j in range(a_nonzero.shape[1])
                   if a_nonzero[r, j] and b_nonzero[j, c]]
     r, j, c = np.array(terms).T
     return r, j, c, np.array(starts)
@@ -211,6 +224,12 @@ def christoffel_jets(g: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
     return _jet_matmul(ginv[..., :n_coeffs(og)], low, og, og, og)[:, _SYM]
 
 
+# Riemann's quadratic terms on the pairs A <= B of symmetric index pairs.
+_QUAD_TERMS = _matmul_terms(zip(_SYM2_I, _SYM2_J),
+                            np.ones((len(_SYM_I), DIM), dtype=bool),
+                            np.ones((DIM, len(_SYM_I)), dtype=bool))
+
+
 def riemann_jets(g: np.ndarray, gamma: np.ndarray, order: int) -> np.ndarray:
     """All-lower Riemann tensor jets of order `order`-2.
 
@@ -220,9 +239,11 @@ def riemann_jets(g: np.ndarray, gamma: np.ndarray, order: int) -> np.ndarray:
     which is g_im R^m_jkl with g_im d_k Gamma^m_lj expanded through
     d_k g_im = Gamma_{i,km} + Gamma_{m,ki}.  g is read to order `order` and
     gamma to order-2, which is all the quadratic terms reach.  Those are one
-    jet product set, Gamma_{m,li} Gamma^m_kj on the pairs l <= i and k <= j
-    where both factors are symmetric, gathered to all (l, i, k, j); no
-    product with g lowers the result.
+    jet product set: sum_m Gamma_{m,A} Gamma^m_B over the symmetric index
+    pairs A = (l, i), l <= i, and B = (k, j), k <= j, and, as it is
+    symmetric in A and B (both are Gamma_{m,A} g^mn Gamma_{n,B}), only on
+    the 55 pairs A <= B; one gather fills all (l, i, k, j).  No product with
+    g lowers the result.
     """
     og = order - 1
     oo = order - 2
@@ -232,9 +253,10 @@ def riemann_jets(g: np.ndarray, gamma: np.ndarray, order: int) -> np.ndarray:
     # dlow[i, l, j, k] = d_k Gamma_{i,lj}
     t1 = np.einsum("iljkc->ijklc", dlow)
     t2 = np.einsum("ikjlc->ijklc", dlow)
-    pairs = _jet_matmul(np.swapaxes(low[:, _SYM_I, _SYM_J, :n], 0, 1),
-                        gamma[:, _SYM_I, _SYM_J, :n], oo, oo, oo)
-    q = pairs[_SYM[:, :, None, None], _SYM]  # q[l, i, k, j]
+    pairs = _pruned_matmul(np.swapaxes(low[:, _SYM_I, _SYM_J, :n], 0, 1),
+                           gamma[:, _SYM_I, _SYM_J, :n], _QUAD_TERMS, oo, oo,
+                           oo)
+    q = pairs[_SYM2[_SYM[:, :, None, None], _SYM]]  # q[l, i, k, j]
     return (t1 - t2 + np.einsum("likjc->ijklc", q)
             - np.einsum("kiljc->ijklc", q))
 
@@ -249,30 +271,43 @@ def ricci_jets(riem: np.ndarray, ginv: np.ndarray, order: int):
     return ric, rs
 
 
+# Lambda^2 E of an upper triangular E is upper triangular in algebra.PAIRS
+# order: its nonzero entries, T = R C, and R_f = C^T T on its pairs a <= b.
+_COMPOUND = np.triu(np.ones((6, 6), dtype=bool))
+_COMPOUND_ROW, _COMPOUND_COL = np.nonzero(_COMPOUND)
+_RC_TERMS = _matmul_terms(np.ndindex(6, 6), np.ones((6, 6), dtype=bool),
+                          _COMPOUND)
+_CTRC_TERMS = _matmul_terms(zip(_SYM6_I, _SYM6_J), _COMPOUND.T,
+                            np.ones((6, 6), dtype=bool))
+
+
 def weyl_jets(riem: np.ndarray, frame: Coframe, order: int) -> np.ndarray:
     """W+ and W- as jets of order `order`: (2, 3, 3, nc), plus block first.
 
     In frame.forms' basis the curvature operator's diagonal blocks are
     W+ + (R/12) 1 and W- + (R/12) 1, and W+- are trace free, so each is its
-    block with the trace taken out.  The block is
-    M_xy = sum_{A,B} Q_x[A] R_AB Q_y[B] over the coordinate pairs A, B:
-    Q_x = E B_x E^T is the basis two-form B_x of the orthonormal frame E in
-    coordinate components, taken from Lambda^2 E, whose entries are the
-    2x2 minors E_ia E_jb - E_ja E_ib.
+    block with the trace taken out.  The blocks are constant projections
+    B R_f B^T of the frame curvature operator R_f = C^T R C, with R_AB the
+    coordinate operator on the pairs A, B of algebra.PAIRS and C = Lambda^2 E,
+    whose entries are the 2x2 minors E_ia E_jb - E_ja E_ib of the frame E.
+    E is upper triangular, so C is too in PAIRS order: its 21 minors are
+    formed, T = R C skips C's zero triangle, and R_f, symmetric, is formed
+    on its pairs a <= b from C^T T and gathered whole.
     """
     nc = n_coeffs(order)
     e = frame.e[..., :nc]
-    i, j = _PAIR_I, _PAIR_J
-    minors = mul_coeffs(np.stack([e[i][:, i], e[j][:, i]]),
-                        np.stack([e[j][:, j], e[i][:, j]]), order, order,
-                        order)
-    basis = frame.forms[:, :, i, j]                     # (2, 3, 6)
-    q = np.einsum("Aac,sxa->sxAc", minors[0] - minors[1], basis)
-    r6 = riem[i[:, None], j[:, None], i[None, :], j[None, :], :nc]
-    z = mul_coeffs(r6[None, None], q[:, :, None], order, order,
-                   order).sum(axis=3)                   # (2, 3, 6, nc)
-    m = mul_coeffs(q[:, :, None], z[:, None], order, order,
-                   order).sum(axis=3)                   # (2, 3, 3, nc)
+    i, j = _PAIR_I[_COMPOUND_ROW], _PAIR_J[_COMPOUND_ROW]
+    a, b = _PAIR_I[_COMPOUND_COL], _PAIR_J[_COMPOUND_COL]
+    minors = mul_coeffs(np.stack([e[i, a], e[j, a]]),
+                        np.stack([e[j, b], e[i, b]]), order, order, order)
+    c = np.zeros((6, 6, nc))
+    c[_COMPOUND_ROW, _COMPOUND_COL] = minors[0] - minors[1]
+    r6 = riem[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J, :nc]
+    t = _pruned_matmul(r6, c, _RC_TERMS, order, order, order)
+    rf = _pruned_matmul(np.swapaxes(c, 0, 1), t.reshape(6, 6, nc),
+                        _CTRC_TERMS, order, order, order)[_SYM6]
+    basis = frame.forms[:, :, _PAIR_I, _PAIR_J]         # (2, 3, 6)
+    m = np.einsum("sxa,abc,syb->sxyc", basis, rf, basis)
     trace = np.einsum("sxxc->sc", m) / 3.0
     return m - np.einsum("xy,sc->sxyc", np.eye(3), trace)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import charts, suite
@@ -48,6 +49,20 @@ def _exponents(key: str, item: str) -> tuple:
     return tuple(int(e) for e in exp)
 
 
+def _coefficient(val, item: str) -> float:
+    """A conformal factor coefficient: a finite int or float.  A bool (JSON
+    true or false) is not a number, nor is a JSON string."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        try:
+            num = float(val)
+        except OverflowError:
+            num = math.inf
+        if math.isfinite(num):
+            return num
+    raise ConfigError(f"--conformal-phi: coefficient {val!r} in {item!r} is "
+                      f"not a finite real number")
+
+
 def _parse_conformal(args) -> dict | None:
     """Monomial coefficients for the conformal factor exponent.
 
@@ -59,14 +74,23 @@ def _parse_conformal(args) -> dict | None:
     for item in items:
         text = item.strip()
         if text.startswith("{"):
-            for key, val in json.loads(text).items():
-                coeffs[_exponents(key, item)] = float(val)
+            try:
+                pairs = json.loads(text)
+            except ValueError as exc:
+                raise ConfigError(f"--conformal-phi: {item!r} is not a JSON "
+                                  f"object: {exc}") from None
+            for key, val in pairs.items():
+                coeffs[_exponents(key, item)] = _coefficient(val, item)
             continue
         if "=" not in text:
             raise ConfigError(
                 f"--conformal-phi expects e1,e2,e3,e4=coeff, got {item!r}")
         key, val = text.split("=", 1)
-        coeffs[_exponents(key, item)] = float(val)
+        try:
+            num = float(val)
+        except ValueError:
+            num = val.strip()
+        coeffs[_exponents(key, item)] = _coefficient(num, item)
     return coeffs or None
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -88,14 +88,21 @@ class SectorPack:
                         if 1 in self.stacks else 0.0)
         self.div_norm = (_frobenius(np.einsum("tijkt->ijk", self.stacks[1]))
                          if 1 in self.stacks else 0.0)
-        self.frame = algebra.derdzinski_frame(pd.blocks, self.name)
-        self._ed = None
-        # a scalar, not pd: a back-reference would make every point's arrays
-        # a reference cycle that only the cyclic collector frees
+        self._frame = self._ed = None
+        # pd's split and a scalar, not pd: a back-reference would make every
+        # point's arrays a reference cycle that only the cyclic collector frees
+        self._split = pd.split
         self._trivial_scale = pd.riem_norm ** 1.5
 
     def stack(self, k: int) -> np.ndarray:
         return _computed(self.stacks, k, f"{self.name} derivative stack")
+
+    @property
+    def frame(self) -> algebra.TwoFormFrame:
+        """The sector's Derdzinski frame, built on first read."""
+        if self._frame is None:
+            self._frame = algebra.derdzinski_frame(self._split(), self.name)
+        return self._frame
 
     @property
     def ed(self) -> framecalc.EigenframeDerivatives:
@@ -118,7 +125,10 @@ class PointData:
         self.riem_norm = _frobenius(cp.riem)
         self.w_norm = _frobenius(cp.weyl)
         self._sectors: dict[int, SectorPack] = {}
-        self._blocks = None
+        # lambda_split of riem, made on the first call and shared with the
+        # sector packs; it holds cp's riem and orientation, not self
+        self.split = cache(partial(algebra.lambda_split, cp.riem,
+                                   orientation=cp.orientation))
 
     def nw(self, k: int) -> np.ndarray:
         return _computed(self.cp.nabla_w, k, "derivative stack")
@@ -154,10 +164,7 @@ class PointData:
 
     @property
     def blocks(self) -> algebra.CurvatureOperatorBlocks:
-        if self._blocks is None:
-            self._blocks = algebra.lambda_split(
-                self.riem, orientation=self.cp.orientation)
-        return self._blocks
+        return self.split()
 
     def sector(self, sign: int) -> SectorPack:
         if sign not in self._sectors:

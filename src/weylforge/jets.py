@@ -10,9 +10,11 @@ lexicographically descending within a degree), so the layout for order K is a
 prefix of the layout for K+1 and truncation is a slice.  Multiplication runs
 off one precomputed table of coefficient pairs per (order_a, order_b,
 order_out), sorted by target.  It works coefficient-major: with the
-coefficient axis in front, each output degree is one gather per factor, one
-product and one reduceat over the pairs into that degree's slice of the
-result.  A chunk per output degree keeps temporaries small.
+coefficient axis in front, a run of consecutive output degrees is one gather
+per factor, one product and one reduceat over the pairs into that run's
+slice of the result.  A run (a chunk) takes in degrees while it holds no
+more pairs than the table's largest degree: a product of two order-K jets,
+K >= 1, takes two passes, and no temporary outgrows that degree's.
 
 Multiplying by a fixed jet m is linear in the other factor: a triangular
 matrix from input to output coefficients (`mul_operator`).  Contracting a
@@ -82,7 +84,7 @@ def _pair_table(deg_a: int, deg_b: int):
 
 @lru_cache(maxsize=None)
 def _product_table(order_a: int, order_b: int, order_out: int):
-    """Per output degree d: (lo, hi, ia, ib, starts) for mul_coeffs.
+    """Per output degree d: (lo, hi, ia, ib, starts), merged by _chunk_table.
 
     ia, ib hold every coefficient pair of the two factors whose monomials
     multiply to a monomial of degree d, sorted by (target, ia, ib); starts
@@ -105,26 +107,46 @@ def _product_table(order_a: int, order_b: int, order_out: int):
     return tuple(table)
 
 
-def _coeff_major(x: np.ndarray, ndim: int) -> np.ndarray:
-    """x (..., nc) as (nc, 1, .., 1, ...), leading axes right-aligned to ndim."""
-    pad = (1,) * (ndim - x.ndim + 1)
-    return np.moveaxis(x, -1, 0).reshape(x.shape[-1:] + pad + x.shape[:-1])
+@lru_cache(maxsize=None)
+def _chunk_table(order_a: int, order_b: int, order_out: int):
+    """_product_table's degrees merged into chunks (lo, hi, ia, ib, starts).
+
+    Consecutive degrees join a chunk while it holds no more pairs than the
+    table's largest degree.  The pairs keep their (target, ia, ib) order, so
+    each target's sum runs as in its degree's own table.
+    """
+    table = _product_table(order_a, order_b, order_out)
+    limit = max(len(ia) for _, _, ia, _, _ in table)
+    chunks = []
+    for lo, hi, ia, ib, starts in table:
+        if chunks and len(chunks[-1][2]) + len(ia) <= limit:
+            c_lo, _, c_ia, c_ib, c_starts = chunks[-1]
+            chunks[-1] = (c_lo, hi, np.concatenate((c_ia, ia)),
+                          np.concatenate((c_ib, ib)),
+                          np.concatenate((c_starts, starts + len(c_ia))))
+        else:
+            chunks.append((lo, hi, ia, ib, starts))
+    return tuple(chunks)
 
 
 def mul_coeffs(a: np.ndarray, b: np.ndarray, order_a: int, order_b: int,
                order_out: int) -> np.ndarray:
     """Multiply coefficient arrays (..., nc(order_a)) x (..., nc(order_b)).
 
-    Leading axes broadcast; the result is truncated at `order_out`.  The
-    coefficient axis is moved to the front, so each output degree is one
-    gather per factor, one product and one reduceat over the pair axis.
+    Leading axes broadcast; the result is truncated at `order_out`.  Both
+    factors are viewed coefficient-major (padded to one rank and
+    transposed), so each chunk of `_chunk_table` is one gather per factor,
+    one product and one reduceat over the pair axis; the result is the
+    transpose of the coefficient-major sum.
     """
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    am, bm = _coeff_major(a, len(shape)), _coeff_major(b, len(shape))
-    out = np.zeros((n_coeffs(order_out),) + shape)
-    for lo, hi, ia, ib, starts in _product_table(order_a, order_b, order_out):
-        np.add.reduceat(am[ia] * bm[ib], starts, axis=0, out=out[lo:hi])
-    return np.moveaxis(out, 0, -1)
+    ndim = len(shape) + 1
+    at = a.reshape((1,) * (ndim - a.ndim) + a.shape).T
+    bt = b.reshape((1,) * (ndim - b.ndim) + b.shape).T
+    out = np.zeros((n_coeffs(order_out),) + shape[::-1])
+    for lo, hi, ia, ib, starts in _chunk_table(order_a, order_b, order_out):
+        np.add.reduceat(at[ia] * bt[ib], starts, axis=0, out=out[lo:hi])
+    return out.T
 
 
 def mul_operator(m: np.ndarray, order_m: int, order_in: int,

@@ -243,6 +243,32 @@ def test_conformal_phi_exponents_are_four_non_negative_integers(phi, capsys):
     assert "bad exponent tuple" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phi,shown", [
+    ('{"1,0,0,0": null}', "None"), ('{"1,0,0,0": [1]}', "[1]"),
+    ('{"1,0,0,0": true}', "True"), ('{"1,0,0,0": "0.1"}', "'0.1'"),
+    ('{"1,0,0,0": 1e999}', "inf"), ("1,0,0,0=abc", "'abc'"),
+    ("1,0,0,0=nan", "nan"), ("1,0,0,0=inf", "inf"),
+    ("1,0,0,0=-inf", "-inf")])
+def test_conformal_phi_coefficients_are_finite_real_numbers(phi, shown,
+                                                            capsys):
+    """A coefficient that is not a finite real number is a configuration
+    error that names the flag, the item and the value, before any chart is
+    built: no traceback, and no run that reports W != 0 on the
+    conformally flat chart."""
+    assert cli.main(["verify", "--manifolds", "conformally-flat",
+                     "--points", "1", f"--conformal-phi={phi}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --conformal-phi")
+    assert f"coefficient {shown} in {phi!r}" in err
+    assert "could not convert" not in err
+
+
+def test_conformal_phi_json_must_parse(capsys):
+    assert cli.main(["verify", "--manifolds", "conformally-flat",
+                     "--points", "1", '--conformal-phi={"1,0,0,0": }']) == 2
+    assert "--conformal-phi" in capsys.readouterr().err
+
+
 def test_console_entry_point_runs():
     proc = run_cli(["list", "identities"])
     assert proc.returncode == 0
