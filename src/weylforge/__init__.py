@@ -10,17 +10,14 @@ negative controls.
 __version__ = "0.1.0"
 
 from .charts import (CapacityError, CurvaturePoint, DomainError, MetricChart,
-                     build_catalog, christoffel, curvature_at,
-                     scalar_laplacian)
+                     build_catalog, curvature_at, scalar_laplacian)
 from .identities import OUT_OF_SCOPE, REGISTRY, PointData
 from .jets import Jet, jet_arith, jet_elementary, jet_partial
 from .suite import RunConfig, SuiteReport, check_identity, run_suite
-from .tensors import DenseTensor, kulkarni_nomizu
 
 __all__ = [
-    "CapacityError", "CurvaturePoint", "DenseTensor", "DomainError", "Jet",
-    "MetricChart", "OUT_OF_SCOPE", "PointData", "REGISTRY", "RunConfig",
-    "SuiteReport", "build_catalog", "check_identity", "christoffel",
-    "curvature_at", "jet_arith", "jet_elementary", "jet_partial",
-    "kulkarni_nomizu", "run_suite", "scalar_laplacian",
+    "CapacityError", "CurvaturePoint", "DomainError", "Jet", "MetricChart",
+    "OUT_OF_SCOPE", "PointData", "REGISTRY", "RunConfig", "SuiteReport",
+    "build_catalog", "check_identity", "curvature_at", "jet_arith",
+    "jet_elementary", "jet_partial", "run_suite", "scalar_laplacian",
 ]

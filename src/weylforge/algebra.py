@@ -2,7 +2,7 @@
 
 Covers the trace/Weyl decomposition, the Cotton tensor from either Ricci
 derivatives or the Weyl divergence, the two-form bundle machinery (Hodge star,
-self-dual and anti-self-dual projections, curvature operator blocks), the
+self-dual and anti-self-dual bases, curvature operator blocks), the
 eigen-two-form frames of the sector operators, and the quadratic, cubic and
 quartic algebraic identities.
 
@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tensors import DenseTensor
 
 DIM = 4
 
@@ -79,35 +77,6 @@ def pair_matrix(t: np.ndarray) -> np.ndarray:
     return 0.25 * np.swapaxes(m, 0, 1).reshape((6, 6) + t.shape[4:])
 
 
-def from_pair_matrix(m: np.ndarray) -> np.ndarray:
-    """Inverse of pair_matrix on both-pair-antisymmetric tensors."""
-    pf = PAIR_FORMS.reshape(6, DIM * DIM)
-    t = np.tensordot(pf, m.reshape(6, 6, -1), axes=([0], [0]))
-    t = np.tensordot(pf, t, axes=([0], [1]))          # (kl, ij, extra)
-    return np.swapaxes(t, 0, 1).reshape((DIM,) * 4 + m.shape[2:])
-
-
-def sector_projector(sector: int, orientation: int = 1) -> np.ndarray:
-    """6x6 projector onto the (anti-)self-dual pair subspace."""
-    if sector not in (1, -1) or orientation not in (1, -1):
-        raise ValueError("sector and orientation must be +1 or -1")
-    return 0.5 * (np.eye(6) + sector * orientation * STAR6)
-
-
-def project_sector(t: np.ndarray, sector: int, orientation: int = 1) -> np.ndarray:
-    """Project the leading two index pairs of t onto one duality sector.
-
-    Valid for Weyl-type tensors and their covariant derivative stacks (the
-    projectors are parallel and Weyl-type operators are block diagonal, so
-    projecting both pairs of the value slice is exact for every stack level).
-    """
-    p = sector_projector(sector, orientation)
-    m = pair_matrix(t)
-    m = np.tensordot(p, m, axes=([1], [0]))           # (a, c, extra)
-    m = np.tensordot(p, m, axes=([0], [1]))           # (d, a, extra)
-    return from_pair_matrix(np.swapaxes(m, 0, 1))
-
-
 def sector_forms(orientation: int = 1) -> np.ndarray:
     """(2, 3, 4, 4): the orthonormal basis two-forms of both sectors.
 
@@ -144,6 +113,13 @@ def hodge_star_matrix(orientation: int = 1) -> np.ndarray:
 # Trace decomposition and Cotton tensor
 # ---------------------------------------------------------------------------
 
+def riemann_symmetry_violation(t: np.ndarray) -> float:
+    """Max violation of R_ijkl = -R_jikl = -R_ijlk = R_klij."""
+    return float(max(np.abs(t + np.einsum("jikl->ijkl", t)).max(),
+                     np.abs(t + np.einsum("ijlk->ijkl", t)).max(),
+                     np.abs(t - np.einsum("klij->ijkl", t)).max()))
+
+
 def ricci_scalar_weyl(riem, g: np.ndarray | None = None, tol: float = 1e-8):
     """Split an orthonormal-frame Riemann tensor into (Ric, R, Weyl).
 
@@ -151,13 +127,9 @@ def ricci_scalar_weyl(riem, g: np.ndarray | None = None, tol: float = 1e-8):
     reports the worst violation.  `g` defaults to the identity; a non-identity
     g is accepted but must be orthonormal-frame-equivalent (used in tests).
     """
-    t = riem.data if isinstance(riem, DenseTensor) else np.asarray(riem)
+    t = np.asarray(riem)
     scale = max(np.abs(t).max(), 1e-30)
-    viol = max(
-        np.abs(t + np.einsum("jikl->ijkl", t)).max(),
-        np.abs(t + np.einsum("ijlk->ijkl", t)).max(),
-        np.abs(t - np.einsum("klij->ijkl", t)).max(),
-    )
+    viol = riemann_symmetry_violation(t)
     if viol > tol * scale:
         raise ValueError(
             f"input violates Riemann symmetries: max violation {viol:.3e} "
@@ -226,8 +198,7 @@ def lambda_split(riem_or_weyl, g: np.ndarray | None = None,
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1 (frame sign undefined)")
-    t = riem_or_weyl.data if isinstance(riem_or_weyl, DenseTensor) \
-        else np.asarray(riem_or_weyl)
+    t = np.asarray(riem_or_weyl)
     ric, rs, w = ricci_scalar_weyl(t, g)
     m6w = pair_matrix(w)
     m6 = pair_matrix(t)

@@ -1,10 +1,10 @@
 """From a metric chart to pointwise curvature data via jet arithmetic.
 
 Each catalog chart produces its metric components as jets at a point.  From
-those come, as jet fields in coordinates, the inverse metric (a Neumann
-series whose k-th iterate is computed to order k only), the Christoffel
-symbols and the all-lower Riemann tensor (from the first-kind symbols
-Gamma_{l,ij}, so no jet product lowers an index of R).
+those come, as jet fields in coordinates, the orthonormal frame E below, the
+inverse metric g^-1 = E E^T, the Christoffel symbols and the all-lower
+Riemann tensor (from the first-kind symbols Gamma_{l,ij}, so no jet product
+lowers an index of R).
 
 The Weyl tensor and its derivatives live on Lambda^2 = Lambda+ + Lambda-.
 An orthonormal frame E is built once per point as jets (`orthonormal_frame`:
@@ -32,15 +32,15 @@ at degree 0, taken to the frame.
 Jet-order budget: from metric jets of order K, Riemann, E and W have order
 K-2; omega has order K-3, and nabla^k W order K-2-k, so depth-d derivative
 data needs K >= d+2.  Each quantity is computed only to the degree its
-reader uses: g^-1 and Gamma at order K-2 (Riemann's quadratic terms read no
-more, and its derivative terms come from the first-kind symbols, which need
-no g^-1), Ricci and R at order 1, the Laplacian fields at order 2, so the
-Laplacian of |nabla^k W|^2 needs order k+4, and nabla Riem / nabla Ric at
-degree 0.  `required_jet_order` states this plan; `IdentitySpec.jet_order`
-is derived from it.  Each stage also forms only the independent components
-its readers use: Gamma^k_ij on symmetric index pairs, Riemann's quadratic
-terms on one triangle of the pairs of such pairs, the coframe on the
-triangles of E and omega, and the frame curvature operator on the upper
+reader uses: g^-1 = E E^T and Gamma at order K-2 (Riemann's quadratic
+terms read no more, and its derivative terms come from the first-kind
+symbols, which need no g^-1), Ricci and R at order 1, the Laplacian fields
+at order 2, so the Laplacian of |nabla^k W|^2 needs order k+4, and
+nabla Riem / nabla Ric at degree 0.  `required_jet_order` states this plan;
+`IdentitySpec.jet_order` is derived from it.  Each stage also forms only the independent components
+its readers use: g^-1 and Gamma^k_ij on symmetric index pairs, Riemann's
+quadratic terms on one triangle of the pairs of such pairs, the coframe on
+the triangles of E and omega, and the frame curvature operator on the upper
 triangles of the compound C and of the symmetric C^T R C.
 """
 
@@ -56,13 +56,12 @@ import numpy as np
 from . import algebra, jets
 from .jets import (Jet, contract_slot, mul_coeffs, mul_operator, n_coeffs,
                    partial_coeffs)
-from .tensors import DenseTensor, perm_sign
 
 DIM = 4
 
 
 _PERM_INDEX = np.array(list(itertools.permutations(range(4))))
-_PERM_SIGN = np.array([perm_sign(p) for p in _PERM_INDEX])
+_PERM_SIGN = np.rint(np.linalg.det(np.eye(DIM)[_PERM_INDEX]))
 # index pairs i < j of the two-form pair basis
 _PAIR_I, _PAIR_J = np.array(algebra.PAIRS).T
 
@@ -81,6 +80,9 @@ def _symmetric_pairs(n: int):
 _SYM_I, _SYM_J, _SYM = _symmetric_pairs(DIM)
 _SYM2_I, _SYM2_J, _SYM2 = _symmetric_pairs(len(_SYM_I))
 _SYM6_I, _SYM6_J, _SYM6 = _symmetric_pairs(len(algebra.PAIRS))
+# masks of a full 6 x 4 (or 4 x 4) and an upper triangular 4 x 4 factor
+_FULL = np.ones((6, DIM), dtype=bool)
+_UPPER = np.triu(_FULL[:DIM])
 
 
 class DomainError(ValueError):
@@ -179,26 +181,20 @@ def _pruned_matmul(a, b, terms, order_a, order_b, order_out):
     return np.add.reduceat(prod, starts, axis=0)
 
 
-def inverse_metric_jets(g: np.ndarray, order: int) -> np.ndarray:
-    """Neumann-series inverse of a jet-valued symmetric matrix, as jets of
-    order `order`; g's coefficients above `order` are not read.
+# g^-1 = E E^T on its pairs i <= j; E is upper triangular, so entry (i, j)
+# reads E[i, a] E[j, a] for a >= j only.
+_EET_TERMS = _matmul_terms(zip(_SYM_I, _SYM_J), _UPPER, _UPPER.T)
 
-    g = g0 (1 - s) with s = -g0^-1 (g - g0), so g^-1 = (sum_k s^k) g0^-1.
-    s has no constant term, so x_k = 1 + s x_{k-1} is final through degree
-    k, and iterate k reads x_{k-1} to order k-1 and writes order k only.
+
+def inverse_metric_jets(e: np.ndarray, order: int) -> np.ndarray:
+    """The inverse metric g^-1 = E E^T as jets of order `order`, from the
+    upper triangular orthonormal frame E of `orthonormal_frame` (E^T g E = I,
+    so g = E^-T E^-1); E's coefficients above `order` are not read.  The
+    product is formed on the ten pairs i <= j, past E's zero lower triangle,
+    and gathered whole.
     """
-    nc = n_coeffs(order)
-    g0inv = np.linalg.inv(g[..., 0])
-    delta = g[..., :nc].copy()
-    delta[:, :, 0] = 0.0
-    s = -np.einsum("ik,kjc->ijc", g0inv, delta)
-    x = np.zeros((DIM, DIM, nc))
-    x[:, :, 0] = np.eye(DIM)
-    for k in range(1, order + 1):
-        x[..., :n_coeffs(k)] = _jet_matmul(s, x, order, k - 1, k)
-        for i in range(DIM):
-            x[i, i, 0] += 1.0
-    return np.einsum("ikc,kj->ijc", x, g0inv)
+    et = np.swapaxes(e, 0, 1)
+    return _pruned_matmul(e, et, _EET_TERMS, order, order, order)[_SYM]
 
 
 def first_kind_jets(g: np.ndarray, order: int) -> np.ndarray:
@@ -470,8 +466,6 @@ class Coframe:
 # upper triangular, so a product skips their lower triangles; V^T S V = 1 is
 # symmetric and V_d is read off its upper triangle, and omega is
 # antisymmetric and formed on its pairs m < a.
-_FULL = np.ones((6, DIM), dtype=bool)
-_UPPER = np.triu(_FULL[:DIM])
 _SV_TERMS = _matmul_terms(np.ndindex(DIM, DIM), _FULL, _UPPER)    # S V
 _Q_TERMS = _matmul_terms(zip(_SYM_I, _SYM_J), _UPPER.T, _FULL)    # V^T (S V)
 _Y_TERMS = _matmul_terms(algebra.PAIRS, _FULL, _UPPER)            # y, l < a
@@ -578,8 +572,8 @@ def required_jet_order(depth: int, laplacians=()) -> int:
 
     This is the one jet-order plan of `curvature_at`.  Metric jets of order
     K give Riemann, the frame E and W at K-2, the connection at K-3 and
-    nabla^k W at K-2-k, so depth d needs K >= d+2.  g^-1 and Gamma are
-    built to order K-2 only, all that Riemann's quadratic terms read.
+    nabla^k W at K-2-k, so depth d needs K >= d+2.  g^-1 = E E^T and Gamma
+    are built to order K-2 only, all that Riemann's quadratic terms read.
     The fields |nabla^k W|^2 and <nabla^k W, *nabla^k W> are built at
     order 2, the highest degree `scalar_jet_laplacian` reads, so their
     Laplacians need K >= k+4.
@@ -620,17 +614,6 @@ class CurvaturePoint:
     laplacians: dict
 
 
-def christoffel(chart: MetricChart, point, jet_order: int) -> DenseTensor:
-    """Jet-valued Christoffel symbols of order jet_order - 1 at a point."""
-    if jet_order < 1:
-        raise CapacityError("christoffel needs jet order >= 1")
-    g = chart.metric_jets(point, jet_order)
-    _cholesky_frame(g[..., 0])  # positive-definiteness check
-    ginv = inverse_metric_jets(g, jet_order - 1)
-    return DenseTensor(christoffel_jets(g, ginv, jet_order), "udd",
-                       jet_order - 1)
-
-
 def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
                  jet_order: int | None = None) -> CurvaturePoint:
     """Evaluate curvature and derivative stacks at a chart point.
@@ -653,18 +636,18 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
 
     point = np.asarray(point, dtype=float)
     g = chart.metric_jets(point, order)
-    # g^-1 and Gamma at order K-2: Riemann's quadratic terms read no more
-    ginv = inverse_metric_jets(g, order - 2)
-    gamma = christoffel_jets(g, ginv, order - 1)
-    riem = riemann_jets(g, gamma, order)
     o_r = order - 2
-    # Ricci and R are read at degree <= 1 only: their values, nabla Ric at
-    # degree 0 and dR
-    ric, rs = ricci_jets(riem, ginv, min(o_r, 1))
     # the connection has order one less than E; order 2 (depth 0) needs no
     # connection but builds E to order 1 all the same
     cof = orthonormal_frame(g, max(o_r, 1), chart.orientation)
     frame = cof.e[..., 0]
+    # g^-1 and Gamma at order K-2: Riemann's quadratic terms read no more
+    ginv = inverse_metric_jets(cof.e, o_r)
+    gamma = christoffel_jets(g, ginv, order - 1)
+    riem = riemann_jets(g, gamma, order)
+    # Ricci and R are read at degree <= 1 only: their values, nabla Ric at
+    # degree 0 and dR
+    ric, rs = ricci_jets(riem, ginv, min(o_r, 1))
     weyl = weyl_jets(riem, cof, o_r)
 
     stacks = {0: weyl}

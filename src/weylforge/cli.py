@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import charts, suite
@@ -92,6 +93,19 @@ def _parse_conformal(args) -> dict | None:
             num = val.strip()
         coeffs[_exponents(key, item)] = _coefficient(num, item)
     return coeffs or None
+
+
+def _check_out(path: str | None) -> None:
+    """The report target must be a file in an existing directory; checked
+    before any point runs."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out {path!r}: directory {folder!r} does not "
+                          f"exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is a directory")
 
 
 GATE_LABELS = {
@@ -198,6 +212,7 @@ def main(argv=None) -> int:
             deterministic=args.deterministic,
             conformal_coeffs=_parse_conformal(args.conformal_phi),
         )
+        _check_out(cfg.output_path)
         report = suite.run_suite(cfg)
     # ConfigError and charts.DomainError are ValueErrors
     except (charts.CapacityError, ValueError) as exc:
@@ -206,8 +221,13 @@ def main(argv=None) -> int:
 
     text = suite.render(report, cfg.output_format)
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write --out {cfg.output_path!r}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if report.summary["nonfinite"]:

@@ -10,25 +10,44 @@ coordinate formulation it replaced, as an independent check:
 - <T, *T> with the star as eps = orientation sqrt(det g) (charts.epsilon_jets)
   times the constant symbol [ijab] on the leading index pair.
 
-It also keeps the coordinate stages as full products over every index
-combination, where the pipeline forms only the independent components:
-Gamma^k_ij on all (i, j), and the coframe solve and its connection with
-every entry of V, y and omega.
+It also keeps the coordinate stages in forms independent of the pipeline's:
+g^-1 as a Neumann series in g0^-1 (g - g0), where the pipeline forms E E^T
+from its orthonormal frame, and full products over every index combination,
+where the pipeline forms only the independent components: Gamma^k_ij on all
+(i, j), and the coframe solve and its connection with every entry of V, y
+and omega.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from weylforge import algebra, charts, jets
 from weylforge.jets import contract_slot, mul_coeffs, mul_operator, n_coeffs
-from weylforge.tensors import perm_sign
 
 _PERM4 = np.zeros((4, 4, 4, 4))
-for _p in itertools.permutations(range(4)):
-    _PERM4[_p] = perm_sign(_p)
+_PERM4[tuple(charts._PERM_INDEX.T)] = charts._PERM_SIGN
+
+
+def inverse_metric_jets(g, order):
+    """Neumann-series inverse of a jet-valued symmetric matrix, as jets of
+    order `order`; g's coefficients above `order` are not read.
+
+    g = g0 (1 - s) with s = -g0^-1 (g - g0), so g^-1 = (sum_k s^k) g0^-1.
+    s has no constant term, so x_k = 1 + s x_{k-1} is final through degree
+    k, and iterate k reads x_{k-1} to order k-1 and writes order k only.
+    """
+    nc = n_coeffs(order)
+    g0inv = np.linalg.inv(g[..., 0])
+    delta = g[..., :nc].copy()
+    delta[:, :, 0] = 0.0
+    s = -np.einsum("ik,kjc->ijc", g0inv, delta)
+    x = np.zeros((4, 4, nc))
+    x[:, :, 0] = np.eye(4)
+    for k in range(1, order + 1):
+        x[..., :n_coeffs(k)] = _jet_matmul(s, x, order, k - 1, k)
+        x[..., 0] += np.eye(4)
+    return np.einsum("ikc,kj->ijc", x, g0inv)
 
 
 def weyl_jets(riem, ric, rs, g, order):
@@ -134,7 +153,7 @@ def weyl_stack(chart, point, order, depth):
     """Metric jets, g^-1, Gamma, Riemann and the coordinate stack
     [W, nabla W, .., nabla^depth W] (nabla^k W of order order-2-k)."""
     g = chart.metric_jets(point, order)
-    ginv = charts.inverse_metric_jets(g, order)
+    ginv = inverse_metric_jets(g, order)
     gamma = christoffel_jets(g, ginv, order)
     riem = charts.riemann_jets(g, gamma, order)
     o_r = order - 2

@@ -156,20 +156,35 @@ def test_quadratic_cubic_hold_for_sector_sums(rng):
 
 
 def test_sector_projection_orthogonality(rng):
-    wp, _, _ = alg.random_sector_tensor(rng, 1)
-    wm, _, _ = alg.random_sector_tensor(rng, -1)
-    total = wp + wm
-    assert np.abs(alg.project_sector(total, 1) - wp).max() < 1e-13
-    assert np.abs(alg.project_sector(total, -1) - wm).max() < 1e-13
+    """lambda_split's W+ block of W+ + W- is W+'s, with its eigenvalues."""
+    wp, _, lam_p = alg.random_sector_tensor(rng, 1)
+    wm, _, lam_m = alg.random_sector_tensor(rng, -1)
+    total = alg.lambda_split(wp + wm)
+    assert np.abs(np.linalg.eigvalsh(total.w_plus) - np.sort(lam_p)).max() \
+        < 1e-13
+    assert np.abs(np.linalg.eigvalsh(total.w_minus) - np.sort(lam_m)).max() \
+        < 1e-13
+    assert np.abs(alg.lambda_split(wp).w_minus).max() < 1e-14
+    assert np.abs(alg.lambda_split(wm).w_plus).max() < 1e-14
     # plus-sector data is blind to minus-sector modifications
-    perturbed = total + 3.0 * wm
-    assert np.abs(alg.project_sector(perturbed, 1) - wp).max() < 1e-13
+    perturbed = alg.lambda_split(wp + 4.0 * wm)
+    assert np.abs(perturbed.w_plus - total.w_plus).max() < 1e-13
 
 
 def test_orientation_flip_swaps_sectors(rng):
     w, _, _ = alg.random_sector_tensor(rng, 1)
-    assert np.abs(alg.project_sector(w, 1, orientation=-1)).max() < 1e-14
-    assert np.abs(alg.project_sector(w, -1, orientation=-1) - w).max() < 1e-14
+    same = alg.lambda_split(w)
+    flipped = alg.lambda_split(w, orientation=-1)
+    assert np.abs(flipped.w_plus).max() < 1e-14
+    assert np.abs(flipped.w_minus - same.w_plus).max() < 1e-14
+    assert np.abs(same.w_plus).max() > 0.1
+
+
+def test_riemann_symmetry_violation_on_demand(rng):
+    bad = rng.normal(size=(4, 4, 4, 4))
+    assert alg.riemann_symmetry_violation(bad) > 0.1
+    w, _, _ = alg.random_sector_tensor(rng, 1)
+    assert alg.riemann_symmetry_violation(w) < 1e-14
 
 
 def test_cotton_from_synthetic_ricci_data(rng):

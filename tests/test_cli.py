@@ -73,6 +73,42 @@ def test_jet_order_2_is_rejected_before_any_point_runs(capsys):
     assert cli.main(args + ["--jet-order", "3"]) == 0
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", ""])
+def test_bad_out_target_exits_2_before_any_point_runs(target, tmp_path,
+                                                      monkeypatch, capsys):
+    """A report target in a missing directory, or a directory itself."""
+    def not_run(cfg):
+        raise AssertionError("run_suite ran")
+
+    monkeypatch.setattr(suite, "run_suite", not_run)
+    code = cli.main(["verify", "--points", "1", "--out",
+                     str(tmp_path / target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out") and err.count("\n") == 1
+
+
+def test_out_write_error_exits_2_without_traceback(tmp_path, monkeypatch,
+                                                   capsys):
+    """The report's directory is gone by the time the run ends."""
+    folder = tmp_path / "gone"
+    folder.mkdir()
+    run = suite.run_suite
+
+    def run_then_remove(cfg):
+        report = run(cfg)
+        folder.rmdir()
+        return report
+
+    monkeypatch.setattr(suite, "run_suite", run_then_remove)
+    code = cli.main(["verify", "--manifolds", "flat-r4", "--identities",
+                     "bianchi1.weyl", "--points", "1", "--out",
+                     str(folder / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write --out") and err.count("\n") == 1
+
+
 def test_deterministic_reports_are_byte_identical(tmp_path):
     args = ["verify", "--manifolds", "s2xs2-unequal",
             "--identities", "bianchi1.weyl,gradweyl.general,key2.full",
