@@ -20,9 +20,10 @@ the self-dual and anti-self-dual parts of omega) and minus omega on each
 derivative slot.  The frame components of a full Weyl-type tensor square-sum
 to four times its blocks', and the Hodge star on its first pair is +1 on the
 plus block and -1 on the minus block, so |T|^2 and <T, *T> are fixed
-multiples of the two halves' sums of squares.  Full frame components are
-expanded at degree 0 only (CurvaturePoint.weyl, nabla_w and the sector
-stacks of identities.SectorPack).  Scalar Laplacians of |W|^2, |nabla W|^2
+multiples of the two halves' sums of squares.  A CurvaturePoint carries W
+and nabla^k W as these blocks at degree 0 (`weyl_blocks`, with their basis
+two-forms `forms`); identities.SectorPack expands them to frame components
+when an identity first reads them.  Scalar Laplacians of |W|^2, |nabla W|^2
 and |nabla^2 W|^2 (and their duality-sector halves) come from
 differentiating these jet-valued scalar fields directly, which keeps the
 left sides of the Bochner checks independent of the component-assembled
@@ -602,15 +603,12 @@ class CurvaturePoint:
     riem: np.ndarray
     ric: np.ndarray
     scalar: float
-    weyl: np.ndarray
-    nabla_w: dict            # k -> frame components of nabla^k W, k = 0..depth
     weyl_blocks: dict        # k -> W+- blocks of nabla^k W: (2, 3, 3, 4, ..)
     forms: np.ndarray        # the blocks' basis two-forms, Coframe.forms
     nabla_riem: np.ndarray | None
     ric_deriv: np.ndarray | None
     d_scalar: np.ndarray | None
     cotton: np.ndarray | None
-    cotton_div: np.ndarray | None
     laplacians: dict
 
 
@@ -658,14 +656,11 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
                                          cof.conn, slots)
 
     blocks = {k: stacks[k][..., 0] for k in stacks}
-    nabla_w = {k: algebra.from_sector_blocks(blocks[k], cof.forms)
-               for k in blocks}
     riem_f = to_frame(riem[..., 0], frame)
     ric_f = to_frame(ric[..., 0], frame)
-    weyl_f = nabla_w[0]
     scalar = float(rs[0])
 
-    nabla_riem_f = ric_deriv_f = d_scalar_f = cotton = cotton_div = None
+    nabla_riem_f = ric_deriv_f = d_scalar_f = cotton = None
     if depth >= 1:
         # read at degree 0 only: order-1 coordinate components against the
         # constant Gamma, in the coordinate frame
@@ -680,7 +675,6 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
         d_scalar_f = frame.T @ np.array(
             [partial_coeffs(rs, 1, d)[0] for d in range(DIM)])
         cotton = algebra.cotton_from_ricci(ric_deriv_f, d_scalar_f)
-        cotton_div = algebra.cotton_from_weyl_divergence(nabla_w[1])
 
     lap = {}
     if laplacians:
@@ -707,10 +701,9 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
     return CurvaturePoint(
         chart=chart, point=point, frame=frame, orientation=chart.orientation,
         jet_order=order, depth=depth, riem=riem_f, ric=ric_f, scalar=scalar,
-        weyl=weyl_f, nabla_w=nabla_w, weyl_blocks=blocks,
-        forms=cof.forms, nabla_riem=nabla_riem_f,
+        weyl_blocks=blocks, forms=cof.forms, nabla_riem=nabla_riem_f,
         ric_deriv=ric_deriv_f, d_scalar=d_scalar_f, cotton=cotton,
-        cotton_div=cotton_div, laplacians=lap)
+        laplacians=lap)
 
 
 def scalar_laplacian(chart: MetricChart, point, fld: str) -> float:

@@ -139,8 +139,8 @@ def _property_summary(chart) -> str:
         bits.append(f"Einstein(lambda={pd.R / 4.0:.6g})")
     else:
         bits.append("non-Einstein")
-    bits.append("divW=0" if pd.is_harmonic else "divW!=0")
-    bits.append("gradW=0" if pd.is_parallel else "gradW!=0")
+    bits.append("divW=0" if pd.is_harmonic() else "divW!=0")
+    bits.append("gradW=0" if pd.is_parallel() else "gradW!=0")
     if pd.is_conformally_flat:
         bits.append("W=0")
     if chart.properties.negative_control:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -74,20 +74,23 @@ def _computed(fields: dict, key, what: str):
 
 
 class SectorPack:
-    """Cached duality-sector data at a point."""
+    """W and nabla^k W at a point, in duality sector `sign` (+1 or -1) or
+    whole (None), expanded to frame components on first read.
 
-    def __init__(self, pd: "PointData", sign: int):
-        cp = pd.cp
-        self.name = _SECTOR_NAME[sign]
-        s = slice(0, 1) if sign == 1 else slice(1, 2)
-        self.stacks = {k: algebra.from_sector_blocks(b[s], cp.forms[s])
-                       for k, b in cp.weyl_blocks.items()}
-        self.w = self.stacks[0]
-        self.w_norm = _frobenius(self.w)
-        self.dw_norm = (_frobenius(self.stacks[1])
-                        if 1 in self.stacks else 0.0)
-        self.div_norm = (_frobenius(np.einsum("tijkt->ijk", self.stacks[1]))
-                         if 1 in self.stacks else 0.0)
+    A half expands its W+- blocks; the whole tensor is the sum of its two
+    halves, which is what expanding both blocks at once computes.
+    """
+
+    def __init__(self, pd: "PointData", sign: int | None):
+        self.sign = sign
+        self.name = _SECTOR_NAME.get(sign, "whole")
+        if sign is None:
+            self._halves = (pd.sector(1), pd.sector(-1))
+        else:
+            s = slice(0, 1) if sign == 1 else slice(1, 2)
+            self._blocks = {k: b[s] for k, b in pd.cp.weyl_blocks.items()}
+            self._forms = pd.cp.forms[s]
+        self._stacks: dict[int, np.ndarray] = {}
         self._frame = self._ed = None
         # pd's split and a scalar, not pd: a back-reference would make every
         # point's arrays a reference cycle that only the cyclic collector frees
@@ -95,7 +98,32 @@ class SectorPack:
         self._trivial_scale = pd.riem_norm ** 1.5
 
     def stack(self, k: int) -> np.ndarray:
-        return _computed(self.stacks, k, f"{self.name} derivative stack")
+        """nabla^k W in frame components (k = 0 is W)."""
+        if k not in self._stacks:
+            if self.sign is None:
+                plus, minus = self._halves
+                self._stacks[k] = plus.stack(k) + minus.stack(k)
+            else:
+                self._stacks[k] = algebra.from_sector_blocks(
+                    _computed(self._blocks, k,
+                              f"{self.name} derivative stack"), self._forms)
+        return self._stacks[k]
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self.stack(0)
+
+    @cached_property
+    def w_norm(self) -> float:
+        return _frobenius(self.w)
+
+    @cached_property
+    def dw_norm(self) -> float:
+        return _frobenius(self.stack(1))
+
+    @cached_property
+    def div_norm(self) -> float:
+        return _frobenius(np.einsum("tijkt->ijk", self.stack(1)))
 
     @property
     def frame(self) -> algebra.TwoFormFrame:
@@ -114,24 +142,22 @@ class SectorPack:
 
 
 class PointData:
-    """A CurvaturePoint with cached norms, gates and sector packs."""
+    """A CurvaturePoint with its gates and the sector packs of W+, W- and
+    the whole W."""
 
     def __init__(self, cp: CurvaturePoint):
         self.cp = cp
-        self.W = cp.weyl
         self.ric = cp.ric
         self.R = cp.scalar
         self.riem = cp.riem
         self.riem_norm = _frobenius(cp.riem)
-        self.w_norm = _frobenius(cp.weyl)
-        self._sectors: dict[int, SectorPack] = {}
         # lambda_split of riem, made on the first call and shared with the
         # sector packs; it holds cp's riem and orientation, not self
         self.split = cache(partial(algebra.lambda_split, cp.riem,
                                    orientation=cp.orientation))
-
-    def nw(self, k: int) -> np.ndarray:
-        return _computed(self.cp.nabla_w, k, "derivative stack")
+        self._sectors: dict[int | None, SectorPack] = {}
+        for sign in (1, -1, None):
+            self._sectors[sign] = SectorPack(self, sign)
 
     def lap(self, key: str) -> float:
         return _computed(self.cp.laplacians, key, "Laplacian field")
@@ -142,33 +168,30 @@ class PointData:
         `W`, `nw<k>` (nabla^k W) and `lap_<field>` (the scalar Laplacian
         field) are read from duality sector `sign` when it is set, or from
         the sector that a trailing `+` or `-` names.  `g` is the frame
-        metric.  Any other name (`riem`, `ric`, `R`, or a CurvaturePoint
-        field such as `cotton`) is read whole, whatever the sign.
+        metric and `cotton_div` the Cotton tensor from div W.  Any other
+        name (`riem`, `ric`, `R`, or a CurvaturePoint field such as
+        `cotton`) is read whole, whatever the sign.
         """
         if name[-1] in "+-":
             name, sign = name[:-1], 1 if name[-1] == "+" else -1
         if name == "W":
-            return self.W if sign is None else self.sector(sign).w
+            return self.sector(sign).w
         if name.startswith("nw"):
-            k = int(name[2:])
-            return self.nw(k) if sign is None else self.sector(sign).stack(k)
+            return self.sector(sign).stack(int(name[2:]))
         if name.startswith("lap_"):
             key = name[4:]
             return self.lap(key if sign is None
                             else f"{key}_{_SECTOR_NAME[sign]}")
         if name == "g":
             return _EYE
+        if name == "cotton_div":
+            return algebra.cotton_from_weyl_divergence(
+                self.sector(None).stack(1))
         if name in ("riem", "ric", "R"):
             return getattr(self, name)
         return getattr(self.cp, name)
 
-    @property
-    def blocks(self) -> algebra.CurvatureOperatorBlocks:
-        return self.split()
-
-    def sector(self, sign: int) -> SectorPack:
-        if sign not in self._sectors:
-            self._sectors[sign] = SectorPack(self, sign)
+    def sector(self, sign: int | None) -> SectorPack:
         return self._sectors[sign]
 
     def floor(self, h: int) -> float:
@@ -177,35 +200,19 @@ class PointData:
     # -- measured hypothesis gates ------------------------------------------
 
     @property
-    def dw_norm(self) -> float:
-        return _frobenius(self.nw(1))
-
-    @property
-    def div_w_norm(self) -> float:
-        return _frobenius(np.einsum("tijkt->ijk", self.nw(1)))
-
-    @property
     def is_einstein(self) -> bool:
         ric0 = self.ric - (self.R / 4.0) * _EYE
         return _frobenius(ric0) <= \
             EINSTEIN_GATE_RTOL * max(self.riem_norm, FLOOR)
 
-    @property
-    def is_harmonic(self) -> bool:
-        scale = max(self.dw_norm, self.riem_norm ** 1.5, FLOOR)
-        return self.div_w_norm <= HARMONIC_GATE_RTOL * scale
-
-    def is_sector_harmonic(self, sign: int) -> bool:
+    def is_harmonic(self, sign: int | None = None) -> bool:
+        """div W = 0, of the whole W or of one sector."""
         pack = self.sector(sign)
         scale = max(pack.dw_norm, self.riem_norm ** 1.5, FLOOR)
         return pack.div_norm <= HARMONIC_GATE_RTOL * scale
 
-    @property
-    def is_parallel(self) -> bool:
-        return self.dw_norm <= PARALLEL_GATE_RTOL * \
-            max(self.riem_norm ** 1.5, FLOOR)
-
-    def is_sector_parallel(self, sign: int) -> bool:
+    def is_parallel(self, sign: int | None = None) -> bool:
+        """nabla W = 0, of the whole W or of one sector."""
         return self.sector(sign).dw_norm <= PARALLEL_GATE_RTOL * \
             max(self.riem_norm ** 1.5, FLOOR)
 
@@ -215,7 +222,8 @@ class PointData:
 
     @property
     def is_conformally_flat(self) -> bool:
-        return self.w_norm <= CONFORMAL_GATE_RTOL * max(self.riem_norm, FLOOR)
+        return self.sector(None).w_norm <= \
+            CONFORMAL_GATE_RTOL * max(self.riem_norm, FLOOR)
 
     @property
     def is_ricci_flat(self) -> bool:
@@ -226,11 +234,6 @@ class PointData:
     def cotton_nonzero(self) -> bool:
         return _frobenius(self.cp.cotton) > \
             COTTON_NONZERO_RTOL * max(self.riem_norm ** 1.5, FLOOR)
-
-    @property
-    def gradw_nontrivial(self) -> bool:
-        """|nabla W|^2 > 1e-6 |W|^2 at unit chart length scale."""
-        return self.dw_norm ** 2 > 1e-6 * self.w_norm ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +598,11 @@ def ev_block_decomposition(pd: PointData):
               - np.einsum("il,jk->ijkl", d, ric0))
     kn_gg = 2.0 * (np.einsum("ik,jl->ijkl", d, d)
                    - np.einsum("il,jk->ijkl", d, d))
-    rebuilt = pd.W + 0.5 * kn_ric + (pd.R / 24.0) * kn_gg
+    rebuilt = pd.operand("W") + 0.5 * kn_ric + (pd.R / 24.0) * kn_gg
     m_direct = algebra.pair_matrix(pd.riem)
     m_rebuilt = algebra.pair_matrix(rebuilt)
     res = np.abs(m_direct - m_rebuilt).max()
-    blocks = pd.blocks
+    blocks = pd.split()
     res = max(res, abs(np.trace(blocks.w_plus)), abs(np.trace(blocks.w_minus)),
               np.abs(blocks.reassemble() - m_direct).max())
     return float(res), float(np.abs(m_direct).max())
@@ -622,14 +625,14 @@ def ev_derdzinski_reconstruction(pd: PointData):
     for sign in (1, -1):
         pack = pd.sector(sign)
         res = max(res, _frobenius(pack.frame.reconstruct() - pack.w))
-    return res, pd.w_norm
+    return res, pd.sector(None).w_norm
 
 
 def ev_derder_reconstruction(pd: PointData, sign: int):
     pack = pd.sector(sign)
     ed = pack.ed
     return max(ed.recon_residual, ed.consistency_gap), \
-        float(np.abs(pack.stacks[1]).max()) if 1 in pack.stacks else 0.0
+        float(np.abs(pack.stack(1)).max())
 
 
 def ev_derder_norm(pd: PointData, sign: int):
@@ -861,14 +864,12 @@ def gate_satisfied(spec: IdentitySpec, pd: PointData) -> bool:
     """Numerically verified hypothesis gate for one identity at one point."""
     if spec.gate == "any":
         return True
-    if spec.gate == "harmonic":
-        return pd.is_harmonic
-    if spec.gate == "sector-harmonic":
-        return pd.is_sector_harmonic(spec.sector)
+    if spec.gate in ("harmonic", "sector-harmonic"):
+        return pd.is_harmonic(spec.sector)
     if spec.gate == "einstein":
         return pd.is_einstein
     if spec.gate == "einstein-parallel-sector":
-        return (pd.is_einstein and pd.is_sector_parallel(spec.sector)
+        return (pd.is_einstein and pd.is_parallel(spec.sector)
                 and pd.sector_nonzero(spec.sector))
     if spec.gate == "conformal":
         return pd.is_conformally_flat

@@ -128,16 +128,16 @@ def _audit_point(chart: MetricChart, pd: PointData) -> list:
                        f"measured {lam}")
     if p.ricci_flat and not pd.is_ricci_flat:
         bad.append("declared Ricci-flat but Ricci is nonzero")
-    if p.harmonic_weyl and not pd.is_harmonic:
+    if p.harmonic_weyl and not pd.is_harmonic():
         bad.append("declared harmonic Weyl but div W is nonzero")
-    if p.parallel_weyl and not pd.is_parallel:
+    if p.parallel_weyl and not pd.is_parallel():
         bad.append("declared parallel Weyl but nabla W is nonzero")
     if p.conformally_flat and not pd.is_conformally_flat:
         bad.append("declared conformally flat but W is nonzero")
     if p.negative_control:
         if pd.is_einstein:
             bad.append("declared negative control but metric measures Einstein")
-        if pd.is_harmonic:
+        if pd.is_harmonic():
             bad.append("declared negative control but div W vanishes")
         if not pd.cotton_nonzero:
             bad.append("declared negative control but Cotton tensor vanishes")
@@ -147,7 +147,7 @@ def _audit_point(chart: MetricChart, pd: PointData) -> list:
 def _gate_contradicts_declaration(spec: IdentitySpec, pd: PointData) -> bool:
     if spec.gate == "einstein-parallel-sector":
         # a vanishing sector is not a declaration failure
-        return not (pd.is_einstein and pd.is_sector_parallel(spec.sector))
+        return not (pd.is_einstein and pd.is_parallel(spec.sector))
     return True
 
 

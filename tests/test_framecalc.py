@@ -123,8 +123,8 @@ def test_schwarzschild_extraction_residuals(cp_schwarzschild):
         ed = pack.ed
         assert not ed.trivial
         assert np.abs(ed.d_lambda).max() > 1e-4            # nonzero output
-        assert ed.recon_residual <= 1e-8 * np.abs(pack.stacks[1]).max()
-        r, s = framecalc.norm_expansion_residual(ed, pack.stacks[1])
+        assert ed.recon_residual <= 1e-8 * np.abs(pack.stack(1)).max()
+        r, s = framecalc.norm_expansion_residual(ed, pack.stack(1))
         assert r <= 1e-7 * s
         r, s = framecalc.div_free_relations_residual(ed, pack.frame)
         assert r <= 1e-7 * max(s, 1e-30)
@@ -140,7 +140,7 @@ def test_eqrhs_on_sds_random_points(catalog, rng):
         for sign in (1, -1):
             pack = pd.sector(sign)
             r, s = framecalc.cubic_contraction_residual(
-                pack.w, pack.stacks[1], pack.frame, pack.ed)
+                pack.w, pack.stack(1), pack.frame, pack.ed)
             assert r <= 1e-7 * max(s, 1e-30)
 
 
@@ -151,7 +151,7 @@ def test_eqrhs_universal_on_negative_control(catalog):
                       [4.5, 1.3, 0.9, 0.2], depth=1)
     pd = PointData(cp)
     pack = pd.sector(1)
-    r, s = framecalc.cubic_contraction_residual(pack.w, pack.stacks[1],
+    r, s = framecalc.cubic_contraction_residual(pack.w, pack.stack(1),
                                                 pack.frame, pack.ed)
     assert r <= 1e-7 * s
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weylforge import charts, rng
+from weylforge import algebra, charts, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
                                   PointData, TermList, gate_satisfied,
@@ -199,19 +199,23 @@ def test_unknown_names_are_config_errors(catalog):
 
 
 def test_sector_results_sum_consistently(cp_sds):
-    """The covariant derivative decomposes orthogonally across sectors."""
+    """The covariant derivative decomposes orthogonally across sectors, and
+    the whole tensor is exactly the sum of its halves: the same array as
+    expanding both blocks at once."""
     pd = PointData(cp_sds)
-    plus, minus = pd.sector(1), pd.sector(-1)
+    whole, plus, minus = pd.sector(None), pd.sector(1), pd.sector(-1)
     for k in (0, 1, 2):
-        total = pd.cp.nabla_w[k]
-        split = plus.stacks[k] + minus.stacks[k]
-        assert np.abs(total - split).max() <= 1e-13 * np.abs(total).max()
-        n_sum = (plus.stacks[k] ** 2).sum() + (minus.stacks[k] ** 2).sum()
+        total = whole.stack(k)
+        assert np.array_equal(total, plus.stack(k) + minus.stack(k))
+        assert np.array_equal(total, algebra.from_sector_blocks(
+            cp_sds.weyl_blocks[k], cp_sds.forms))
+        n_sum = (plus.stack(k) ** 2).sum() + (minus.stack(k) ** 2).sum()
         assert n_sum == pytest.approx((total ** 2).sum(), rel=1e-12)
     # cubic contractions add over sectors as the key-lemma proofs use
-    w3 = np.einsum("ijkl,ijpqt,klpqt->", pd.W, pd.nw(1), pd.nw(1))
-    w3_split = sum(np.einsum("ijkl,ijpqt,klpqt->", p.w, p.stacks[1],
-                             p.stacks[1]) for p in (plus, minus))
+    w3 = np.einsum("ijkl,ijpqt,klpqt->", whole.w, whole.stack(1),
+                   whole.stack(1))
+    w3_split = sum(np.einsum("ijkl,ijpqt,klpqt->", p.w, p.stack(1),
+                             p.stack(1)) for p in (plus, minus))
     assert w3 == pytest.approx(w3_split, rel=1e-10)
 
 
@@ -252,6 +256,24 @@ def test_missing_fields_and_stacks_are_capacity_errors(catalog):
     for name in ("nw2", "nw2+", "nw2-"):
         with pytest.raises(charts.CapacityError, match="derivative stack 2"):
             PointData(cp).operand(name)
+
+
+def test_blocks_are_expanded_on_first_read(catalog, monkeypatch):
+    """Only the stacks an identity reads become frame components:
+    bianchi1.weyl reads W, one expansion per half, and no nabla^k W."""
+    from weylforge.suite import check_identity
+    expand = algebra.from_sector_blocks
+    degrees = []
+
+    def counting(blocks, forms):
+        degrees.append(blocks.ndim - 3)
+        return expand(blocks, forms)
+
+    monkeypatch.setattr(algebra, "from_sector_blocks", counting)
+    cp = curvature_at(catalog["schwarzschild"], [4.0, 1.2, 0.8, 0.3],
+                      depth=4)
+    assert check_identity("bianchi1.weyl", cp).status == "pass"
+    assert degrees == [0, 0]
 
 
 def test_residual_scale_floor_keeps_trivial_points_passing(catalog):
