@@ -1,8 +1,8 @@
 """Pointwise curvature algebra in an orthonormal frame.
 
 Covers the trace/Weyl decomposition, the Cotton tensor from either Ricci
-derivatives or the Weyl divergence, the two-form bundle machinery (Hodge star,
-self-dual and anti-self-dual bases, curvature operator blocks), the
+derivatives or the Weyl divergence, the two-form bundle machinery (self-dual
+and anti-self-dual bases, curvature operator blocks), the
 eigen-two-form frames of the sector operators, and the quadratic, cubic and
 quartic algebraic identities.
 
@@ -36,13 +36,6 @@ def _pair_forms() -> np.ndarray:
 
 PAIR_FORMS = _pair_forms()
 
-# Hodge star on the pair basis for epsilon_1234 = +1:
-# *(e1^e2) = e3^e4, *(e1^e3) = -e2^e4, *(e1^e4) = e2^e3.
-STAR6 = np.zeros((6, 6))
-STAR6[0, 5] = STAR6[5, 0] = 1.0
-STAR6[1, 4] = STAR6[4, 1] = -1.0
-STAR6[2, 3] = STAR6[3, 2] = 1.0
-
 # Quaternionic seed triples per sector, as pair-basis coefficient rows.
 # Signs are fixed so that omega.eta = theta (matrix product) holds exactly.
 _SEED_PLUS = np.array([
@@ -62,11 +55,6 @@ def sector_seed(sector: int, orientation: int = 1) -> np.ndarray:
     if sector not in (1, -1) or orientation not in (1, -1):
         raise ValueError("sector and orientation must be +1 or -1")
     return _SEED_PLUS if sector * orientation > 0 else _SEED_MINUS
-
-
-def two_form(coeffs: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrix of a pair-basis coefficient vector."""
-    return np.einsum("a,aij->ij", coeffs, PAIR_FORMS)
 
 
 def pair_matrix(t: np.ndarray) -> np.ndarray:
@@ -101,12 +89,6 @@ def from_sector_blocks(blocks: np.ndarray, forms: np.ndarray) -> np.ndarray:
         pairs = np.einsum("xa,yb->abxy", f, f).reshape(DIM ** 4, 9)
         out = out + pairs @ b.reshape(9, -1)
     return out.reshape((DIM,) * 4 + blocks.shape[3:])
-
-
-def hodge_star_matrix(orientation: int = 1) -> np.ndarray:
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    return orientation * STAR6
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +214,12 @@ def jacobi_eigh_3x3(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 30):
             if abs(apq) <= 1e-300 * scale:
                 continue
             tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+            # hypot, not sqrt(1 + tau^2): tau^2 overflows when apq is tiny
+            # against the diagonal gap
             if tau >= 0.0:
-                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                t = 1.0 / (tau + np.hypot(1.0, tau))
             else:
-                t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                t = -1.0 / (-tau + np.hypot(1.0, tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             rot = np.eye(3)

@@ -150,12 +150,6 @@ class MetricChart:
 # Jet-tensor kernels
 # ---------------------------------------------------------------------------
 
-def _jet_matmul(a, b, order_a, order_b, order_out):
-    prod = mul_coeffs(a[:, :, None, :], b[None, :, :, :], order_a, order_b,
-                      order_out)
-    return prod.sum(axis=1)
-
-
 def _matmul_terms(wanted, a_nonzero, b_nonzero):
     """The terms A[r, j] B[j, c] of the entries (r, c) in `wanted` of a
     product C = A B, with the entries of A and B known to be zero left out:
@@ -218,7 +212,8 @@ def christoffel_jets(g: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
     """
     og = order - 1
     low = first_kind_jets(g, order)[:, _SYM_I, _SYM_J]
-    return _jet_matmul(ginv[..., :n_coeffs(og)], low, og, og, og)[:, _SYM]
+    prod = mul_coeffs(ginv[:, :, None, :n_coeffs(og)], low[None], og, og, og)
+    return prod.sum(axis=1)[:, _SYM]
 
 
 # Riemann's quadratic terms on the pairs A <= B of symmetric index pairs.

@@ -1,11 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from weylforge import algebra as alg
 
+# Hodge star on the pair basis for epsilon_1234 = +1:
+# *(e1^e2) = e3^e4, *(e1^e3) = -e2^e4, *(e1^e4) = e2^e3.
+STAR6 = np.zeros((6, 6))
+STAR6[0, 5] = STAR6[5, 0] = 1.0
+STAR6[1, 4] = STAR6[4, 1] = -1.0
+STAR6[2, 3] = STAR6[3, 2] = 1.0
+
+
+def two_form(coeffs: np.ndarray) -> np.ndarray:
+    """Antisymmetric matrix of a pair-basis coefficient vector."""
+    return np.einsum("a,aij->ij", coeffs, alg.PAIR_FORMS)
+
 
 def test_hodge_star_involution_and_eigenspaces():
-    s = alg.hodge_star_matrix()
+    s = STAR6
     assert np.allclose(s @ s, np.eye(6))
     vals = np.sort(np.linalg.eigvalsh(s))
     assert np.allclose(vals, [-1, -1, -1, 1, 1, 1])
@@ -14,7 +28,7 @@ def test_hodge_star_involution_and_eigenspaces():
 @pytest.mark.parametrize("sector", [1, -1])
 def test_seed_triples_are_quaternionic(sector):
     seeds = alg.sector_seed(sector)
-    w, e, t = (alg.two_form(r) for r in seeds)
+    w, e, t = (two_form(r) for r in seeds)
     eye = np.eye(4)
     for f in (w, e, t):
         assert np.array_equal(f @ f, -eye)
@@ -22,9 +36,8 @@ def test_seed_triples_are_quaternionic(sector):
     assert np.array_equal(w @ e, t)
     assert np.array_equal(e @ t, w)
     assert np.array_equal(t @ w, e)
-    star = alg.hodge_star_matrix()
     for r in seeds:
-        assert np.array_equal(star @ r, sector * r)
+        assert np.array_equal(STAR6 @ r, sector * r)
 
 
 def test_jacobi_against_lapack(rng):
@@ -37,6 +50,17 @@ def test_jacobi_against_lapack(rng):
         recon = vecs @ np.diag(vals) @ vecs.T
         assert np.abs(recon - m).max() <= 1e-12 * max(np.abs(m).max(), 1.0)
         assert np.abs(vecs @ vecs.T - np.eye(3)).max() < 1e-12
+
+
+def test_jacobi_tiny_off_diagonal_does_not_overflow():
+    """An off-diagonal entry tiny against the diagonal gap makes tau
+    about 1e170; its rotation must not square tau."""
+    m = np.array([[0.0, 1e-170, 0.0], [1e-170, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = alg.jacobi_eigh_3x3(m)
+    assert np.abs(vals - np.linalg.eigvalsh(m)).max() <= 1e-14
+    assert np.abs(vecs @ np.diag(vals) @ vecs.T - m).max() <= 1e-14
 
 
 def test_frame_reconstruction_random_blocks(rng):
@@ -107,9 +131,9 @@ def test_reassembled_operator_acts_like_half_riemann(rng, cp_s2xs2_unequal):
     m6 = blocks.reassemble()
     for _ in range(50):
         v = rng.normal(size=6)
-        omega = alg.two_form(v)
+        omega = two_form(v)
         action = 0.5 * np.einsum("ijkl,ij->kl", cp.riem, omega)
-        want = alg.two_form(m6.T @ v)
+        want = two_form(m6.T @ v)
         assert np.abs(action - want).max() <= 1e-10 * max(
             np.abs(action).max(), 1e-30)
     assert np.abs(blocks.ric0_block).max() > 1e-3  # non-Einstein entry
