@@ -83,7 +83,7 @@ class SectorPack:
 
     def __init__(self, pd: "PointData", sign: int | None):
         self.sign = sign
-        self.name = _SECTOR_NAME.get(sign, "whole")
+        self.name = _SECTOR_NAME.get(sign)
         if sign is None:
             self._halves = (pd.sector(1), pd.sector(-1))
         else:
