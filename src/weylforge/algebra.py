@@ -76,6 +76,50 @@ def sector_forms(orientation: int = 1) -> np.ndarray:
     return np.einsum("sxA,Aij->sxij", seeds, PAIR_FORMS)
 
 
+def sector_action(forms: np.ndarray) -> np.ndarray:
+    """(n, 3, 3, G): how a two-form acts on the sector bases `forms`.
+
+    forms is sector_forms or a slice of it, B_G for G = (s, x) its basis
+    two-forms in order.  action[s, y, x, G] = <B_sy, [B_G, B_sx]>, with
+    <X, Y> = (1/2) X_ij Y_ij: a two-form N = sum_G n_G B_G acts on the
+    basis of sector s as the 3x3 matrix action[s] . n, zero across sectors.
+    """
+    basis = forms.reshape(-1, DIM, DIM)
+    bracket = (np.einsum("Gij,sxjk->sxGik", basis, forms)
+               - np.einsum("sxij,Gjk->sxGik", forms, basis))
+    return 0.5 * np.einsum("syik,sxGik->syxG", forms, bracket)
+
+
+def curvature_action(m: np.ndarray, blocks: np.ndarray, forms: np.ndarray,
+                     action: np.ndarray) -> np.ndarray:
+    """The blocks of sum over the slots of T of T_..p.. m_pcab.
+
+    blocks[s, x, y, c1, .., cn] are the sector blocks of T in `forms`, a
+    Weyl-type tensor with n derivative slots, and m a 4-tensor antisymmetric
+    in its first pair, acting on every slot of T through its last pair:
+    (m . T)_{i1..i(4+n) ab} = sum_r T_{..p..} m_{p i_r a b}, p in slot r.
+    On the two block slots m acts through its two-form
+    rho_G = <B_G, m(., ., a, b)> as the 3x3 matrices action . rho, with
+    action = sector_action(forms); on each derivative slot through m.  The
+    result has the blocks' shape with (a, b) appended and stays in the
+    sectors of T.
+    """
+    n = blocks.ndim - 3
+    rho = 0.5 * np.einsum("Gpq,pqab->Gab",
+                          forms.reshape(-1, DIM, DIM), m)
+    a = np.einsum("sxyG,Gab->sxyab", action, rho)
+    flat = blocks.reshape(blocks.shape[:3] + (-1,))
+    out = (np.einsum("sxyab,sxzd->syzdab", a, flat)
+           + np.einsum("sxzab,syxd->syzdab", a, flat))
+    out = out.reshape(blocks.shape + (DIM, DIM))
+    slots = "cdefgh"[:n]
+    for r in range(n):
+        summed = slots[:r] + "p" + slots[r + 1:]
+        out += np.einsum(f"syz{summed},p{slots[r]}ab->syz{slots}ab",
+                         blocks, m)
+    return out
+
+
 def from_sector_blocks(blocks: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """Frame components of a Weyl-type tensor from its sector blocks.
 

@@ -17,17 +17,20 @@ every nabla^k W, with k frame derivative slots after the blocks: a W-blocks
 stack of shape (2, 3, 3, 4, .., 4, nc).  `covariant_derivative` is E^j_c
 d_j, minus omega's action on the two block slots (the 3x3 matrices A+- of
 the self-dual and anti-self-dual parts of omega) and minus omega on each
-derivative slot.  The frame components of a full Weyl-type tensor square-sum
-to four times its blocks', and the Hodge star on its first pair is +1 on the
-plus block and -1 on the minus block, so |T|^2 and <T, *T> are fixed
-multiples of the two halves' sums of squares.  A CurvaturePoint carries W
-and nabla^k W as these blocks at degree 0 (`weyl_blocks`, with their basis
-two-forms `forms`); identities.SectorPack expands them to frame components
-when an identity first reads them.  Scalar Laplacians of |W|^2, |nabla W|^2
-and |nabla^2 W|^2 (and their duality-sector halves) come from
-differentiating these jet-valued scalar fields directly, which keeps the
-left sides of the Bochner checks independent of the component-assembled
-right sides.  nabla Riem and nabla Ric are coordinate covariant derivatives
+derivative slot.  A+- are algebra.sector_action(forms), the action of a
+two-form on the sector bases, applied to omega; the same map carries the
+curvature's action on the block slots in identities.Commutator.  The frame
+components of a full Weyl-type tensor square-sum to four times its blocks',
+and the Hodge star on its first pair is +1 on the plus block and -1 on the
+minus block, so |T|^2 and <T, *T> are fixed multiples of the two halves'
+sums of squares.  A CurvaturePoint carries W and nabla^k W as these blocks
+at degree 0 (`weyl_blocks`, with their basis two-forms `forms`);
+identities.SectorPack expands them to frame components when an identity
+first reads them, and the commutation checks read the blocks themselves.
+Scalar Laplacians of |W|^2, |nabla W|^2 and |nabla^2 W|^2 (and their
+duality-sector halves) come from differentiating these jet-valued scalar
+fields directly, which keeps the left sides of the Bochner checks
+independent of the component-assembled right sides.  nabla Riem and nabla Ric are coordinate covariant derivatives
 at degree 0, taken to the frame.
 
 Jet-order budget: from metric jets of order K, Riemann, E and W have order
@@ -445,9 +448,9 @@ class Coframe:
     - conn[G, c] = <B_G, Omega_c>, Omega_c[m, a] = <nabla_{e_c} e_a, e_m>:
       the six so(4) components of the connection along each frame vector,
       so Omega = vector_map . conn with vector_map[m, a, G] = B_G[m, a];
-    - sector_map[s, y, x, G] = <B_sy, [B_G, B_sx]>: sector_map . conn is
-      the connection's action on the Lambda+- basis (A+ and A-), zero
-      across sectors.
+    - sector_map = algebra.sector_action(forms), [s, y, x, G] =
+      <B_sy, [B_G, B_sx]>: sector_map . conn is the connection's action on
+      the Lambda+- basis (A+ and A-), zero across sectors.
     """
 
     e: np.ndarray
@@ -529,12 +532,9 @@ def orthonormal_frame(g: np.ndarray, order: int,
     along_k = np.einsum("Gp,pkn->Gkn", basis[:, _PAIR_I, _PAIR_J], pairs)
     conn = _pruned_matmul(along_k, e[..., :n], _CONN_TERMS, oc, oc,
                           oc).reshape(6, DIM, n)
-    bracket = (np.einsum("Gij,sxjk->sxGik", basis, forms)
-               - np.einsum("sxij,Gjk->sxGik", forms, basis))
-    sector_map = 0.5 * np.einsum("syik,sxGik->syxG", forms, bracket)
     return Coframe(e=e, omega=omega, conn=conn, forms=forms,
                    vector_map=np.moveaxis(basis, 0, -1),
-                   sector_map=sector_map)
+                   sector_map=algebra.sector_action(forms))
 
 
 def to_frame(t: np.ndarray, frame: np.ndarray) -> np.ndarray:

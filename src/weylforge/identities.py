@@ -15,11 +15,20 @@ identity and both halves.  The residual is the largest Frobenius norm of
 sum(lhs) - sum(rhs) over the equations.  The scale is the largest term norm,
 unless an equation names its bounds: terms, the summed left side, or products
 of operand norms such as |W| |Riem|.  Named bounds serve a pure X = 0
-statement, whose terms all vanish together; the commutators, whose two
-left-hand terms are far larger than their difference; and
-bochner2.pro-boch-weyl, whose scale leaves out one of its terms.  The
-checks that delegate to algebra and framecalc, and the block decomposition,
-stay functions.
+statement, whose terms all vanish together, and bochner2.pro-boch-weyl,
+whose scale leaves out one of its terms.
+
+The one data evaluator that is not an einsum list is the Commutator: the
+Ricci identity [nabla_a, nabla_b] nabla^(k-2) W = R(e_a, e_b) .
+nabla^(k-2) W, evaluated on the W+- blocks of nabla^k W with no expansion
+to frame components.  Its data are k, the curvature pieces (Terms, each a
+Riemann-type 4-tensor: Riem, or W plus its Ricci and scalar parts) and
+named bounds as above: |lhs| and norm products such as |nabla^(k-2) W|
+|Riem|, since the two left-hand terms are far larger than their difference.
+commute2.einstein-contracted stays a TermList, since it contracts a
+two-form slot with a derivative slot.  The checks that
+delegate to algebra and framecalc, and the block decomposition, stay
+functions.
 
 Identities carry a hypothesis gate (any metric / harmonic Weyl / Einstein /
 Einstein with parallel sector), re-verified numerically at each point before
@@ -43,6 +52,13 @@ from .charts import CapacityError, CurvaturePoint, required_jet_order
 DIM = 4
 _EYE = np.eye(DIM)
 _SECTOR_NAME = {1: "plus", -1: "minus"}
+# The Kulkarni-Nomizu product with the frame metric as a map on two-tensors:
+# (h (.) g)_pqab = h_mn _KN_G[m, n, p, q, a, b]
+#                = h_pa g_qb + h_qb g_pa - h_pb g_qa - h_qa g_pb.
+_KN_G = (np.einsum("mp,na,qb->mnpqab", _EYE, _EYE, _EYE)
+         + np.einsum("mq,nb,pa->mnpqab", _EYE, _EYE, _EYE)
+         - np.einsum("mp,nb,qa->mnpqab", _EYE, _EYE, _EYE)
+         - np.einsum("mq,na,pb->mnpqab", _EYE, _EYE, _EYE))
 
 FLOOR = 1e-30
 
@@ -75,7 +91,8 @@ def _computed(fields: dict, key, what: str):
 
 class SectorPack:
     """W and nabla^k W at a point, in duality sector `sign` (+1 or -1) or
-    whole (None), expanded to frame components on first read.
+    whole (None): their W+- blocks, expanded to frame components on first
+    read.
 
     A half expands its W+- blocks; the whole tensor is the sum of its two
     halves, which is what expanding both blocks at once computes.
@@ -84,12 +101,11 @@ class SectorPack:
     def __init__(self, pd: "PointData", sign: int | None):
         self.sign = sign
         self.name = _SECTOR_NAME.get(sign)
+        s = {None: slice(0, 2), 1: slice(0, 1), -1: slice(1, 2)}[sign]
+        self._blocks = {k: b[s] for k, b in pd.cp.weyl_blocks.items()}
+        self.forms = pd.cp.forms[s]
         if sign is None:
             self._halves = (pd.sector(1), pd.sector(-1))
-        else:
-            s = slice(0, 1) if sign == 1 else slice(1, 2)
-            self._blocks = {k: b[s] for k, b in pd.cp.weyl_blocks.items()}
-            self._forms = pd.cp.forms[s]
         self._stacks: dict[int, np.ndarray] = {}
         self._frame = self._ed = None
         # pd's split and a scalar, not pd: a back-reference would make every
@@ -97,17 +113,33 @@ class SectorPack:
         self._split = pd.split
         self._trivial_scale = pd.riem_norm ** 1.5
 
+    def blocks(self, k: int) -> np.ndarray:
+        """The W+- blocks of nabla^k W: (n, 3, 3, 4, .., 4), n sectors."""
+        what = "derivative stack" if self.name is None \
+            else f"{self.name} derivative stack"
+        return _computed(self._blocks, k, what)
+
     def stack(self, k: int) -> np.ndarray:
         """nabla^k W in frame components (k = 0 is W)."""
         if k not in self._stacks:
+            blocks = self.blocks(k)     # a missing k names this pack
             if self.sign is None:
                 plus, minus = self._halves
                 self._stacks[k] = plus.stack(k) + minus.stack(k)
             else:
-                self._stacks[k] = algebra.from_sector_blocks(
-                    _computed(self._blocks, k,
-                              f"{self.name} derivative stack"), self._forms)
+                self._stacks[k] = algebra.from_sector_blocks(blocks,
+                                                             self.forms)
         return self._stacks[k]
+
+    def norm(self, k: int) -> float:
+        """|nabla^k W| from the blocks: each basis two-form has Frobenius
+        norm sqrt 2, so the frame components' norm is twice the blocks'."""
+        return 2.0 * _frobenius(self.blocks(k))
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        """algebra.sector_action of the sector's basis two-forms."""
+        return algebra.sector_action(self.forms)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -168,7 +200,8 @@ class PointData:
         `W`, `nw<k>` (nabla^k W) and `lap_<field>` (the scalar Laplacian
         field) are read from duality sector `sign` when it is set, or from
         the sector that a trailing `+` or `-` names.  `g` is the frame
-        metric and `cotton_div` the Cotton tensor from div W.  Any other
+        metric, `kn_g` the Kulkarni-Nomizu product with it (_KN_G) and
+        `cotton_div` the Cotton tensor from div W.  Any other
         name (`riem`, `ric`, `R`, or a CurvaturePoint field such as
         `cotton`) is read whole, whatever the sign.
         """
@@ -184,6 +217,8 @@ class PointData:
                             else f"{key}_{_SECTOR_NAME[sign]}")
         if name == "g":
             return _EYE
+        if name == "kn_g":
+            return _KN_G
         if name == "cotton_div":
             return algebra.cotton_from_weyl_divergence(
                 self.sector(None).stack(1))
@@ -352,6 +387,56 @@ class TermList:
         return residual, scale
 
 
+@dataclass(frozen=True)
+class Commutator:
+    """A registry evaluator: the Ricci identity on nabla^(k-2) W, on its
+    W+- blocks.
+
+    [nabla_a, nabla_b] nabla^(k-2) W = R(e_a, e_b) . nabla^(k-2) W.  The
+    left side is the blocks of nabla^k W less themselves with the last two
+    slots swapped.  The right side is M, the sum of the `curvature` terms
+    (each a Riemann-type 4-tensor), acting on every slot of nabla^(k-2) W
+    through its last pair (algebra.curvature_action), so both sides stay
+    blocks: 4,608 entries at k = 4 where frame components have 65,536.
+    Residual and scale are frame-component norms, twice the blocks'.
+    `scale` names bounds as Equation.scale does: "lhs" or (coeff,
+    "op op ..").
+    """
+
+    k: int
+    curvature: tuple
+    scale: tuple
+    sign: int | None = None
+
+    @property
+    def terms(self) -> tuple:
+        return self.curvature
+
+    def _norm(self, pd: PointData, name: str) -> float:
+        if name == "W" or name.startswith("nw"):
+            k = 0 if name == "W" else int(name[2:])
+            return pd.sector(self.sign).norm(k)
+        return _frobenius(pd.operand(name, self.sign))
+
+    def __call__(self, pd: PointData) -> tuple[float, float]:
+        pack = pd.sector(self.sign)
+        top = pack.blocks(self.k)
+        lhs = top - np.swapaxes(top, -1, -2)
+        m = _sum([t.value(pd, self.sign) for t in self.curvature])
+        rhs = algebra.curvature_action(m, pack.blocks(self.k - 2),
+                                       pack.forms, pack.action)
+        scale = 0.0
+        for bound in self.scale:
+            if bound == "lhs":
+                size = 2.0 * _frobenius(lhs)
+            else:
+                coeff, names = bound
+                size = abs(coeff) * math.prod(
+                    self._norm(pd, n) for n in names.split())
+            scale = max(scale, size)
+        return 2.0 * _frobenius(lhs - rhs), scale
+
+
 _WEYL_DECOMPOSITION = (
     *(Equation((Term(f"W_{s[:4]}", 1.0, s, "W"),), scale=((1.0, "riem"),))
       for s in ("iikl->kl", "ijil->jl", "ijki->jk", "ijjl->il", "ijkj->ik",
@@ -426,71 +511,33 @@ _GRADWEYL_GENERAL = (Equation(
 _GRADWEYL_HARMONIC = (Equation((_GRAD_SWAP,),
                                (replace(_NABLA_W_SQ, coeff=0.5),)),)
 
-# Commutators of nabla^2 W: the slot of W that couples, as (W subscripts
-# with that slot summed over r, the index of the slot).
-_SLOTS = (("rjkl", "i"), ("irkl", "j"), ("ijrl", "k"), ("ijkr", "l"))
-_COMMUTATOR2 = (Term("nabla^2 W", 1.0, "ijklst->ijklst", "nw2"),
-                Term("nabla^2 W swapped", -1.0, "ijklts->ijklst", "nw2"))
-_WW_SLOTS = tuple(Term(f"W_{w} W_r{x}st", 1.0, f"{w},r{x}st->ijklst", "W W")
-                  for w, x in _SLOTS)
 
-
-def _commutation(k: int) -> tuple:
+def _commute_riemann(k: int) -> Commutator:
     """nabla^k W with its last two derivative slots swapped equals one
     Riemann coupling per slot of nabla^(k-2) W."""
-    top = "abcdefghijkl"[:4 + k]
-    base, i1, i2 = top[:-2], top[-2], top[-1]
-    lhs = (Term(f"nabla^{k} W", 1.0, f"{top}->{top}", f"nw{k}"),
-           Term(f"nabla^{k} W swapped", -1.0, f"{base}{i2}{i1}->{top}",
-                f"nw{k}"))
-    rhs = tuple(
-        Term(f"Riem slot {s + 1}", 1.0,
-             f"{base[:s]}p{base[s + 1:]},p{base[s]}{i1}{i2}->{top}",
-             f"nw{k - 2} riem")
-        for s in range(len(base)))
-    return (Equation(lhs, rhs, ("lhs", (1.0, f"nw{k - 2} riem"))),)
+    return Commutator(k, (Term("Riem_pqab", 1.0, "pqab->pqab", "riem"),),
+                      ("lhs", (1.0, f"nw{k - 2} riem")))
 
 
-_COMMUTE2_WEYL_RICCI = (Equation(
-    _COMMUTATOR2,
-    _WW_SLOTS
-    + tuple(Term(f"W_{w} Ric_{r} g_{d}", sgn * 0.5, f"{w},{r},{d}->ijklst",
-                 "W ric g")
-            for w, x in _SLOTS
-            for r, d, sgn in (("rs", f"{x}t", 1), ("rt", f"{x}s", -1),
-                              (f"{x}t", "rs", 1), (f"{x}s", "rt", -1)))
-    + tuple(Term(f"R W_{w} g_{a} g_{b}", sgn / 6.0, f",{w},{a},{b}->ijklst",
-                 "R W g g")
-            for w, x in _SLOTS
-            for a, b, sgn in (("rs", f"{x}t", -1), ("rt", f"{x}s", 1))),
-    ("lhs", (1.0, "W W"), (1.0, "W ric"))),)
-
-_COMMUTE2_EINSTEIN = (Equation(
-    _COMMUTATOR2,
-    _WW_SLOTS + tuple(
-        Term(f"R W_{w} g_{d}", sgn / 12.0, f",{w},{d}->ijklst", "R W g")
-        for w, d, sgn in (("sjkl", "it", 1), ("tjkl", "is", -1),
-                          ("iskl", "jt", 1), ("itkl", "js", -1),
-                          ("ijsl", "kt", 1), ("ijtl", "ks", -1),
-                          ("ijks", "lt", 1), ("ijkt", "ls", -1))),
-    ("lhs", (1.0, "W W"), (1.0 / 12.0, "R W"))),)
+_W_PIECE = Term("W_pqab", 1.0, "pqab->pqab", "W")
+# Riem = W + (1/2) Ric (.) g - (R/12) g (.) g
+_COMMUTE2_WEYL_RICCI = Commutator(2, (
+    _W_PIECE,
+    Term("(Ric (.) g)_pqab", 0.5, "mn,mnpqab->pqab", "ric kn_g"),
+    Term("R (g (.) g)_pqab", -1.0 / 12.0, ",mn,mnpqab->pqab", "R g kn_g")),
+    ("lhs", (1.0, "W W"), (1.0, "W ric")))
+# Riem = W + (R/24) g (.) g on an Einstein metric
+_COMMUTE2_EINSTEIN = Commutator(2, (
+    _W_PIECE,
+    Term("R (g (.) g)_pqab", 1.0 / 24.0, ",mn,mnpqab->pqab", "R g kn_g")),
+    ("lhs", (1.0, "W W"), (1.0 / 12.0, "R W")))
+_COMMUTE_K3 = _commute_riemann(3)
 
 _COMMUTE2_EINSTEIN_CONTRACTED = (Equation(
     (Term("nabla_i nabla_s W_ijkl", 1.0, "ijklsi->jkls", "nw2"),),
     tuple(Term(f"W_{w} W_r{x}si", 1.0, f"{w},r{x}si->jkls", "W W")
-          for w, x in _SLOTS[1:])
+          for w, x in (("irkl", "j"), ("ijrl", "k"), ("ijkr", "l")))
     + (Term("R W_sjkl", 0.25, ",sjkl->jkls", "R W"),)),)
-
-_COMMUTE3 = (Equation(
-    (Term("nabla^3 W", 1.0, "ijkltrs->ijkltrs", "nw3"),
-     Term("nabla^3 W swapped", -1.0, "ijkltsr->ijkltrs", "nw3")),
-    (Term("nabla_t W_vjkl Riem_virs", 1.0, "vjklt,virs->ijkltrs", "nw1 riem"),
-     Term("nabla_t W_ivkl Riem_vjrs", 1.0, "ivklt,vjrs->ijkltrs", "nw1 riem"),
-     Term("nabla_t W_ijvl Riem_vkrs", 1.0, "ijvlt,vkrs->ijkltrs", "nw1 riem"),
-     Term("nabla_t W_ijkv Riem_vlrs", 1.0, "ijkvt,vlrs->ijkltrs", "nw1 riem"),
-     Term("nabla_v W_ijkl Riem_vtrs", 1.0, "ijklv,vtrs->ijkltrs",
-          "nw1 riem")),
-    ("lhs", (1.0, "nw1 riem"))),)
 
 _KEY1 = (Equation(
     (Term("W_ijkl nabla W_jpqtk nabla W_ipqtl", 1.0, "ijkl,jpqtk,ipqtl->",
@@ -718,20 +765,20 @@ def _build_registry():
                      ("GradWeylNormEinstein", "lem_GradWeylNorm"), "harmonic",
                      1, (), 6, 1e-8, TermList(_GRADWEYL_HARMONIC)),
         IdentitySpec("commute2.riemann", ("SecondDerivWeylusingRiem",), "any",
-                     2, (), 4, 1e-8, TermList(_commutation(2))),
+                     2, (), 4, 1e-8, _commute_riemann(2)),
         IdentitySpec("commute2.weyl-ricci", ("lem-comsec",), "any", 2, (),
-                     4, 1e-8, TermList(_COMMUTE2_WEYL_RICCI)),
+                     4, 1e-8, _COMMUTE2_WEYL_RICCI),
         IdentitySpec("commute2.einstein", ("lem-comsec",), "einstein", 2,
-                     (), 4, 1e-8, TermList(_COMMUTE2_EINSTEIN)),
+                     (), 4, 1e-8, _COMMUTE2_EINSTEIN),
         IdentitySpec("commute2.einstein-contracted", ("lem-comsec",),
                      "einstein", 2, (), 4, 1e-8,
                      TermList(_COMMUTE2_EINSTEIN_CONTRACTED)),
         IdentitySpec("commute3.riemann", ("ThirdDerivWeylusingRiem",), "any",
-                     3, (), 5, 1e-6, TermList(_COMMUTE3)),
+                     3, (), 5, 1e-6, _COMMUTE_K3),
         IdentitySpec("commutek.k3", ("CommutationWeylKorder",), "any", 3,
-                     (), 5, 1e-6, TermList(_commutation(3))),
+                     (), 5, 1e-6, _COMMUTE_K3),
         IdentitySpec("commutek.k4", ("CommutationWeylKorder",), "any", 4,
-                     (), 6, 1e-5, TermList(_commutation(4))),
+                     (), 6, 1e-5, _commute_riemann(4)),
         IdentitySpec("algebra.quadratic", ("WeylWeylMetric",), "any", 0,
                      (), 4, 1e-12,
                      partial(ev_algebra, algebra.quadratic_identity_residual)),

@@ -175,12 +175,26 @@ def contract_slot(t: np.ndarray, op: np.ndarray, slot: int) -> np.ndarray:
     slot and over the coefficients of t is one matrix product.
     """
     n, n_in = op.shape[0], op.shape[-2]
-    moved = np.moveaxis(t[..., :n_in], slot, -2)
+    t_order, op_order, out_order = _slot_orders(t.ndim, op.ndim, slot)
+    moved = t[..., :n_in].transpose(t_order)
     lead = moved.shape[:-2]
-    mat = np.moveaxis(op, -2, 1).reshape(n * n_in, -1)
+    mat = op.transpose(op_order).reshape(n * n_in, -1)
     out = moved.reshape(-1, n * n_in) @ mat
     out = out.reshape(lead + op.shape[1:-2] + op.shape[-1:])
-    return np.moveaxis(out, len(lead), slot)
+    return out.transpose(out_order)
+
+
+@lru_cache(maxsize=None)
+def _slot_orders(ndim_t: int, ndim_op: int, slot: int):
+    """contract_slot's three axis orders: t's `slot` moved before its
+    coefficient axis, op's input-coefficient axis moved to 1, and the
+    product's first axis from op moved back to `slot` (slot >= 0)."""
+    t_order = (*(a for a in range(ndim_t - 1) if a != slot), slot,
+               ndim_t - 1)
+    op_order = (0, ndim_op - 2, *range(1, ndim_op - 2), ndim_op - 1)
+    out_order = [a for a in range(ndim_t + ndim_op - 4) if a != ndim_t - 2]
+    out_order.insert(slot, ndim_t - 2)
+    return t_order, op_order, tuple(out_order)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from weylforge import algebra as alg
 
@@ -217,3 +219,40 @@ def test_cotton_from_synthetic_ricci_data(rng):
     d_scalar = rng.normal(size=4)
     c = alg.cotton_from_ricci(ric_deriv, d_scalar)
     assert np.abs(c + np.einsum("ikj->ijk", c)).max() < 1e-14
+
+
+def _slot_action(m, t):
+    """sum over the slots of t of t_..p.. m_pcab, in frame components."""
+    idx = "ijklcdefgh"[:t.ndim]
+    return sum(np.einsum(f"{idx[:r]}p{idx[r + 1:]},p{idx[r]}ab->{idx}ab",
+                         t, m) for r in range(t.ndim))
+
+
+# No explain phase: on a failure it re-runs the examples under a tracer,
+# which took over five minutes for a wrong block action whose shrunk
+# failure takes seconds.
+@settings(max_examples=40, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(seed=st.integers(0, 2 ** 32 - 1), sector=st.sampled_from([1, -1]),
+       slots=st.integers(0, 2))
+def test_block_curvature_action_is_the_slot_action(seed, sector, slots):
+    """For a sector tensor of random_sector_tensor times `slots` random
+    vectors (derivative slots) and a random 4-tensor m antisymmetric in its
+    first pair, the block action expanded by from_sector_blocks is the
+    full-component action of m on every slot, and it maps the tensor's
+    Lambda+- blocks into themselves: the other sector's blocks stay 0."""
+    rng = np.random.default_rng(seed)
+    t, _, _ = alg.random_sector_tensor(rng, sector)
+    for _ in range(slots):
+        t = np.multiply.outer(t, rng.normal(size=4))
+    x = rng.normal(size=(4,) * 4)
+    m = x - x.transpose(1, 0, 2, 3)
+    forms = alg.sector_forms()
+    blocks = 0.25 * np.einsum("sxij,ijkl...,sykl->sxy...", forms, t, forms)
+    out = alg.curvature_action(m, blocks, forms, alg.sector_action(forms))
+    full = _slot_action(m, t)
+    atol = 1e-12 * max(1.0, np.abs(full).max())
+    assert np.abs(alg.from_sector_blocks(out, forms) - full).max() <= atol
+    other = 1 if sector == 1 else 0
+    assert np.abs(blocks[other]).max() <= atol
+    assert np.abs(out[other]).max() <= atol

@@ -3,12 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import commutation_reference as ref
 from weylforge import algebra, charts, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
-                                  PointData, TermList, gate_satisfied,
-                                  residual_rel, static_applicable)
+                                  Commutator, PointData, TermList,
+                                  gate_satisfied, residual_rel,
+                                  static_applicable)
 from weylforge.suite import RunConfig, run_suite
+
+# The data evaluators: term lists and the block-form commutators.
+DATA = (TermList, Commutator)
 
 
 def test_registry_is_well_formed():
@@ -31,20 +36,21 @@ def test_term_lists_are_well_formed():
     decomposition are hand-written functions."""
     for sid, spec in REGISTRY.items():
         ev = spec.evaluate
-        if not isinstance(ev, TermList):
+        if not isinstance(ev, DATA):
             continue
         assert ev.sign == spec.sector, sid
         names = [t.name for t in ev.terms]
         assert len(names) == len(set(names)), sid
         for t in ev.terms:
             assert "..." not in t.subscripts, (sid, t.name)
-        for eq in ev.equations:
-            for bound in eq.scale:
-                if isinstance(bound, str) and bound != "lhs":
-                    assert bound in names, (sid, bound)
+        bounds = ev.scale if isinstance(ev, Commutator) else \
+            [b for eq in ev.equations for b in eq.scale]
+        for bound in bounds:
+            if isinstance(bound, str) and bound != "lhs":
+                assert bound in names, (sid, bound)
     hand_written = {sid.removesuffix("-plus").removesuffix("-minus")
                     for sid, spec in REGISTRY.items()
-                    if not isinstance(spec.evaluate, TermList)}
+                    if not isinstance(spec.evaluate, DATA)}
     assert hand_written == {
         "operator.block-decomposition", "algebra.quadratic", "algebra.cubic",
         "algebra.quadratic.sector", "algebra.cubic.sector",
@@ -53,14 +59,32 @@ def test_term_lists_are_well_formed():
         "derder.cubic", "divz.relations"}
 
 
-def test_commutation_k3_two_code_paths_agree(cp_sds):
-    """The generated k-order commutation at k = 3 matches the explicit
-    third-order term list."""
-    pd = PointData(cp_sds)
-    r1, s1 = REGISTRY["commute3.riemann"].evaluate(pd)
-    r2, s2 = REGISTRY["commutek.k3"].evaluate(pd)
-    assert r1 == pytest.approx(r2, rel=1e-12, abs=1e-25)
-    assert s1 == pytest.approx(s2, rel=1e-12)
+# Each block-form commutator and the full-component term list it replaced.
+COMMUTATION_REFERENCE = {
+    "commute2.riemann": ref.commutation(2),
+    "commutek.k3": ref.commutation(3),
+    "commutek.k4": ref.commutation(4),
+    "commute2.weyl-ricci": ref.COMMUTE2_WEYL_RICCI,
+    "commute2.einstein": ref.COMMUTE2_EINSTEIN,
+}
+
+
+def test_commutation_block_form_equals_the_full_component_reference(
+        sample_points):
+    """On every catalog chart, 2 points each, the block-form commutators
+    give the full-component term lists' residual to 1e-12 of the scale,
+    and their scale to 1e-12 relative, for the whole W and each half.
+    commute3.riemann is the k = 3 commutator itself."""
+    assert REGISTRY["commute3.riemann"].evaluate is \
+        REGISTRY["commutek.k3"].evaluate
+    for _, pd in sample_points:
+        for sid, equations in COMMUTATION_REFERENCE.items():
+            for sign in (None, 1, -1):
+                blocks = replace(REGISTRY[sid].evaluate, sign=sign)
+                r1, s1 = blocks(pd)
+                r2, s2 = TermList(equations, sign)(pd)
+                assert abs(r1 - r2) <= 1e-12 * s2, (sid, sign, r1, r2)
+                assert s1 == pytest.approx(s2, rel=1e-12), (sid, sign)
 
 
 @pytest.mark.parametrize("sid", sorted(REGISTRY))
@@ -253,9 +277,16 @@ def test_missing_fields_and_stacks_are_capacity_errors(catalog):
                          ("bochner2.pro-boch-plus", "'dw_plus'")):
         with pytest.raises(charts.CapacityError, match=missing):
             check_identity(sid, cp)
-    for name in ("nw2", "nw2+", "nw2-"):
-        with pytest.raises(charts.CapacityError, match="derivative stack 2"):
+    for name, half in (("nw2", ""), ("nw2+", "plus "), ("nw2-", "minus ")):
+        with pytest.raises(charts.CapacityError,
+                           match=f"^{half}derivative stack 2 not computed"):
             PointData(cp).operand(name)
+    # the block-form commutators read the blocks and raise the same error
+    cp = curvature_at(catalog["schwarzschild"], [4.0, 1.2, 0.8, 0.3],
+                      depth=3)
+    with pytest.raises(charts.CapacityError,
+                       match="^derivative stack 4 not computed"):
+        check_identity("commutek.k4", cp)
 
 
 def test_blocks_are_expanded_on_first_read(catalog, monkeypatch):
@@ -274,6 +305,29 @@ def test_blocks_are_expanded_on_first_read(catalog, monkeypatch):
                       depth=4)
     assert check_identity("bianchi1.weyl", cp).status == "pass"
     assert degrees == [0, 0]
+
+
+def test_commutators_expand_no_derivative_stack(catalog, monkeypatch):
+    """The six block-form commutation checks read nabla^k W as blocks:
+    at a depth-4 point none of them expands a stack with k >= 1."""
+    from weylforge.suite import check_identity
+    expand = algebra.from_sector_blocks
+    degrees = []
+
+    def counting(blocks, forms):
+        degrees.append(blocks.ndim - 3)
+        return expand(blocks, forms)
+
+    monkeypatch.setattr(algebra, "from_sector_blocks", counting)
+    cp = curvature_at(catalog["schwarzschild-de-sitter"],
+                      [4.5, 1.1, 0.9, 0.35], depth=4)
+    pd = PointData(cp)
+    for sid in ("commute2.riemann", "commute2.weyl-ricci",
+                "commute2.einstein", "commute3.riemann", "commutek.k3",
+                "commutek.k4"):
+        assert isinstance(REGISTRY[sid].evaluate, Commutator), sid
+        assert check_identity(sid, pd).status == "pass", sid
+    assert degrees and set(degrees) == {0}
 
 
 def test_residual_scale_floor_keeps_trivial_points_passing(catalog):
@@ -323,34 +377,42 @@ UNDETECTED_MUTATIONS = {
 
 
 @pytest.fixture(scope="module")
-def mutation_rows(catalog):
-    """(spec, PointData) pairs that are applicable, not negative-control
-    evaluations, and pass: 2 points per catalog chart, depth 4, every
+def sample_points(catalog):
+    """(chart, PointData) at 2 points per catalog chart, depth 4, every
     scalar Laplacian field."""
+    return [(chart, PointData(curvature_at(
+                chart, point, depth=4, laplacians=tuple(charts._LAP_STACK))))
+            for name, chart in catalog.items()
+            for point in rng.sample_box(chart.domain, 2, 42, name)]
+
+
+@pytest.fixture(scope="module")
+def mutation_rows(sample_points):
+    """(spec, PointData) pairs of the data evaluators that are applicable,
+    not negative-control evaluations, and pass at the sample points."""
     out = []
-    for name, chart in catalog.items():
-        for point in rng.sample_box(chart.domain, 2, 42, name):
-            pd = PointData(curvature_at(chart, point, depth=4,
-                                        laplacians=tuple(charts._LAP_STACK)))
-            for spec in REGISTRY.values():
-                if not isinstance(spec.evaluate, TermList):
-                    continue
-                if chart.properties.negative_control and \
-                        spec.id in CONTROL_EXPECT_FAIL:
-                    continue
-                if not (static_applicable(spec, chart.properties)
-                        and gate_satisfied(spec, pd)):
-                    continue
-                rel, _ = residual_rel(spec, pd, *spec.evaluate(pd))
-                if rel <= spec.tol:
-                    out.append((spec, pd))
+    for chart, pd in sample_points:
+        for spec in REGISTRY.values():
+            if not isinstance(spec.evaluate, DATA):
+                continue
+            if chart.properties.negative_control and \
+                    spec.id in CONTROL_EXPECT_FAIL:
+                continue
+            if not (static_applicable(spec, chart.properties)
+                    and gate_satisfied(spec, pd)):
+                continue
+            rel, _ = residual_rel(spec, pd, *spec.evaluate(pd))
+            if rel <= spec.tol:
+                out.append((spec, pd))
     return out
 
 
-def _scaled(ev: TermList, name: str, factor: float) -> TermList:
+def _scaled(ev, name: str, factor: float):
     def side(terms):
         return tuple(replace(t, coeff=factor * t.coeff) if t.name == name
                      else t for t in terms)
+    if isinstance(ev, Commutator):
+        return replace(ev, curvature=side(ev.curvature))
     return replace(ev, equations=tuple(
         replace(eq, lhs=side(eq.lhs), rhs=side(eq.rhs))
         for eq in ev.equations))
@@ -358,10 +420,11 @@ def _scaled(ev: TermList, name: str, factor: float) -> TermList:
 
 def test_every_term_can_fail(mutation_rows):
     """Scaling one term's coefficient by 1.05 fails at least one passing
-    row, for every term of every term-list identity but the listed ones."""
+    row, for every term of every term list and every curvature piece of
+    every commutator but the listed ones."""
     undetected = set()
     for sid, spec in REGISTRY.items():
-        if not isinstance(spec.evaluate, TermList):
+        if not isinstance(spec.evaluate, DATA):
             continue
         rows = [pd for s, pd in mutation_rows if s is spec]
         for term in spec.evaluate.terms:

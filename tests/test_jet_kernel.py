@@ -117,3 +117,31 @@ def test_chunks_cover_the_table_within_its_largest_degree(orders):
 @pytest.mark.parametrize("order", range(1, 9))
 def test_equal_order_products_take_two_passes(order):
     assert len(jets._chunk_table(order, order, order)) == 2
+
+
+def _contract_slot_by_moveaxis(t, op, slot):
+    """contract_slot as it was, with a moveaxis for each of its views."""
+    n, n_in = op.shape[0], op.shape[-2]
+    moved = np.moveaxis(t[..., :n_in], slot, -2)
+    lead = moved.shape[:-2]
+    mat = np.moveaxis(op, -2, 1).reshape(n * n_in, -1)
+    out = moved.reshape(-1, n * n_in) @ mat
+    out = out.reshape(lead + op.shape[1:-2] + op.shape[-1:])
+    return np.moveaxis(out, len(lead), slot)
+
+
+@pytest.mark.parametrize("extra", [(), (4,)])
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_contract_slot_is_bit_identical_to_the_moveaxis_form(rng, rank,
+                                                             extra):
+    """Its precomputed transposes give the views the three moveaxis calls
+    gave, so every slot contracts to the same bits, with and without a
+    further axis of m after t's."""
+    order = 3
+    t = rng.normal(size=(4,) * rank + (n_coeffs(order),))
+    m = rng.normal(size=(4, 3) + extra + (n_coeffs(order - 1),))
+    op = jets.mul_operator(m, order - 1, order, order - 1)
+    for slot in range(rank):
+        out = jets.contract_slot(t, op, slot)
+        assert np.array_equal(out, _contract_slot_by_moveaxis(t, op, slot))
+        assert out.shape[slot] == 3
