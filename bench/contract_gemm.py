@@ -15,7 +15,12 @@ quartiles and how many pairs each side won.  It then makes one traced run
 the exact `mul_pairs` counters, and counts the multiply-adds of the dense
 products in `jets.contract_slot` over one iteration of each workload of the
 change, from the shapes of its arguments: the traced `mul_pairs` count only
-operator builds and elementwise jet products.  It wrote
+operator builds and elementwise jet products.  Last, it runs one iteration
+of each workload per side under `tracemalloc` and records the peak of the
+Python allocations made while each point is evaluated, beside
+`peak_rss_mb`: the process's peak RSS also counts memory outside the
+Python heap (BLAS buffers, malloc arenas), so the two tell a change in
+what the program allocates from a move of the process around it.  It wrote
 BENCH_contract_gemm.json, BENCH_jet_kernel.json and BENCH_serial_points.json;
 `--out` is required so that no run overwrites a committed result.
 """
@@ -120,6 +125,37 @@ def count_gemm(workload_names: list, seed: int) -> dict:
     return result
 
 
+# Run in a checkout: argv workload, seed; prints the per-point peaks in MiB.
+_POINT_PEAKS = """
+import json, sys, tracemalloc
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+from weylforge import suite
+evaluate, peaks = suite._evaluate_point, []
+def traced(*args, **kwargs):
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = evaluate(*args, **kwargs)
+    peaks.append((tracemalloc.get_traced_memory()[1] - start) / 2 ** 20)
+    return out
+suite._evaluate_point = traced
+cfg = workloads.load_all()[sys.argv[1]].run_config(suite, int(sys.argv[2]))
+tracemalloc.start()
+assert suite.run_suite(cfg).exit_code == 0
+print(json.dumps(peaks))
+"""
+
+
+def point_peaks(checkout: Path, workload: str, seed: int) -> dict:
+    """The tracemalloc peak per point of one workload iteration, in MiB."""
+    proc = subprocess.run([sys.executable, "-c", _POINT_PEAKS, workload,
+                           str(seed)], cwd=checkout, capture_output=True,
+                          text=True, check=True, timeout=900)
+    peaks = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"points": len(peaks), "median_mib": statistics.median(peaks),
+            "max_mib": max(peaks)}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -160,6 +196,9 @@ def main(argv=None) -> int:
     gemm = count_gemm(names, args.first_seed)
     for name in names:
         doc["workloads"][name]["contract_gemm"] = gemm[name]
+        doc["workloads"][name]["tracemalloc_point_peak"] = {
+            side: point_peaks(sides[side], name, args.first_seed)
+            for side in ("parent", "change")}
     doc["settings"] = {"pairs": args.pairs, "seconds": args.seconds,
                        "seeds": [args.first_seed, args.first_seed + args.pairs - 1]}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

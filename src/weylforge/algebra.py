@@ -1,10 +1,9 @@
 """Pointwise curvature algebra in an orthonormal frame.
 
-Covers the trace/Weyl decomposition, the Cotton tensor from either Ricci
-derivatives or the Weyl divergence, the two-form bundle machinery (self-dual
-and anti-self-dual bases, curvature operator blocks), the
-eigen-two-form frames of the sector operators, and the quadratic, cubic and
-quartic algebraic identities.
+Covers the trace/Weyl decomposition, the Cotton tensor from Ricci
+derivatives, the two-form bundle machinery (self-dual and anti-self-dual
+bases, curvature operator blocks), the eigen-two-form frames of the sector
+operators, and the quadratic, cubic and quartic algebraic identities.
 
 Conventions.  Two-forms are antisymmetric 4x4 matrices.  The inner product on
 the two-form bundle is <a, b> = (1/2) a_ij b_ij, so coordinate two-forms
@@ -146,25 +145,22 @@ def riemann_symmetry_violation(t: np.ndarray) -> float:
                      np.abs(t - np.einsum("klij->ijkl", t)).max()))
 
 
-def ricci_scalar_weyl(riem, g: np.ndarray | None = None, tol: float = 1e-8):
+def ricci_scalar_weyl(riem):
     """Split an orthonormal-frame Riemann tensor into (Ric, R, Weyl).
 
-    Rejects inputs violating the Riemann symmetries beyond tol * |riem| and
-    reports the worst violation.  `g` defaults to the identity; a non-identity
-    g is accepted but must be orthonormal-frame-equivalent (used in tests).
+    Rejects inputs violating the Riemann symmetries beyond 1e-8 * |riem|
+    and reports the worst violation.
     """
     t = np.asarray(riem)
     scale = max(np.abs(t).max(), 1e-30)
     viol = riemann_symmetry_violation(t)
-    if viol > tol * scale:
+    if viol > 1e-8 * scale:
         raise ValueError(
             f"input violates Riemann symmetries: max violation {viol:.3e} "
             f"against scale {scale:.3e}")
-    if g is None:
-        g = np.eye(DIM)
-    ginv = np.linalg.inv(g)
-    ric = np.einsum("jl,ijkl->ik", ginv, t)
-    rs = float(np.einsum("ik,ik->", ginv, ric))
+    g = np.eye(DIM)
+    ric = np.einsum("jl,ijkl->ik", g, t)
+    rs = float(np.einsum("ik,ik->", g, ric))
     w = (t
          - 0.5 * (np.einsum("ik,jl->ijkl", ric, g)
                   - np.einsum("il,jk->ijkl", ric, g)
@@ -175,20 +171,14 @@ def ricci_scalar_weyl(riem, g: np.ndarray | None = None, tol: float = 1e-8):
     return ric, rs, w
 
 
-def cotton_from_ricci(ric_deriv: np.ndarray, d_scalar: np.ndarray,
-                      g: np.ndarray | None = None) -> np.ndarray:
-    """C_ijk = Ric_ij,k - Ric_ik,j - (1/6)(R_k g_ij - R_j g_ik)  (dim 4)."""
-    if g is None:
-        g = np.eye(DIM)
-    c = (ric_deriv - np.einsum("ikj->ijk", ric_deriv)
-         - (np.einsum("k,ij->ijk", d_scalar, g)
-            - np.einsum("j,ik->ijk", d_scalar, g)) / 6.0)
-    return c
-
-
-def cotton_from_weyl_divergence(nabla_w: np.ndarray) -> np.ndarray:
-    """C_ijk = 2 W_tikj,t in dimension four (prefactor (n-2)/(n-3) = 2)."""
-    return 2.0 * np.einsum("tikjt->ijk", nabla_w)
+def cotton_from_ricci(ric_deriv: np.ndarray,
+                      d_scalar: np.ndarray) -> np.ndarray:
+    """C_ijk = Ric_ij,k - Ric_ik,j - (1/6)(R_k g_ij - R_j g_ik)  (dim 4),
+    in an orthonormal frame."""
+    g = np.eye(DIM)
+    return (ric_deriv - np.einsum("ikj->ijk", ric_deriv)
+            - (np.einsum("k,ij->ijk", d_scalar, g)
+               - np.einsum("j,ik->ijk", d_scalar, g)) / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +205,7 @@ class CurvatureOperatorBlocks:
         return m
 
 
-def lambda_split(riem_or_weyl, g: np.ndarray | None = None,
+def lambda_split(riem_or_weyl,
                  orientation: int = 1) -> CurvatureOperatorBlocks:
     """Split a Riemann-type frame tensor into duality blocks.
 
@@ -225,7 +215,7 @@ def lambda_split(riem_or_weyl, g: np.ndarray | None = None,
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1 (frame sign undefined)")
     t = np.asarray(riem_or_weyl)
-    ric, rs, w = ricci_scalar_weyl(t, g)
+    ric, rs, w = ricci_scalar_weyl(t)
     m6w = pair_matrix(w)
     m6 = pair_matrix(t)
     up = sector_seed(1, orientation) / np.sqrt(2.0)
@@ -290,7 +280,6 @@ class TwoFormFrame:
     omega: np.ndarray
     eta: np.ndarray
     theta: np.ndarray
-    coeffs: np.ndarray           # rows: eigenvectors in the seed basis
     degenerate: bool
 
     @property
@@ -333,8 +322,7 @@ def derdzinski_frame(blocks: CurvatureOperatorBlocks, sector: str) -> TwoFormFra
     gaps = (evals[1] - evals[0], evals[2] - evals[1])
     degenerate = min(gaps) < DEGENERACY_RTOL * spectral
     return TwoFormFrame(sector=sector, eigenvalues=evals, omega=forms[0],
-                        eta=forms[1], theta=forms[2], coeffs=rows,
-                        degenerate=degenerate)
+                        eta=forms[1], theta=forms[2], degenerate=degenerate)
 
 
 def quaternionic_residual(frame: TwoFormFrame) -> float:
@@ -408,13 +396,11 @@ def random_quaternionic_frame(rng: np.random.Generator, sector: int = 1,
     """Random rotation of the seed triple; the table holds by construction."""
     rot = random_rotation(rng)
     seeds = sector_seed(sector, orientation)
-    coeff_rows = rot @ seeds
     forms = np.einsum("aB,Bij->aij", rot, np.einsum("bB,Bij->bij", seeds,
                                                     PAIR_FORMS))
     name = "plus" if sector == 1 else "minus"
     return TwoFormFrame(sector=name, eigenvalues=np.zeros(3), omega=forms[0],
-                        eta=forms[1], theta=forms[2], coeffs=coeff_rows,
-                        degenerate=True)
+                        eta=forms[1], theta=forms[2], degenerate=True)
 
 
 def random_sector_tensor(rng: np.random.Generator, sector: int = 1,

@@ -26,7 +26,8 @@ minus block, so |T|^2 and <T, *T> are fixed multiples of the two halves'
 sums of squares.  A CurvaturePoint carries W and nabla^k W as these blocks
 at degree 0 (`weyl_blocks`, with their basis two-forms `forms`);
 identities.SectorPack expands them to frame components when an identity
-first reads them, and the commutation checks read the blocks themselves.
+first reads them; the gates, the scale bounds and the commutation checks
+read the blocks themselves.
 Scalar Laplacians of |W|^2, |nabla W|^2 and |nabla^2 W|^2 (and their
 duality-sector halves) come from differentiating these jet-valued scalar
 fields directly, which keeps the left sides of the Bochner checks
@@ -437,9 +438,7 @@ def _cholesky_frame(g0: np.ndarray) -> np.ndarray:
 class Coframe:
     """An orthonormal frame of a metric as jets, with its connection.
 
-    e[j, a] = E^j_a, the frame vectors e_a = E^j_a d_j.  omega[m, a, k] =
-    <nabla_k e_a, e_m>, the connection one-forms in coordinate components,
-    one order below e; antisymmetric in (m, a).
+    e[j, a] = E^j_a, the frame vectors e_a = E^j_a d_j.
     forms[s, x] are the orthonormal basis two-forms
     sector_seed(+-1, orientation) / sqrt 2 of Lambda+ (s = 0) and Lambda-
     (s = 1) as 4x4 matrices, B_G for G = (s, x) in (6,).  With the two-form
@@ -454,7 +453,6 @@ class Coframe:
     """
 
     e: np.ndarray
-    omega: np.ndarray
     conn: np.ndarray
     forms: np.ndarray
     vector_map: np.ndarray
@@ -489,9 +487,9 @@ def orthonormal_frame(g: np.ndarray, order: int,
 
     The connection, to order-1, comes from Gamma and dE:
     omega[m, a, k] = (E^T (g d_k E + Gamma_{.,k.} E))_ma with the
-    first-kind symbols Gamma_{l,ki}, formed on its six components m < a
-    and filled in antisymmetrically, and conn from omega along e_c =
-    E^k_c d_k; order must be >= 1.
+    first-kind symbols Gamma_{l,ki}, antisymmetric in (m, a) and so formed
+    on its six components m < a, and conn from omega along e_c = E^k_c d_k;
+    order must be >= 1.
     """
     if order < 1:
         raise CapacityError("the coframe needs jet order >= 1")
@@ -523,16 +521,13 @@ def orthonormal_frame(g: np.ndarray, order: int,
         _pruned_matmul(s[:, :, None, :n], dv, _Y_TERMS, oc, oc, oc)
         + _pruned_matmul(rot, v[:, :, None, :n], _Y_TERMS, oc, oc, oc))
     pairs = _pruned_matmul(vt[:, :, None, :n], y, _OMEGA_TERMS, oc, oc, oc)
-    omega = np.zeros((DIM, DIM, DIM, n))                # omega[m, a, k]
-    omega[_PAIR_I, _PAIR_J] = pairs
-    omega[_PAIR_J, _PAIR_I] = -pairs
 
     forms = algebra.sector_forms(orientation)
     basis = forms.reshape(6, DIM, DIM)
     along_k = np.einsum("Gp,pkn->Gkn", basis[:, _PAIR_I, _PAIR_J], pairs)
     conn = _pruned_matmul(along_k, e[..., :n], _CONN_TERMS, oc, oc,
                           oc).reshape(6, DIM, n)
-    return Coframe(e=e, omega=omega, conn=conn, forms=forms,
+    return Coframe(e=e, conn=conn, forms=forms,
                    vector_map=np.moveaxis(basis, 0, -1),
                    sector_map=algebra.sector_action(forms))
 

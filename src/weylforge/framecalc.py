@@ -63,7 +63,6 @@ def extract_frame_derivatives(nabla_w_sector: np.ndarray,
     of eigenvalue degeneracy.
     """
     lam = frame.eigenvalues
-    forms = frame.forms
     zeros = np.zeros(DIM)
     if trivial_scale > 0.0 and np.linalg.norm(nabla_w_sector) <= 1e-9 * trivial_scale:
         return EigenframeDerivatives(
@@ -73,19 +72,12 @@ def extract_frame_derivatives(nabla_w_sector: np.ndarray,
             c=zeros.copy(), consistency_gap=0.0, recon_residual=0.0,
             degenerate=frame.degenerate, trivial=True)
 
-    k = np.empty((3, 3, DIM))
-    for ia in range(3):
-        for ib in range(3):
-            k[ia, ib] = np.einsum("ijpqt,ij,pq->t", nabla_w_sector,
-                                  forms[ia], forms[ib]) / 8.0
+    forms = np.stack(frame.forms)
+    k = np.einsum("ijpqt,aij,bpq->abt", nabla_w_sector, forms, forms) / 8.0
     gap = float(np.abs(k - np.swapaxes(k, 0, 1)).max())
     ks = 0.5 * (k + np.swapaxes(k, 0, 1))   # least-squares reconciliation
 
-    recon = np.zeros_like(nabla_w_sector)
-    for ia in range(3):
-        for ib in range(3):
-            recon += 0.5 * np.einsum("t,pq,ij->ijpqt", ks[ia, ib],
-                                     forms[ib], forms[ia])
+    recon = 0.5 * np.einsum("abt,aij,bpq->ijpqt", ks, forms, forms)
     recon_res = float(np.abs(recon - nabla_w_sector).max())
 
     spectral = max(np.abs(lam).max(), 1e-300)

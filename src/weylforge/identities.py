@@ -16,7 +16,8 @@ sum(lhs) - sum(rhs) over the equations.  The scale is the largest term norm,
 unless an equation names its bounds: terms, the summed left side, or products
 of operand norms such as |W| |Riem|.  Named bounds serve a pure X = 0
 statement, whose terms all vanish together, and bochner2.pro-boch-weyl,
-whose scale leaves out one of its terms.
+whose scale leaves out one of its terms.  An operand norm is
+PointData.norm, which reads |W| and |nabla^k W| off the W+- blocks.
 
 The one data evaluator that is not an einsum list is the Commutator: the
 Ricci identity [nabla_a, nabla_b] nabla^(k-2) W = R(e_a, e_b) .
@@ -32,9 +33,12 @@ functions.
 
 Identities carry a hypothesis gate (any metric / harmonic Weyl / Einstein /
 Einstein with parallel sector), re-verified numerically at each point before
-a check is marked applicable.  On the negative-control chart a designated set
-of hypothesis-dependent identities is evaluated anyway and expected to be
-violated; that expectation is part of the suite's pass criteria.
+a check is marked applicable.  The gates measure |W|, |nabla W| and div W on
+the W+- blocks too (SectorPack.norm and div): W and nabla^k W become frame
+components only for a term that reads them as an operand.  On the
+negative-control chart a designated set of hypothesis-dependent identities
+is evaluated anyway and expected to be violated; that expectation is part of
+the suite's pass criteria.
 """
 
 from __future__ import annotations
@@ -89,13 +93,28 @@ def _computed(fields: dict, key, what: str):
             f"{what} {key!r} not computed at this point") from None
 
 
+def _parse(name: str, sign: int | None) -> tuple:
+    """(name, sign, k) of an operand name: a trailing `+` or `-` names the
+    duality sector in place of `sign`, and k is 0 for W, k for nw<k>
+    (nabla^k W) and None for any other operand."""
+    if name[-1] in "+-":
+        name, sign = name[:-1], 1 if name[-1] == "+" else -1
+    if name == "W":
+        return name, sign, 0
+    if name.startswith("nw"):
+        return name, sign, int(name[2:])
+    return name, sign, None
+
+
 class SectorPack:
     """W and nabla^k W at a point, in duality sector `sign` (+1 or -1) or
-    whole (None): their W+- blocks, expanded to frame components on first
-    read.
+    whole (None), held as their W+- blocks.
 
-    A half expands its W+- blocks; the whole tensor is the sum of its two
-    halves, which is what expanding both blocks at once computes.
+    Every measured size reads the blocks: norm(k) and the divergence div.
+    Frame components are expanded only for a term that reads them as an
+    operand, by stack(k) on first read: a half expands its W+- blocks, and
+    the whole tensor is the sum of its two halves, which is what expanding
+    both blocks at once computes.
     """
 
     def __init__(self, pd: "PointData", sign: int | None):
@@ -107,7 +126,7 @@ class SectorPack:
         if sign is None:
             self._halves = (pd.sector(1), pd.sector(-1))
         self._stacks: dict[int, np.ndarray] = {}
-        self._frame = self._ed = None
+        self._norms: dict[int, float] = {}
         # pd's split and a scalar, not pd: a back-reference would make every
         # point's arrays a reference cycle that only the cyclic collector frees
         self._split = pd.split
@@ -134,7 +153,17 @@ class SectorPack:
     def norm(self, k: int) -> float:
         """|nabla^k W| from the blocks: each basis two-form has Frobenius
         norm sqrt 2, so the frame components' norm is twice the blocks'."""
-        return 2.0 * _frobenius(self.blocks(k))
+        if k not in self._norms:
+            self._norms[k] = 2.0 * _frobenius(self.blocks(k))
+        return self._norms[k]
+
+    @cached_property
+    def div(self) -> np.ndarray:
+        """(div W)_ijk = nabla_t W_tijk from the blocks of nabla W: the
+        forms' first index contracted with the derivative slot, then the
+        second form."""
+        c = np.einsum("sxyt,sxti->syi", self.blocks(1), self.forms)
+        return np.einsum("syi,syjk->ijk", c, self.forms)
 
     @cached_property
     def action(self) -> np.ndarray:
@@ -142,40 +171,20 @@ class SectorPack:
         return algebra.sector_action(self.forms)
 
     @cached_property
-    def w(self) -> np.ndarray:
-        return self.stack(0)
-
-    @cached_property
-    def w_norm(self) -> float:
-        return _frobenius(self.w)
-
-    @cached_property
-    def dw_norm(self) -> float:
-        return _frobenius(self.stack(1))
-
-    @cached_property
-    def div_norm(self) -> float:
-        return _frobenius(np.einsum("tijkt->ijk", self.stack(1)))
-
-    @property
     def frame(self) -> algebra.TwoFormFrame:
         """The sector's Derdzinski frame, built on first read."""
-        if self._frame is None:
-            self._frame = algebra.derdzinski_frame(self._split(), self.name)
-        return self._frame
+        return algebra.derdzinski_frame(self._split(), self.name)
 
-    @property
+    @cached_property
     def ed(self) -> framecalc.EigenframeDerivatives:
-        if self._ed is None:
-            self._ed = framecalc.extract_frame_derivatives(
-                self.stack(1), self.frame,
-                trivial_scale=self._trivial_scale)
-        return self._ed
+        return framecalc.extract_frame_derivatives(
+            self.stack(1), self.frame, trivial_scale=self._trivial_scale)
 
 
 class PointData:
     """A CurvaturePoint with its gates and the sector packs of W+, W- and
-    the whole W."""
+    the whole W.  The gates and the operand norms of the scale bounds read
+    |W|, |nabla^k W| and div W off the packs' blocks."""
 
     def __init__(self, cp: CurvaturePoint):
         self.cp = cp
@@ -190,6 +199,8 @@ class PointData:
         self._sectors: dict[int | None, SectorPack] = {}
         for sign in (1, -1, None):
             self._sectors[sign] = SectorPack(self, sign)
+        # is_harmonic by sign: every harmonic-gated identity asks again
+        self._harmonic: dict[int | None, bool] = {}
 
     def lap(self, key: str) -> float:
         return _computed(self.cp.laplacians, key, "Laplacian field")
@@ -201,16 +212,13 @@ class PointData:
         field) are read from duality sector `sign` when it is set, or from
         the sector that a trailing `+` or `-` names.  `g` is the frame
         metric, `kn_g` the Kulkarni-Nomizu product with it (_KN_G) and
-        `cotton_div` the Cotton tensor from div W.  Any other
-        name (`riem`, `ric`, `R`, or a CurvaturePoint field such as
-        `cotton`) is read whole, whatever the sign.
+        `cotton_div` the Cotton tensor from div W, C_ijk = 2 (div W)_ikj.
+        Any other name (`riem`, `ric`, `R`, or a CurvaturePoint field such
+        as `cotton`) is read whole, whatever the sign.
         """
-        if name[-1] in "+-":
-            name, sign = name[:-1], 1 if name[-1] == "+" else -1
-        if name == "W":
-            return self.sector(sign).w
-        if name.startswith("nw"):
-            return self.sector(sign).stack(int(name[2:]))
+        name, sign, k = _parse(name, sign)
+        if k is not None:
+            return self.sector(sign).stack(k)
         if name.startswith("lap_"):
             key = name[4:]
             return self.lap(key if sign is None
@@ -220,11 +228,18 @@ class PointData:
         if name == "kn_g":
             return _KN_G
         if name == "cotton_div":
-            return algebra.cotton_from_weyl_divergence(
-                self.sector(None).stack(1))
+            return 2.0 * np.swapaxes(self.sector(None).div, 1, 2)
         if name in ("riem", "ric", "R"):
             return getattr(self, name)
         return getattr(self.cp, name)
+
+    def norm(self, name: str, sign: int | None = None) -> float:
+        """The Frobenius norm of operand(name, sign): of W and nw<k> from
+        the sector's blocks, with no expansion."""
+        name, sign, k = _parse(name, sign)
+        if k is not None:
+            return self.sector(sign).norm(k)
+        return _frobenius(self.operand(name, sign))
 
     def sector(self, sign: int | None) -> SectorPack:
         return self._sectors[sign]
@@ -242,22 +257,25 @@ class PointData:
 
     def is_harmonic(self, sign: int | None = None) -> bool:
         """div W = 0, of the whole W or of one sector."""
-        pack = self.sector(sign)
-        scale = max(pack.dw_norm, self.riem_norm ** 1.5, FLOOR)
-        return pack.div_norm <= HARMONIC_GATE_RTOL * scale
+        if sign not in self._harmonic:
+            pack = self.sector(sign)
+            scale = max(pack.norm(1), self.riem_norm ** 1.5, FLOOR)
+            self._harmonic[sign] = \
+                _frobenius(pack.div) <= HARMONIC_GATE_RTOL * scale
+        return self._harmonic[sign]
 
     def is_parallel(self, sign: int | None = None) -> bool:
         """nabla W = 0, of the whole W or of one sector."""
-        return self.sector(sign).dw_norm <= PARALLEL_GATE_RTOL * \
+        return self.sector(sign).norm(1) <= PARALLEL_GATE_RTOL * \
             max(self.riem_norm ** 1.5, FLOOR)
 
     def sector_nonzero(self, sign: int) -> bool:
-        return self.sector(sign).w_norm > \
+        return self.sector(sign).norm(0) > \
             SECTOR_NONZERO_RTOL * max(self.riem_norm, FLOOR)
 
     @property
     def is_conformally_flat(self) -> bool:
-        return self.sector(None).w_norm <= \
+        return self.sector(None).norm(0) <= \
             CONFORMAL_GATE_RTOL * max(self.riem_norm, FLOOR)
 
     @property
@@ -329,7 +347,8 @@ class Equation:
 
     Each bound in `scale` is a term name, "lhs" (the norm of the summed left
     side), or (coeff, "op op ...") for |coeff| times the product of those
-    operands' norms.  With no bounds the scale is the largest term norm.
+    operands' norms (PointData.norm).  With no bounds the scale is the
+    largest term norm.
     """
 
     lhs: tuple
@@ -355,6 +374,24 @@ def _norm(value) -> float:
     return abs(value) if isinstance(value, float) else _frobenius(value)
 
 
+def _scale(bounds: tuple, pd: PointData, sign: int | None, size) -> float:
+    """The largest of the named scale bounds.
+
+    A bound is "lhs" or a term name, whose norm is size(bound), or
+    (coeff, "op op ..") for |coeff| times the product of those operands'
+    norms, PointData.norm.
+    """
+    scale = 0.0
+    for bound in bounds:
+        if isinstance(bound, str):
+            scale = max(scale, size(bound))
+        else:
+            coeff, names = bound
+            scale = max(scale, abs(coeff) * math.prod(
+                pd.norm(n, sign) for n in names.split()))
+    return scale
+
+
 @dataclass(frozen=True)
 class TermList:
     """A registry evaluator: the residual and scale of its equations."""
@@ -373,17 +410,9 @@ class TermList:
             lhs = _sum([values[t.name] for t in eq.lhs])
             rhs = _sum([values[t.name] for t in eq.rhs])
             residual = max(residual, _norm(lhs - rhs))
-            for bound in eq.scale or tuple(values):
-                if bound == "lhs":
-                    size = _norm(lhs)
-                elif isinstance(bound, str):
-                    size = _norm(values[bound])
-                else:
-                    coeff, names = bound
-                    size = abs(coeff) * math.prod(
-                        _frobenius(pd.operand(n, self.sign))
-                        for n in names.split())
-                scale = max(scale, size)
+            scale = max(scale, _scale(
+                eq.scale or tuple(values), pd, self.sign,
+                lambda b: _norm(lhs if b == "lhs" else values[b])))
         return residual, scale
 
 
@@ -412,12 +441,6 @@ class Commutator:
     def terms(self) -> tuple:
         return self.curvature
 
-    def _norm(self, pd: PointData, name: str) -> float:
-        if name == "W" or name.startswith("nw"):
-            k = 0 if name == "W" else int(name[2:])
-            return pd.sector(self.sign).norm(k)
-        return _frobenius(pd.operand(name, self.sign))
-
     def __call__(self, pd: PointData) -> tuple[float, float]:
         pack = pd.sector(self.sign)
         top = pack.blocks(self.k)
@@ -425,16 +448,9 @@ class Commutator:
         m = _sum([t.value(pd, self.sign) for t in self.curvature])
         rhs = algebra.curvature_action(m, pack.blocks(self.k - 2),
                                        pack.forms, pack.action)
-        scale = 0.0
-        for bound in self.scale:
-            if bound == "lhs":
-                size = 2.0 * _frobenius(lhs)
-            else:
-                coeff, names = bound
-                size = abs(coeff) * math.prod(
-                    self._norm(pd, n) for n in names.split())
-            scale = max(scale, size)
-        return 2.0 * _frobenius(lhs - rhs), scale
+        sizes = {"lhs": 2.0 * _frobenius(lhs)}
+        return 2.0 * _frobenius(lhs - rhs), \
+            _scale(self.scale, pd, self.sign, sizes.__getitem__)
 
 
 _WEYL_DECOMPOSITION = (
@@ -637,15 +653,9 @@ _GAP_POINTWISE = (Equation((Term("|W|^2", 6.0, "ijkl,ijkl->", "W W"),),
 # ---------------------------------------------------------------------------
 
 def ev_block_decomposition(pd: PointData):
-    d = _EYE
-    ric0 = pd.ric - (pd.R / 4.0) * d
-    kn_ric = (np.einsum("ik,jl->ijkl", ric0, d)
-              - np.einsum("il,jk->ijkl", ric0, d)
-              + np.einsum("ik,jl->ijkl", d, ric0)
-              - np.einsum("il,jk->ijkl", d, ric0))
-    kn_gg = 2.0 * (np.einsum("ik,jl->ijkl", d, d)
-                   - np.einsum("il,jk->ijkl", d, d))
-    rebuilt = pd.operand("W") + 0.5 * kn_ric + (pd.R / 24.0) * kn_gg
+    # Riem = W + (1/2 Ric0 + (R/24) g) (.) g = W + (1/2 Ric - (R/12) g) (.) g
+    h = 0.5 * pd.ric - (pd.R / 12.0) * _EYE
+    rebuilt = pd.operand("W") + np.einsum("mn,mnpqab->pqab", h, _KN_G)
     m_direct = algebra.pair_matrix(pd.riem)
     m_rebuilt = algebra.pair_matrix(rebuilt)
     res = np.abs(m_direct - m_rebuilt).max()
@@ -671,8 +681,8 @@ def ev_derdzinski_reconstruction(pd: PointData):
     res = 0.0
     for sign in (1, -1):
         pack = pd.sector(sign)
-        res = max(res, _frobenius(pack.frame.reconstruct() - pack.w))
-    return res, pd.sector(None).w_norm
+        res = max(res, _frobenius(pack.frame.reconstruct() - pack.stack(0)))
+    return res, pd.sector(None).norm(0)
 
 
 def ev_derder_reconstruction(pd: PointData, sign: int):
@@ -689,8 +699,8 @@ def ev_derder_norm(pd: PointData, sign: int):
 
 def ev_derder_cubic(pd: PointData, sign: int):
     pack = pd.sector(sign)
-    return framecalc.cubic_contraction_residual(pack.w, pack.stack(1),
-                                                pack.frame, pack.ed)
+    return framecalc.cubic_contraction_residual(
+        pack.stack(0), pack.stack(1), pack.frame, pack.ed)
 
 
 def ev_divz_relations(pd: PointData, sign: int):

@@ -130,7 +130,7 @@ def test_criterion_4_einstein_identities(full_run, catalog):
                                               - chart.domain[:, 0])
             # |nabla W|^2 > 1e-6 |W|^2 at unit chart length scale
             whole = PointData(curvature_at(chart, pt, depth=1)).sector(None)
-            assert whole.dw_norm ** 2 > 1e-6 * whole.w_norm ** 2, m
+            assert whole.norm(1) ** 2 > 1e-6 * whole.norm(0) ** 2, m
     announce(4, worst5 <= 1e-6 and worst6 <= 1e-5,
              f"Einstein-only identities: worst order-5 {worst5:.2e} "
              f"(<=1e-6), worst order-6 {worst6:.2e} (<=1e-5), "

@@ -140,7 +140,7 @@ def test_eqrhs_on_sds_random_points(catalog, rng):
         for sign in (1, -1):
             pack = pd.sector(sign)
             r, s = framecalc.cubic_contraction_residual(
-                pack.w, pack.stack(1), pack.frame, pack.ed)
+                pack.stack(0), pack.stack(1), pack.frame, pack.ed)
             assert r <= 1e-7 * max(s, 1e-30)
 
 
@@ -151,7 +151,7 @@ def test_eqrhs_universal_on_negative_control(catalog):
                       [4.5, 1.3, 0.9, 0.2], depth=1)
     pd = PointData(cp)
     pack = pd.sector(1)
-    r, s = framecalc.cubic_contraction_residual(pack.w, pack.stack(1),
+    r, s = framecalc.cubic_contraction_residual(pack.stack(0), pack.stack(1),
                                                 pack.frame, pack.ed)
     assert r <= 1e-7 * s
 

@@ -7,7 +7,7 @@ import commutation_reference as ref
 from weylforge import algebra, charts, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
-                                  Commutator, PointData, TermList,
+                                  Commutator, PointData, TermList, _frobenius,
                                   gate_satisfied, residual_rel,
                                   static_applicable)
 from weylforge.suite import RunConfig, run_suite
@@ -236,9 +236,9 @@ def test_sector_results_sum_consistently(cp_sds):
         n_sum = (plus.stack(k) ** 2).sum() + (minus.stack(k) ** 2).sum()
         assert n_sum == pytest.approx((total ** 2).sum(), rel=1e-12)
     # cubic contractions add over sectors as the key-lemma proofs use
-    w3 = np.einsum("ijkl,ijpqt,klpqt->", whole.w, whole.stack(1),
+    w3 = np.einsum("ijkl,ijpqt,klpqt->", whole.stack(0), whole.stack(1),
                    whole.stack(1))
-    w3_split = sum(np.einsum("ijkl,ijpqt,klpqt->", p.w, p.stack(1),
+    w3_split = sum(np.einsum("ijkl,ijpqt,klpqt->", p.stack(0), p.stack(1),
                              p.stack(1)) for p in (plus, minus))
     assert w3 == pytest.approx(w3_split, rel=1e-10)
 
@@ -328,6 +328,49 @@ def test_commutators_expand_no_derivative_stack(catalog, monkeypatch):
         assert isinstance(REGISTRY[sid].evaluate, Commutator), sid
         assert check_identity(sid, pd).status == "pass", sid
     assert degrees and set(degrees) == {0}
+
+
+def _depth2_point(chart):
+    lo, hi = chart.domain[:, 0], chart.domain[:, 1]
+    return curvature_at(chart, lo + 0.37 * (hi - lo), depth=2)
+
+
+@pytest.mark.parametrize("name", sorted(charts.build_catalog()))
+def test_block_norms_and_divergence_equal_the_expansion(catalog, name):
+    """norm(k) and div, read off the blocks, equal the Frobenius norm and
+    the trace of the expanded frame components, for the whole W and each
+    half."""
+    pd = PointData(_depth2_point(catalog[name]))
+    for sign in (None, 1, -1):
+        pack = pd.sector(sign)
+        for k in range(3):
+            want = _frobenius(pack.stack(k))
+            assert abs(pack.norm(k) - want) <= 1e-14 * want, (sign, k)
+            assert pd.norm("W" if k == 0 else f"nw{k}", sign) == \
+                pack.norm(k)
+        trace = np.einsum("tijkt->ijk", pack.stack(1))
+        assert np.abs(pack.div - trace).max() <= 1e-13 * pack.norm(1), sign
+
+
+def test_gates_and_audit_expand_nothing(catalog, monkeypatch):
+    """The declaration audit and every identity's gate read |W|,
+    |nabla^k W| and div W off the blocks: no expansion to frame
+    components at a depth-2 point of any catalog chart."""
+    from weylforge import suite
+    expand = algebra.from_sector_blocks
+    calls = []
+
+    def counting(blocks, forms):
+        calls.append(blocks.ndim - 3)
+        return expand(blocks, forms)
+
+    monkeypatch.setattr(algebra, "from_sector_blocks", counting)
+    for name, chart in catalog.items():
+        pd = PointData(_depth2_point(chart))
+        suite._audit_point(chart, pd)
+        for spec in REGISTRY.values():
+            gate_satisfied(spec, pd)
+        assert calls == [], name
 
 
 def test_residual_scale_floor_keeps_trivial_points_passing(catalog):
