@@ -10,11 +10,13 @@ DIR is a checkout of the parent commit.  For each workload of BENCHMARK.json
 the script runs `perfbench/run.py --trace 0` in both checkouts `--pairs`
 times, alternating which side runs first, with seed first_seed + i on both
 sides of pair i, and records per end-to-end metric both sides' medians and
-quartiles and how many pairs each side won.  It then makes one traced run
-(`--trace 1`) per side and workload, which records the per-layer times and
-the exact `mul_pairs` counters, and counts the multiply-adds of the dense
-products in `jets.contract_slot` over one iteration of each workload of the
-change, from the shapes of its arguments: the traced `mul_pairs` count only
+quartiles and how many pairs each side won.  It then makes TRACED_RUNS
+traced runs (`--trace 1`) per side and workload, with seed first_seed,
+alternating which side goes first, and records the median of each
+per-layer metric: the per-layer times and the exact `mul_pairs` counters.
+It also counts the multiply-adds of the dense products in
+`jets.contract_slot` over one iteration of each workload of the change,
+from the shapes of its arguments: the traced `mul_pairs` count only
 operator builds and elementwise jet products.  Last, it runs one iteration
 of each workload per side under `tracemalloc` and records the peak of the
 Python allocations made while each point is evaluated, beside
@@ -39,6 +41,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# Traced runs per side and workload; the recorded per-layer metrics are
+# their medians.
+TRACED_RUNS = 3
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -181,9 +186,13 @@ def main(argv=None) -> int:
                       f"{pair[side]['metrics']['checks_per_s']:.2f}",
                       flush=True)
             pairs.append(pair)
-        traced = {side: run_bench(sides[side], name, args.first_seed,
-                                  args.seconds, 1)
-                  for side in ("parent", "change")}
+        traced = {"parent": [], "change": []}
+        for i in range(TRACED_RUNS):
+            for side in (("parent", "change") if i % 2 == 0
+                         else ("change", "parent")):
+                traced[side].append(run_bench(sides[side], name,
+                                              args.first_seed, args.seconds,
+                                              1)["metrics"])
         doc["workloads"][name] = {
             "end_to_end": compare(pairs, bench["end_to_end"]),
             "all_correct": all(p[s]["correct"] for p in pairs
@@ -191,7 +200,8 @@ def main(argv=None) -> int:
             "pairs": [{"seed": p["seed"], "first": p["first"],
                        "parent": p["parent"]["metrics"],
                        "change": p["change"]["metrics"]} for p in pairs],
-            "traced": {s: traced[s]["metrics"] for s in traced},
+            "traced": {s: {k: statistics.median(r[k] for r in runs)
+                           for k in runs[0]} for s, runs in traced.items()},
         }
     gemm = count_gemm(names, args.first_seed)
     for name in names:
@@ -199,7 +209,8 @@ def main(argv=None) -> int:
         doc["workloads"][name]["tracemalloc_point_peak"] = {
             side: point_peaks(sides[side], name, args.first_seed)
             for side in ("parent", "change")}
-    doc["settings"] = {"pairs": args.pairs, "seconds": args.seconds,
+    doc["settings"] = {"pairs": args.pairs, "traced_runs": TRACED_RUNS,
+                       "seconds": args.seconds,
                        "seeds": [args.first_seed, args.first_seed + args.pairs - 1]}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -275,7 +275,6 @@ class TwoFormFrame:
     pair-bundle norm sqrt(2); eigenvalues are sorted ascending.
     """
 
-    sector: str
     eigenvalues: np.ndarray      # (lam, mu, nu), ascending
     omega: np.ndarray
     eta: np.ndarray
@@ -297,32 +296,30 @@ class TwoFormFrame:
 DEGENERACY_RTOL = 1e-8
 
 
-def derdzinski_frame(blocks: CurvatureOperatorBlocks, sector: str) -> TwoFormFrame:
-    """Eigen-decompose one sector block into a quaternionic two-form frame.
+def derdzinski_frame(blocks: CurvatureOperatorBlocks,
+                     sign: int) -> TwoFormFrame:
+    """Eigen-decompose sector `sign`'s block into a quaternionic frame.
 
     The first two eigenvector signs are fixed deterministically; the third is
     their quaternion product (cross product of coefficient rows), which
     enforces the multiplication table.  Near-equal eigenvalues only flag the
     frame as degenerate; the frame itself is still an orthonormal triple.
     """
-    if sector not in ("plus", "minus"):
-        raise ValueError("sector must be 'plus' or 'minus'")
-    block = blocks.w_plus if sector == "plus" else blocks.w_minus
-    sgn = 1 if sector == "plus" else -1
-    evals, evecs = jacobi_eigh_3x3(block)
+    seeds = sector_seed(sign, blocks.orientation)
+    evals, evecs = jacobi_eigh_3x3(blocks.w_plus if sign == 1
+                                   else blocks.w_minus)
     rows = evecs.T.copy()
     for r in range(2):
         k = int(np.argmax(np.abs(rows[r])))
         if rows[r, k] < 0:
             rows[r] = -rows[r]
     rows[2] = np.cross(rows[0], rows[1])
-    seeds = sector_seed(sgn, blocks.orientation)
     forms = np.einsum("ab,bB,Bij->aij", rows, seeds, PAIR_FORMS)
     spectral = max(np.abs(evals).max(), 1e-300)
     gaps = (evals[1] - evals[0], evals[2] - evals[1])
     degenerate = min(gaps) < DEGENERACY_RTOL * spectral
-    return TwoFormFrame(sector=sector, eigenvalues=evals, omega=forms[0],
-                        eta=forms[1], theta=forms[2], degenerate=degenerate)
+    return TwoFormFrame(eigenvalues=evals, omega=forms[0], eta=forms[1],
+                        theta=forms[2], degenerate=degenerate)
 
 
 def quaternionic_residual(frame: TwoFormFrame) -> float:
@@ -398,8 +395,7 @@ def random_quaternionic_frame(rng: np.random.Generator, sector: int = 1,
     seeds = sector_seed(sector, orientation)
     forms = np.einsum("aB,Bij->aij", rot, np.einsum("bB,Bij->bij", seeds,
                                                     PAIR_FORMS))
-    name = "plus" if sector == 1 else "minus"
-    return TwoFormFrame(sector=name, eigenvalues=np.zeros(3), omega=forms[0],
+    return TwoFormFrame(eigenvalues=np.zeros(3), omega=forms[0],
                         eta=forms[1], theta=forms[2], degenerate=True)
 
 

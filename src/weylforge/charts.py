@@ -28,11 +28,13 @@ at degree 0 (`weyl_blocks`, with their basis two-forms `forms`);
 identities.SectorPack expands them to frame components when an identity
 first reads them; the gates, the scale bounds and the commutation checks
 read the blocks themselves.
-Scalar Laplacians of |W|^2, |nabla W|^2 and |nabla^2 W|^2 (and their
-duality-sector halves) come from differentiating these jet-valued scalar
-fields directly, which keeps the left sides of the Bochner checks
-independent of the component-assembled right sides.  nabla Riem and nabla Ric are coordinate covariant derivatives
-at degree 0, taken to the frame.
+Scalar Laplacians of |W|^2, |nabla W|^2 and |nabla^2 W|^2 come from
+differentiating these jet-valued scalar fields directly, which keeps the
+left sides of the Bochner checks independent of the component-assembled
+right sides.  A requested field always carries its two duality halves,
+from the Laplacian of <T, *T> beside that of |T|^2.  nabla Riem and
+nabla Ric are coordinate covariant derivatives at degree 0, taken to the
+frame.
 
 Jet-order budget: from metric jets of order K, Riemann, E and W have order
 K-2; omega has order K-3, and nabla^k W order K-2-k, so depth-d derivative
@@ -41,12 +43,13 @@ reader uses: g^-1 = E E^T and Gamma at order K-2 (Riemann's quadratic
 terms read no more, and its derivative terms come from the first-kind
 symbols, which need no g^-1), Ricci and R at order 1, the Laplacian fields
 at order 2, so the Laplacian of |nabla^k W|^2 needs order k+4, and
-nabla Riem / nabla Ric at degree 0.  `required_jet_order` states this plan;
-`IdentitySpec.jet_order` is derived from it.  Each stage also forms only the independent components
-its readers use: g^-1 and Gamma^k_ij on symmetric index pairs, Riemann's
-quadratic terms on one triangle of the pairs of such pairs, the coframe on
-the triangles of E and omega, and the frame curvature operator on the upper
-triangles of the compound C and of the symmetric C^T R C.
+nabla Riem / nabla Ric at degree 0.  `required_jet_order` states this
+plan; `IdentitySpec.jet_order` is derived from it.  Each stage also forms
+only the independent components its readers use: g^-1 and Gamma^k_ij on
+symmetric index pairs, Riemann's quadratic terms on one triangle of the
+pairs of such pairs, the coframe on the triangles of E and omega, and the
+frame curvature operator on the upper triangles of the compound C and of
+the symmetric C^T R C.
 """
 
 from __future__ import annotations
@@ -549,9 +552,10 @@ def to_frame(t: np.ndarray, frame: np.ndarray) -> np.ndarray:
 _COORDINATES = np.eye(DIM)[..., None]
 _COORDINATE_MAP = np.eye(DIM * DIM).reshape(DIM, DIM, DIM * DIM)
 
-LAPLACIAN_FIELDS = ("w", "dw", "d2w", "w_pm", "dw_pm", "d2w_pm")
+# The fields |nabla^k W|^2, k = 0, 1, 2; each carries its two duality halves.
+LAPLACIAN_FIELDS = ("w", "dw", "d2w")
 
-_LAP_STACK = {"w": 0, "dw": 1, "d2w": 2, "w_pm": 0, "dw_pm": 1, "d2w_pm": 2}
+_LAP_STACK = {key: k for k, key in enumerate(LAPLACIAN_FIELDS)}
 
 # Jet order of the scalar Laplacian fields: the highest Taylor degree
 # scalar_jet_laplacian reads.
@@ -606,9 +610,10 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
                  jet_order: int | None = None) -> CurvaturePoint:
     """Evaluate curvature and derivative stacks at a chart point.
 
-    `depth` is the highest covariant derivative of W to compute; `laplacians`
-    names scalar Laplacian fields from LAPLACIAN_FIELDS.  The metric jet order
-    is auto-selected unless given, and validated against the budget.
+    `depth` is the highest covariant derivative of W to compute; each field
+    `key` of LAPLACIAN_FIELDS in `laplacians` fills laplacians[key], [key +
+    "_plus"] and [key + "_minus"].  The metric jet order is auto-selected
+    unless given, and validated against the budget.
     """
     laplacians = tuple(laplacians)
     need = required_jet_order(depth, laplacians)
@@ -667,26 +672,19 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
         cotton = algebra.cotton_from_ricci(ric_deriv_f, d_scalar_f)
 
     lap = {}
-    if laplacians:
-        ginv0 = ginv[..., 0]
-        gamma0 = gamma[..., 0]
-        wants: dict[int, bool] = {}
-        for name in laplacians:
-            k = _LAP_STACK[name]
-            wants[k] = wants.get(k, False) or name.endswith("_pm")
-        for k, want_pm in sorted(wants.items()):
-            if k > depth:
-                raise CapacityError(
-                    f"laplacian of |nabla^{k} W|^2 needs depth >= {k}")
-            key = {0: "w", 1: "dw", 2: "d2w"}[k]
-            base = norm_sq_field(stacks[k], _FIELD_ORDER)
-            lap[key] = scalar_jet_laplacian(base, _FIELD_ORDER, ginv0, gamma0)
-            if want_pm:
-                cross = duality_cross_field(stacks[k], _FIELD_ORDER)
-                lap_cross = scalar_jet_laplacian(cross, _FIELD_ORDER, ginv0,
-                                                 gamma0)
-                lap[key + "_plus"] = 0.5 * (lap[key] + lap_cross)
-                lap[key + "_minus"] = 0.5 * (lap[key] - lap_cross)
+    for k, key in enumerate(LAPLACIAN_FIELDS):
+        if key not in laplacians:
+            continue
+        if k > depth:
+            raise CapacityError(
+                f"laplacian of |nabla^{k} W|^2 needs depth >= {k}")
+        whole, cross = (
+            scalar_jet_laplacian(fn(stacks[k], _FIELD_ORDER), _FIELD_ORDER,
+                                 ginv[..., 0], gamma[..., 0])
+            for fn in (norm_sq_field, duality_cross_field))
+        lap[key] = whole
+        lap[key + "_plus"] = 0.5 * (whole + cross)
+        lap[key + "_minus"] = 0.5 * (whole - cross)
 
     return CurvaturePoint(
         chart=chart, point=point, frame=frame, orientation=chart.orientation,

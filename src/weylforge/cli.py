@@ -8,8 +8,8 @@ import math
 import os
 import sys
 
-from . import charts, suite
-from .identities import OUT_OF_SCOPE, REGISTRY
+from . import charts, jets, suite
+from .identities import GATES, OUT_OF_SCOPE, REGISTRY
 from .suite import ConfigError, RunConfig
 
 
@@ -108,21 +108,11 @@ def _check_out(path: str | None) -> None:
         raise ConfigError(f"--out {path!r} is a directory")
 
 
-GATE_LABELS = {
-    "any": "[any]",
-    "harmonic": "[harmonic-Weyl,4D]",
-    "sector-harmonic": "[half-harmonic-Weyl,4D]",
-    "einstein": "[Einstein,4D]",
-    "einstein-parallel-sector": "[Einstein,parallel-sector,4D]",
-    "conformal": "[conformally-flat]",
-}
-
-
 def list_identities(out) -> None:
     for sid in sorted(REGISTRY):
         spec = REGISTRY[sid]
         anchors = ",".join(spec.anchors)
-        out.write(f"{sid}  {GATE_LABELS[spec.gate]}  jets:{spec.jet_order}  "
+        out.write(f"{sid}  {GATES[spec.gate].label}  jets:{spec.jet_order}  "
                   f"anchors:{anchors}\n")
     for entry in OUT_OF_SCOPE:
         anchors = ",".join(entry.anchors)
@@ -170,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sample points per manifold")
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--jet-order", default="auto",
-                     help="'auto' or a fixed metric jet order 3..8")
+                     help="'auto' or a fixed metric jet order "
+                          f"3..{jets.MAX_ORDER}")
     ver.add_argument("--tol", action="append", metavar="ID=VALUE",
                      help="override the pass threshold of one identity "
                      "(finite and > 0)")

@@ -35,7 +35,6 @@ DIM = 4
 class EigenframeDerivatives:
     """Projection coefficients of 2 nabla W_sector onto the eigenframe."""
 
-    sector: str
     d_lambda: np.ndarray
     d_mu: np.ndarray
     d_nu: np.ndarray
@@ -47,7 +46,6 @@ class EigenframeDerivatives:
     c: np.ndarray | None
     consistency_gap: float      # worst duplicate-slot mismatch before averaging
     recon_residual: float       # |2 nabla W - reconstruction| (absolute, max)
-    degenerate: bool
     trivial: bool               # nabla W_sector at noise level; all forms zero
 
 
@@ -66,11 +64,11 @@ def extract_frame_derivatives(nabla_w_sector: np.ndarray,
     zeros = np.zeros(DIM)
     if trivial_scale > 0.0 and np.linalg.norm(nabla_w_sector) <= 1e-9 * trivial_scale:
         return EigenframeDerivatives(
-            sector=frame.sector, d_lambda=zeros, d_mu=zeros.copy(),
-            d_nu=zeros.copy(), c_scaled=zeros.copy(), b_scaled=zeros.copy(),
+            d_lambda=zeros, d_mu=zeros.copy(), d_nu=zeros.copy(),
+            c_scaled=zeros.copy(), b_scaled=zeros.copy(),
             a_scaled=zeros.copy(), a=zeros.copy(), b=zeros.copy(),
             c=zeros.copy(), consistency_gap=0.0, recon_residual=0.0,
-            degenerate=frame.degenerate, trivial=True)
+            trivial=True)
 
     forms = np.stack(frame.forms)
     k = np.einsum("ijpqt,aij,bpq->abt", nabla_w_sector, forms, forms) / 8.0
@@ -89,10 +87,9 @@ def extract_frame_derivatives(nabla_w_sector: np.ndarray,
     a = ks[1, 2] / gap_mn if gap_mn > DEGENERACY_RTOL * spectral else None
 
     return EigenframeDerivatives(
-        sector=frame.sector, d_lambda=ks[0, 0], d_mu=ks[1, 1], d_nu=ks[2, 2],
-        c_scaled=ks[0, 1], b_scaled=ks[0, 2], a_scaled=ks[1, 2], a=a, b=b,
-        c=c, consistency_gap=gap, recon_residual=recon_res,
-        degenerate=frame.degenerate, trivial=False)
+        d_lambda=ks[0, 0], d_mu=ks[1, 1], d_nu=ks[2, 2], c_scaled=ks[0, 1],
+        b_scaled=ks[0, 2], a_scaled=ks[1, 2], a=a, b=b, c=c,
+        consistency_gap=gap, recon_residual=recon_res, trivial=False)
 
 
 def norm_expansion_residual(ed: EigenframeDerivatives,

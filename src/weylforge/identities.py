@@ -31,14 +31,15 @@ two-form slot with a derivative slot.  The checks that
 delegate to algebra and framecalc, and the block decomposition, stay
 functions.
 
-Identities carry a hypothesis gate (any metric / harmonic Weyl / Einstein /
-Einstein with parallel sector), re-verified numerically at each point before
-a check is marked applicable.  The gates measure |W|, |nabla W| and div W on
-the W+- blocks too (SectorPack.norm and div): W and nabla^k W become frame
-components only for a term that reads them as an operand.  On the
-negative-control chart a designated set of hypothesis-dependent identities
-is evaluated anyway and expected to be violated; that expectation is part of
-the suite's pass criteria.
+Identities carry a hypothesis gate, re-verified numerically at each point
+before a check is marked applicable; GATES is the one table of what each
+gate means, read for the check's duality half IdentitySpec.sector.  The
+gates measure |W|, |nabla W| and div W on the W+- blocks too
+(SectorPack.norm and div): W and nabla^k W become frame components only
+for a term that reads them as an operand.  On the negative-control chart a
+designated set of hypothesis-dependent identities is evaluated anyway and
+expected to be violated; that expectation is part of the suite's pass
+criteria.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class SectorPack:
     @cached_property
     def frame(self) -> algebra.TwoFormFrame:
         """The sector's Derdzinski frame, built on first read."""
-        return algebra.derdzinski_frame(self._split(), self.name)
+        return algebra.derdzinski_frame(self._split(), self.sign)
 
     @cached_property
     def ed(self) -> framecalc.EigenframeDerivatives:
@@ -247,9 +248,9 @@ class PointData:
     def floor(self, h: int) -> float:
         return max(self.riem_norm, 0.0) ** (h / 2.0)
 
-    # -- measured hypothesis gates ------------------------------------------
+    # -- measured hypothesis gates, each measured once per point ------------
 
-    @property
+    @cached_property
     def is_einstein(self) -> bool:
         ric0 = self.ric - (self.R / 4.0) * _EYE
         return _frobenius(ric0) <= \
@@ -273,17 +274,17 @@ class PointData:
         return self.sector(sign).norm(0) > \
             SECTOR_NONZERO_RTOL * max(self.riem_norm, FLOOR)
 
-    @property
+    @cached_property
     def is_conformally_flat(self) -> bool:
         return self.sector(None).norm(0) <= \
             CONFORMAL_GATE_RTOL * max(self.riem_norm, FLOOR)
 
-    @property
+    @cached_property
     def is_ricci_flat(self) -> bool:
         return _frobenius(self.ric) <= \
             EINSTEIN_GATE_RTOL * max(self.riem_norm, FLOOR)
 
-    @property
+    @cached_property
     def cotton_nonzero(self) -> bool:
         return _frobenius(self.cp.cotton) > \
             COTTON_NONZERO_RTOL * max(self.riem_norm ** 1.5, FLOOR)
@@ -719,7 +720,7 @@ class IdentitySpec:
 
     id: str
     anchors: tuple
-    gate: str                 # hypothesis gate name
+    gate: str                 # hypothesis gate, a key of GATES
     depth: int                # covariant-derivative depth required
     laplacians: tuple         # scalar Laplacian fields required
     homogeneity: int          # weight h: terms scale as c^-h under g -> c^2 g
@@ -857,15 +858,15 @@ def _build_registry():
             IdentitySpec(sfx("key2.sector"), ("lem-key2",), "any", 1, (),
                          8, 1e-8, TermList(_KEY2, sign), sign),
             IdentitySpec(sfx("bochner1.sector"), ("niceself",),
-                         "sector-harmonic", 2, ("w_pm",), 6, 1e-8,
+                         "sector-harmonic", 2, ("w",), 6, 1e-8,
                          TermList(_BOCHNER1_4D, sign), sign),
             IdentitySpec(sfx("bochner2.pro-boch"),
                          ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 3,
-                         ("dw_pm",), 8, 1e-6,
+                         ("dw",), 8, 1e-6,
                          TermList(_PRO_BOCH, sign), sign),
             IdentitySpec(sfx("bochnerk.k2"),
                          ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 4,
-                         ("d2w_pm",), 10, 1e-5,
+                         ("d2w",), 10, 1e-5,
                          TermList(_BOCHNERK_K2, sign), sign),
             IdentitySpec(sfx("gap.pointwise"),
                          ("final-proposition", "lem-quart"),
@@ -917,35 +918,50 @@ CONTROL_EXPECT_FAIL: dict[str, float] = {
 CONTROL_MIN_FRACTION = 0.6
 
 
+@dataclass(frozen=True)
+class Gate:
+    """One hypothesis gate: its `list identities` label; `declared(props)`,
+    whether a chart's ChartProperties could satisfy it, so that the suite
+    attempts the check there; `measured(pd, sign)`, the part a declaration
+    implies; and `nonzero(pd, sign)`, the rest (a nonvanishing half).  `sign`
+    is the check's duality half or None.  A check applies where both hold;
+    a failed `measured` on a declaring chart is a declaration mismatch."""
+
+    label: str
+    declared: Callable
+    measured: Callable
+    nonzero: Callable = lambda pd, sign: True
+
+
+_HARMONIC = Gate("[harmonic-Weyl,4D]",
+                 lambda p: p.harmonic_weyl or p.einstein is not None,
+                 lambda pd, sign: pd.is_harmonic(sign))
+
+GATES: dict[str, Gate] = {
+    "any": Gate("[any]", lambda p: True, lambda pd, sign: True),
+    "harmonic": _HARMONIC,
+    "sector-harmonic": replace(_HARMONIC, label="[half-harmonic-Weyl,4D]"),
+    "einstein": Gate("[Einstein,4D]", lambda p: p.einstein is not None,
+                     lambda pd, sign: pd.is_einstein),
+    "einstein-parallel-sector": Gate(
+        "[Einstein,parallel-sector,4D]",
+        lambda p: p.einstein is not None and p.parallel_weyl,
+        lambda pd, sign: pd.is_einstein and pd.is_parallel(sign),
+        lambda pd, sign: pd.sector_nonzero(sign)),
+    "conformal": Gate("[conformally-flat]", lambda p: p.conformally_flat,
+                      lambda pd, sign: pd.is_conformally_flat),
+}
+
+
 def gate_satisfied(spec: IdentitySpec, pd: PointData) -> bool:
     """Numerically verified hypothesis gate for one identity at one point."""
-    if spec.gate == "any":
-        return True
-    if spec.gate in ("harmonic", "sector-harmonic"):
-        return pd.is_harmonic(spec.sector)
-    if spec.gate == "einstein":
-        return pd.is_einstein
-    if spec.gate == "einstein-parallel-sector":
-        return (pd.is_einstein and pd.is_parallel(spec.sector)
-                and pd.sector_nonzero(spec.sector))
-    if spec.gate == "conformal":
-        return pd.is_conformally_flat
-    raise ValueError(f"unknown gate {spec.gate!r}")
+    gate = GATES[spec.gate]
+    return gate.measured(pd, spec.sector) and gate.nonzero(pd, spec.sector)
 
 
 def static_applicable(spec: IdentitySpec, props) -> bool:
     """Whether a chart's declared properties could satisfy the gate."""
-    if spec.gate == "any":
-        return True
-    if spec.gate in ("harmonic", "sector-harmonic"):
-        return props.harmonic_weyl or props.einstein is not None
-    if spec.gate == "einstein":
-        return props.einstein is not None
-    if spec.gate == "einstein-parallel-sector":
-        return props.einstein is not None and props.parallel_weyl
-    if spec.gate == "conformal":
-        return props.conformally_flat
-    raise ValueError(f"unknown gate {spec.gate!r}")
+    return GATES[spec.gate].declared(props)
 
 
 def residual_rel(spec: IdentitySpec, pd: PointData, residual_abs: float,

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import charts, rng
+from . import charts, jets, rng
 from .charts import MetricChart, curvature_at, required_jet_order
-from .identities import (CONTROL_EXPECT_FAIL, CONTROL_MIN_FRACTION, REGISTRY,
-                         IdentitySpec, PointData, gate_satisfied,
+from .identities import (CONTROL_EXPECT_FAIL, CONTROL_MIN_FRACTION, GATES,
+                         REGISTRY, IdentitySpec, PointData, gate_satisfied,
                          residual_rel, static_applicable)
 
 
@@ -144,13 +144,6 @@ def _audit_point(chart: MetricChart, pd: PointData) -> list:
     return bad
 
 
-def _gate_contradicts_declaration(spec: IdentitySpec, pd: PointData) -> bool:
-    if spec.gate == "einstein-parallel-sector":
-        # a vanishing sector is not a declaration failure
-        return not (pd.is_einstein and pd.is_parallel(spec.sector))
-    return True
-
-
 def _row(sid: str, pd: PointData, status: str, res_abs=0.0, scale=0.0,
          rel=0.0) -> IdentityCheckResult:
     cp = pd.cp
@@ -196,9 +189,10 @@ def _evaluate_point(chart, point, attempted, requested, order, depth, laps,
         row = _check(spec, pd, tolerances.get(sid, spec.tol),
                      control_ids.get(sid))
         # an attempted identity off the control list is statically
-        # applicable, so a failed gate may contradict the declaration
+        # applicable, so a failed gate contradicts the declaration unless
+        # only its nonzero part fails
         if row.status == "not_applicable" and \
-                _gate_contradicts_declaration(spec, pd):
+                not GATES[spec.gate].measured(pd, spec.sector):
             mismatches.append({
                 **where, "problem": f"{sid}: declared properties imply gate "
                                     f"'{spec.gate}' but measurement fails it"})
@@ -244,11 +238,12 @@ def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
             raise ConfigError(f"tolerance override for unknown identity {tid!r}")
         _check_tolerance(tid, tol)
     fixed_order = None if cfg.jet_order == "auto" else int(cfg.jet_order)
-    if fixed_order is not None and not 3 <= fixed_order <= 8:
+    if fixed_order is not None and not 3 <= fixed_order <= jets.MAX_ORDER:
         # W at order K-2 leaves nabla W for K >= 3 only
         raise ConfigError(
-            "jet_order must be 'auto' or an integer in 3..8: the hypothesis "
-            "gates read nabla W at every point, which needs order >= 3")
+            f"jet_order must be 'auto' or an integer in 3..{jets.MAX_ORDER}: "
+            "the hypothesis gates read nabla W at every point, which needs "
+            "order >= 3")
 
     results = []
     mismatches = []

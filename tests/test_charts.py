@@ -440,7 +440,7 @@ def test_jet_order_auto_selection():
     assert charts.required_jet_order(2) == 4
     assert charts.required_jet_order(0, ("w",)) == 4
     assert charts.required_jet_order(1, ("dw",)) == 5
-    assert charts.required_jet_order(4, ("d2w_pm",)) == 6
+    assert charts.required_jet_order(4, ("d2w",)) == 6
 
 
 

@@ -125,7 +125,7 @@ def test_coframe_is_orthonormal_and_its_connection_antisymmetric(name, t):
 
 def test_reversed_orientation_swaps_the_sectors():
     point = [0.2, -0.1, 0.3, 0.15]
-    fields = ("w_pm", "dw_pm", "d2w_pm")
+    fields = ("w", "dw", "d2w")
     cp = charts.curvature_at(ref.GENERIC, point, depth=2, laplacians=fields)
     mirror = charts.curvature_at(replace(ref.GENERIC, orientation=-1), point,
                                  depth=2, laplacians=fields)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import commutation_reference as ref
-from weylforge import algebra, charts, rng
+from weylforge import algebra, charts, identities, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
                                   Commutator, PointData, TermList, _frobenius,
@@ -109,7 +109,7 @@ def test_harmonic_identities_on_non_einstein_chart(catalog):
     """Harmonic-Weyl formulas survive on the non-Einstein product chart."""
     chart = catalog["s2xs2-unequal"]
     cp = curvature_at(chart, [1.0, 0.8, 1.3, 1.1], depth=3,
-                      laplacians=("w", "w_pm"))
+                      laplacians=("w",))
     pd = PointData(cp)
     for sid in ("laplacian.harmonic-weyl", "laplacian.4d", "bochner1.general",
                 "bochner1.4d", "bochner1.sector-plus", "lem-paolo",
@@ -373,6 +373,32 @@ def test_gates_and_audit_expand_nothing(catalog, monkeypatch):
         assert calls == [], name
 
 
+def test_gates_are_measured_once_per_point(catalog, monkeypatch):
+    """A second declaration audit and gate pass at a point measures nothing
+    again: each gate keeps its answer, or the norms it reads, on the
+    PointData."""
+    from weylforge import identities, suite
+    points = [(chart, PointData(_depth2_point(chart)))
+              for chart in catalog.values()]
+
+    def audit_and_gates():
+        for chart, pd in points:
+            suite._audit_point(chart, pd)
+            for spec in REGISTRY.values():
+                gate_satisfied(spec, pd)
+
+    audit_and_gates()
+    frobenius, calls = identities._frobenius, []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return frobenius(a)
+
+    monkeypatch.setattr(identities, "_frobenius", counting)
+    audit_and_gates()
+    assert calls == []
+
+
 def test_residual_scale_floor_keeps_trivial_points_passing(catalog):
     """On flat space every residual is 0/floor = 0."""
     cfg = RunConfig(manifolds=("flat-r4",), identities=("all",),
@@ -476,3 +502,71 @@ def test_every_term_can_fail(mutation_rows):
                        for pd in rows):
                 undetected.add((sid, term.name))
     assert undetected == UNDETECTED_MUTATIONS
+
+
+# One input perturbation per hand-written row (an evaluator that is not
+# data), keyed by the row's id without its -plus/-minus suffix.  Each takes
+# a PointData and the row's sector and edits the sector pack's cached
+# stack(k) or its frame before the row is evaluated.
+def _ricci_type(pd, sign):
+    """A Ricci-type (h (.) g) added to W: no longer a Weyl tensor."""
+    pack = pd.sector(sign)
+    h = 1e-2 * pack.norm(0) * np.diag([1.0, 2.0, 3.0, 4.0])
+    pack._stacks[0] = pack.stack(0) + np.einsum("mn,mnpqab->pqab", h,
+                                                identities._KN_G)
+
+
+def _other_half(k):
+    """The other half added to nabla^k W+-: no longer in one sector."""
+    def perturb(pd, sign):
+        pack = pd.sector(sign)
+        pack._stacks[k] = pack.stack(k) + 1e-2 * pd.sector(-sign).stack(k)
+    return perturb
+
+
+def _scaled_form(pd, sign):
+    """The first eigen-two-form of each frame read scaled by 1.001."""
+    for s in (1, -1) if sign is None else (sign,):
+        pack = pd.sector(s)
+        pack.frame = replace(pack.frame, omega=1.001 * pack.frame.omega)
+
+
+def _not_div_free(pd, sign):
+    """W+- (x) v added to nabla W+-: still in the sector, not div-free."""
+    pack = pd.sector(sign)
+    v = 1e-2 * pack.norm(1) / pack.norm(0) * np.array([1.0, -2.0, 0.5, 3.0])
+    pack._stacks[1] = pack.stack(1) + np.einsum("ijkl,t->ijklt",
+                                                pack.stack(0), v)
+
+
+HAND_WRITTEN_MUTATIONS = {
+    "operator.block-decomposition": _ricci_type,
+    "algebra.quadratic": _ricci_type,
+    "algebra.cubic": _ricci_type,
+    "algebra.quaternionic": _scaled_form,
+    "derdzinski.reconstruction": _scaled_form,
+    "algebra.quadratic.sector": _ricci_type,
+    "algebra.cubic.sector": _ricci_type,
+    "algebra.quartic.sector": _other_half(0),
+    "derder.reconstruction": _other_half(1),
+    "derder.norm": _other_half(1),
+    "derder.cubic": _ricci_type,
+    "divz.relations": _not_div_free,
+}
+
+
+def test_every_hand_written_row_can_fail(cp_schwarzschild):
+    """Each of the 19 hand-written rows passes at an Einstein point with
+    W+, W- and nabla W nonzero, and fails once its inputs are perturbed."""
+    rows = {sid: spec for sid, spec in REGISTRY.items()
+            if not isinstance(spec.evaluate, DATA)}
+    assert len(rows) == 19
+    for sid, spec in rows.items():
+        pd = PointData(cp_schwarzschild)
+        assert gate_satisfied(spec, pd), sid
+        assert residual_rel(spec, pd, *spec.evaluate(pd))[0] <= spec.tol, sid
+        pd = PointData(cp_schwarzschild)
+        HAND_WRITTEN_MUTATIONS[sid.removesuffix("-plus").removesuffix(
+            "-minus")](pd, spec.sector)
+        rel, _ = residual_rel(spec, pd, *spec.evaluate(pd))
+        assert rel > spec.tol, (sid, rel)
