@@ -3,7 +3,7 @@
 Covers the trace/Weyl decomposition, the Cotton tensor from Ricci
 derivatives, the two-form bundle machinery (self-dual and anti-self-dual
 bases, curvature operator blocks), the eigen-two-form frames of the sector
-operators, and the quadratic, cubic and quartic algebraic identities.
+operators, and the quartic identity of one duality half.
 
 Conventions.  Two-forms are antisymmetric 4x4 matrices.  The inner product on
 the two-form bundle is <a, b> = (1/2) a_ij b_ij, so coordinate two-forms
@@ -285,13 +285,6 @@ class TwoFormFrame:
     def forms(self) -> tuple:
         return self.omega, self.eta, self.theta
 
-    def reconstruct(self) -> np.ndarray:
-        """W_sector = (1/2) sum_i lambda_i form_i (x) form_i."""
-        lam = self.eigenvalues
-        forms = (self.omega, self.eta, self.theta)
-        return 0.5 * sum(lam[i] * np.einsum("ij,kl->ijkl", forms[i], forms[i])
-                         for i in range(3))
-
 
 DEGENERACY_RTOL = 1e-8
 
@@ -338,35 +331,27 @@ def quaternionic_residual(frame: TwoFormFrame) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic identities (quadratic, cubic, quartic)
+# The quartic identity
 # ---------------------------------------------------------------------------
 
-def quadratic_identity_residual(w: np.ndarray):
-    """W_ijkt W_ijkl = (1/4)|W|^2 delta_tl.  Batched over leading axes."""
-    lhs = np.einsum("...ijkt,...ijkl->...tl", w, w, optimize=True)
-    n2 = np.einsum("...ijkl,...ijkl->...", w, w, optimize=True)
-    rhs = 0.25 * n2[..., None, None] * np.eye(DIM)
-    res = np.abs(lhs - rhs).reshape(w.shape[:-4] + (-1,)).max(axis=-1)
-    scale = np.maximum(np.abs(lhs).reshape(w.shape[:-4] + (-1,)).max(axis=-1),
-                       0.25 * n2)
-    return res, scale
+def quartic_terms(w: np.ndarray) -> np.ndarray:
+    """The four slot terms of Q, batched, on a last axis.
 
-
-def cubic_identity_residual(w: np.ndarray):
-    """W_ijkl W_ipkq W_jplq = (1/2) W_ijkl W_ijpq W_klpq, batched."""
-    lhs = np.einsum("...ijkl,...ipkq,...jplq->...", w, w, w, optimize=True)
-    rhs = 0.5 * np.einsum("...ijkl,...ijpq,...klpq->...", w, w, w,
-                          optimize=True)
-    return np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs))
+    Q_r = W_..p.. W_p.st D_jklist, with p in slot r of the first W and
+    D_jklist = W_rjkl W_rist.  Q_1 = (1/4)|W|^4 holds for every 4D Weyl
+    tensor: it is the quadratic identity W_pjkl W_rjkl = (1/4)|W|^2 delta_pr
+    squared.  On one duality half Q_2 = Q_3 = Q_4 = 0; on W+ + W- Q_2 is not.
+    """
+    d = np.einsum("...rjkl,...rist->...jklist", w, w, optimize=True)
+    return np.stack([
+        np.einsum(f"...{a},...{b},...jklist->...", w, w, d, optimize=True)
+        for a, b in (("pjkl", "pist"), ("ipkl", "pjst"), ("ijpl", "pkst"),
+                     ("ijkp", "plst"))], axis=-1)
 
 
 def quartic_identity_residual(w: np.ndarray):
-    """Sector identity Q = (1/4)|W|^4 with Q the four-slot double contraction."""
-    d = np.einsum("...rjkl,...rist->...jklist", w, w, optimize=True)
-    q = (np.einsum("...pjkl,...pist,...jklist->...", w, w, d, optimize=True)
-         + np.einsum("...ipkl,...pjst,...jklist->...", w, w, d, optimize=True)
-         + np.einsum("...ijpl,...pkst,...jklist->...", w, w, d, optimize=True)
-         + np.einsum("...ijkp,...plst,...jklist->...", w, w, d, optimize=True))
+    """Sector identity Q = Q_1 + .. + Q_4 = (1/4)|W|^4 (quartic_terms)."""
+    q = quartic_terms(w).sum(axis=-1)
     n2 = np.einsum("...ijkl,...ijkl->...", w, w, optimize=True)
     rhs = 0.25 * n2 ** 2
     return np.abs(q - rhs), np.maximum(np.abs(q), np.abs(rhs))

@@ -11,7 +11,11 @@ Most identities are data, a TermList: one or more equations
 sum(lhs) = sum(rhs), each term coeff * einsum(subscripts, *operands) over
 operands named as in PointData.operand.  A sector variant reads W, nabla^k W
 and the Laplacian fields from its duality sector, so one list serves the full
-identity and both halves.  The residual is the largest Frobenius norm of
+identity and both halves.  Three operands exist only for one half: `lam`
+and `E`, the eigenvalues and eigen-two-forms of its Derdzinski frame, and
+`K`, the expansion 2 nabla W+- = K_abt E_a (x) E_b (framecalc); with them
+Derdzinski's W+- = (1/2) lam_a E_a (x) E_a and its first-derivative
+expansion are term lists too.  The residual is the largest Frobenius norm of
 sum(lhs) - sum(rhs) over the equations.  The scale is the largest term norm,
 unless an equation names its bounds: terms, the summed left side, or products
 of operand norms such as |W| |Riem|.  Named bounds serve a pure X = 0
@@ -27,9 +31,17 @@ Riemann-type 4-tensor: Riem, or W plus its Ricci and scalar parts) and
 named bounds as above: |lhs| and norm products such as |nabla^(k-2) W|
 |Riem|, since the two left-hand terms are far larger than their difference.
 commute2.einstein-contracted stays a TermList, since it contracts a
-two-form slot with a derivative slot.  The checks that
-delegate to algebra and framecalc, and the block decomposition, stay
-functions.
+two-form slot with a derivative slot.
+
+Eight rows stay functions, each for a reason:
+- operator.block-decomposition checks algebra.lambda_split itself;
+- algebra.quaternionic is a multiplication table of the frames, at
+  homogeneity 0;
+- algebra.quartic.sector-+-: three of the four slot terms of its Q vanish
+  on every half (algebra.quartic_terms), so as data no scaling of them
+  could fail the row, while W+ + W- in place of a half does;
+- derder.reconstruction-+- and divz.relations-+-: their residual and scale
+  are largest entries, which no TermList bound states.
 
 Identities carry a hypothesis gate, re-verified numerically at each point
 before a check is marked applicable; GATES is the one table of what each
@@ -131,7 +143,7 @@ class SectorPack:
         # pd's split and a scalar, not pd: a back-reference would make every
         # point's arrays a reference cycle that only the cyclic collector frees
         self._split = pd.split
-        self._trivial_scale = pd.riem_norm ** 1.5
+        self._parallel_scale = max(pd.riem_norm ** 1.5, FLOOR)
 
     def blocks(self, k: int) -> np.ndarray:
         """The W+- blocks of nabla^k W: (n, 3, 3, 4, .., 4), n sectors."""
@@ -167,6 +179,11 @@ class SectorPack:
         return np.einsum("syi,syjk->ijk", c, self.forms)
 
     @cached_property
+    def is_parallel(self) -> bool:
+        """nabla W = 0 in this sector: |nabla W| at round-off of |Riem|^1.5."""
+        return self.norm(1) <= PARALLEL_GATE_RTOL * self._parallel_scale
+
+    @cached_property
     def action(self) -> np.ndarray:
         """algebra.sector_action of the sector's basis two-forms."""
         return algebra.sector_action(self.forms)
@@ -178,8 +195,9 @@ class SectorPack:
 
     @cached_property
     def ed(self) -> framecalc.EigenframeDerivatives:
+        """The expansion of nabla W over the frame, zero where is_parallel."""
         return framecalc.extract_frame_derivatives(
-            self.stack(1), self.frame, trivial_scale=self._trivial_scale)
+            self.stack(1), self.frame, trivial=self.is_parallel)
 
 
 class PointData:
@@ -211,7 +229,10 @@ class PointData:
 
         `W`, `nw<k>` (nabla^k W) and `lap_<field>` (the scalar Laplacian
         field) are read from duality sector `sign` when it is set, or from
-        the sector that a trailing `+` or `-` names.  `g` is the frame
+        the sector that a trailing `+` or `-` names.  `lam`, `E` and `K`
+        exist only for one half: the eigenvalues (3,) and eigen-two-forms
+        (3, 4, 4) of its Derdzinski frame and the coefficients K_abt (3, 3,
+        4) of 2 nabla W over E_a (x) E_b (SectorPack.ed).  `g` is the frame
         metric, `kn_g` the Kulkarni-Nomizu product with it (_KN_G) and
         `cotton_div` the Cotton tensor from div W, C_ijk = 2 (div W)_ikj.
         Any other name (`riem`, `ric`, `R`, or a CurvaturePoint field such
@@ -220,6 +241,16 @@ class PointData:
         name, sign, k = _parse(name, sign)
         if k is not None:
             return self.sector(sign).stack(k)
+        if name in ("lam", "E", "K"):
+            if sign is None:
+                raise ValueError(f"operand {name!r} exists only for one "
+                                 f"half: give a sign or a + or - suffix")
+            pack = self.sector(sign)
+            if name == "lam":
+                return pack.frame.eigenvalues
+            if name == "E":
+                return np.stack(pack.frame.forms)
+            return pack.ed.k
         if name.startswith("lap_"):
             key = name[4:]
             return self.lap(key if sign is None
@@ -267,8 +298,7 @@ class PointData:
 
     def is_parallel(self, sign: int | None = None) -> bool:
         """nabla W = 0, of the whole W or of one sector."""
-        return self.sector(sign).norm(1) <= PARALLEL_GATE_RTOL * \
-            max(self.riem_norm ** 1.5, FLOOR)
+        return self.sector(sign).is_parallel
 
     def sector_nonzero(self, sign: int) -> bool:
         return self.sector(sign).norm(0) > \
@@ -518,6 +548,28 @@ _R_NABLA_W_SQ = Term("R |nabla W|^2", 1.0, ",ijklt,ijklt->", "R nw1 nw1")
 _W_NW_NW = Term("W_ijkl nabla W_ijpqt nabla W_klpqt", 1.0,
                 "ijkl,ijpqt,klpqt->", "W nw1 nw1")
 _W3 = Term("W_ijkl W_ijpq W_klpq", 1.0, "ijkl,ijpq,klpq->", "W W W")
+_W_IPKQ = Term("W_ijkl W_ipkq W_jplq", 1.0, "ijkl,ipkq,jplq->", "W W W")
+
+# The pointwise algebra of W and of each half.
+_QUADRATIC = (Equation(
+    (Term("W_ijkt W_ijkl", 1.0, "ijkt,ijkl->tl", "W W"),),
+    (Term("|W|^2 g_tl", 0.25, "pqrs,pqrs,tl->tl", "W W g"),),
+    ((0.25, "W W"),)),)
+_CUBIC = (Equation((_W_IPKQ,), (replace(_W3, coeff=0.5),)),)
+# Derdzinski's form of each half: W+- = (1/2) lam_a E_a (x) E_a.
+_DERDZINSKI = tuple(
+    Equation((Term(f"W{h}_ijkl", 1.0, "ijkl->ijkl", f"W{h}"),),
+             (Term(f"lam{h}_a E{h}_a E{h}_a", 0.5, "a,aij,akl->ijkl",
+                   f"lam{h} E{h} E{h}"),),
+             ((1.0, "W"),))
+    for h in "+-")
+# Its first derivative, 2 nabla W+- = K_abt E_a (x) E_b: |nabla W+-|^2 and
+# W+-(nabla W+-, nabla W+-) in K, the latter with lam + mu + nu = 0 used.
+_DERDER_NORM = (Equation((replace(_NABLA_W_SQ, coeff=0.25),),
+                         (Term("K_abt K_abt", 1.0, "abt,abt->", "K K"),)),)
+_DERDER_CUBIC = (Equation(
+    (replace(_W_NW_NW, coeff=0.125),),
+    (Term("lam_a K_abt K_abt", 1.0, "a,abt,abt->", "lam K K"),)),)
 
 _GRAD_SWAP = Term("<nabla W, nabla W swapped>", 1.0, "ijklt,ijktl->",
                   "nw1 nw1")
@@ -596,8 +648,7 @@ _BOCHNER1_GENERAL = (Equation(
     (_DELTA_W_SQ,),
     (_NABLA_W_SQ,
      Term("Ric_pq W_pikl W_qikl", 2.0, "pq,pikl,qikl->", "ric W W"),
-     Term("W_ijkl W_ipkq W_jplq", -4.0, "ijkl,ipkq,jplq->", "W W W"),
-     replace(_W3, coeff=-1.0))),)
+     replace(_W_IPKQ, coeff=-4.0), replace(_W3, coeff=-1.0))),)
 _BOCHNER1_4D = (Equation(
     (_DELTA_W_SQ,),
     (_NABLA_W_SQ, Term("R |W|^2", 0.5, ",ijkl,ijkl->", "R W W"),
@@ -666,24 +717,15 @@ def ev_block_decomposition(pd: PointData):
     return float(res), float(np.abs(m_direct).max())
 
 
-def ev_algebra(residual: Callable, pd: PointData, sign: int | None = None):
-    """An algebra.*_identity_residual of W or of one of its sectors."""
-    res, scale = residual(pd.operand("W", sign))
-    return float(res), float(scale)
-
-
 def ev_algebra_quaternionic(pd: PointData):
     res = max(algebra.quaternionic_residual(pd.sector(1).frame),
               algebra.quaternionic_residual(pd.sector(-1).frame))
     return res, 1.0
 
 
-def ev_derdzinski_reconstruction(pd: PointData):
-    res = 0.0
-    for sign in (1, -1):
-        pack = pd.sector(sign)
-        res = max(res, _frobenius(pack.frame.reconstruct() - pack.stack(0)))
-    return res, pd.sector(None).norm(0)
+def ev_algebra_quartic(pd: PointData, sign: int):
+    res, scale = algebra.quartic_identity_residual(pd.operand("W", sign))
+    return float(res), float(scale)
 
 
 def ev_derder_reconstruction(pd: PointData, sign: int):
@@ -693,21 +735,9 @@ def ev_derder_reconstruction(pd: PointData, sign: int):
         float(np.abs(pack.stack(1)).max())
 
 
-def ev_derder_norm(pd: PointData, sign: int):
-    pack = pd.sector(sign)
-    return framecalc.norm_expansion_residual(pack.ed, pack.stack(1))
-
-
-def ev_derder_cubic(pd: PointData, sign: int):
-    pack = pd.sector(sign)
-    return framecalc.cubic_contraction_residual(
-        pack.stack(0), pack.stack(1), pack.frame, pack.ed)
-
-
 def ev_divz_relations(pd: PointData, sign: int):
     pack = pd.sector(sign)
     return framecalc.div_free_relations_residual(pack.ed, pack.frame)
-
 
 
 # ---------------------------------------------------------------------------
@@ -791,15 +821,14 @@ def _build_registry():
         IdentitySpec("commutek.k4", ("CommutationWeylKorder",), "any", 4,
                      (), 6, 1e-5, _commute_riemann(4)),
         IdentitySpec("algebra.quadratic", ("WeylWeylMetric",), "any", 0,
-                     (), 4, 1e-12,
-                     partial(ev_algebra, algebra.quadratic_identity_residual)),
+                     (), 4, 1e-12, TermList(_QUADRATIC)),
         IdentitySpec("algebra.cubic", ("WWW",), "any", 0, (), 6, 1e-12,
-                     partial(ev_algebra, algebra.cubic_identity_residual)),
+                     TermList(_CUBIC)),
         IdentitySpec("algebra.quaternionic", ("quaternionic-structure",
                      "eq-derw"), "any", 0, (), 0, 1e-12,
                      ev_algebra_quaternionic),
         IdentitySpec("derdzinski.reconstruction", ("eq-derw",), "any", 0,
-                     (), 2, 1e-10, ev_derdzinski_reconstruction),
+                     (), 2, 1e-10, TermList(_DERDZINSKI)),
         IdentitySpec("mix.orthogonality", ("eq-mix",), "any", 1, (), 8,
                      1e-8, TermList(_MIX_ORTHOGONALITY)),
         IdentitySpec("key2.full", ("lem-key2",), "any", 1, (), 8, 1e-8,
@@ -830,25 +859,20 @@ def _build_registry():
         sfx = partial(_sector_id, sign=sign)
         specs += [
             IdentitySpec(sfx("algebra.quadratic.sector"), ("WeylWeylMetric",),
-                         "any", 0, (), 4, 1e-12,
-                         partial(ev_algebra,
-                                 algebra.quadratic_identity_residual,
-                                 sign=sign), sign),
+                         "any", 0, (), 4, 1e-12, TermList(_QUADRATIC, sign),
+                         sign),
             IdentitySpec(sfx("algebra.cubic.sector"), ("WWW",), "any", 0,
-                         (), 6, 1e-12,
-                         partial(ev_algebra, algebra.cubic_identity_residual,
-                                 sign=sign), sign),
+                         (), 6, 1e-12, TermList(_CUBIC, sign), sign),
             IdentitySpec(sfx("algebra.quartic.sector"), ("lem-quart",), "any",
-                         0, (), 8, 1e-12,
-                         partial(ev_algebra, algebra.quartic_identity_residual,
-                                 sign=sign), sign),
+                         0, (), 8, 1e-12, partial(ev_algebra_quartic,
+                                                  sign=sign), sign),
             IdentitySpec(sfx("derder.reconstruction"), ("eq-derder",), "any",
                          1, (), 3, 1e-8,
                          partial(ev_derder_reconstruction, sign=sign), sign),
             IdentitySpec(sfx("derder.norm"), ("eq-nqder",), "any", 1, (),
-                         6, 1e-7, partial(ev_derder_norm, sign=sign), sign),
+                         6, 1e-7, TermList(_DERDER_NORM, sign), sign),
             IdentitySpec(sfx("derder.cubic"), ("eqrhs",), "any", 1, (), 8,
-                         1e-7, partial(ev_derder_cubic, sign=sign), sign),
+                         1e-7, TermList(_DERDER_CUBIC, sign), sign),
             IdentitySpec(sfx("divz.relations"), ("eq-divz",),
                          "sector-harmonic", 1, (), 3, 1e-7,
                          partial(ev_divz_relations, sign=sign), sign),

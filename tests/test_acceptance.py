@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from dict_point import DictPoint
 from weylforge import algebra as alg
 from weylforge import charts, cli
 from weylforge.charts import curvature_at
@@ -63,20 +64,16 @@ def announce(num, ok, text):
 def test_criterion_1_algebraic_battery(rng):
     t0 = time.time()
     n = 1000
-    tensors = []
+    worst = 0.0
     frames = []
     for i in range(n):
-        w, frame, _ = alg.random_sector_tensor(rng, 1 if i % 2 == 0 else -1)
-        tensors.append(w)
+        sign, half = (1, "plus") if i % 2 == 0 else (-1, "minus")
+        w, frame, _ = alg.random_sector_tensor(rng, sign)
         frames.append(frame)
-    batch = np.stack(tensors)
-    worst = 0.0
-    r, s = alg.quadratic_identity_residual(batch)
-    worst = max(worst, float((r / np.maximum(s, 1e-30)).max()))
-    r, s = alg.cubic_identity_residual(batch)
-    worst = max(worst, float((r / np.maximum(s, 1e-30)).max()))
-    r, s = alg.quartic_identity_residual(batch)
-    worst = max(worst, float((r / np.maximum(s, 1e-30)).max()))
+        point = DictPoint({"W+" if sign == 1 else "W-": w})
+        for name in ("quadratic", "cubic", "quartic"):
+            r, s = REGISTRY[f"algebra.{name}.sector-{half}"].evaluate(point)
+            worst = max(worst, r / max(s, 1e-30))
     worst_q = max(alg.quaternionic_residual(f) for f in frames)
     elapsed = time.time() - t0
     announce(1, worst <= 1e-12 and worst_q <= 1e-12 and elapsed < 10.0,

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from dict_point import DictPoint
 from weylforge import algebra as alg
+from weylforge.identities import REGISTRY
 
 # Hodge star on the pair basis for epsilon_1234 = +1:
 # *(e1^e2) = e3^e4, *(e1^e3) = -e2^e4, *(e1^e4) = e2^e3.
@@ -79,7 +81,8 @@ def test_frame_reconstruction_random_blocks(rng):
         assert lam[0] <= lam[1] <= lam[2]
         assert abs(lam.sum()) <= 1e-10 * max(np.abs(lam).sum(), 1e-30)
         assert alg.quaternionic_residual(frame) < 1e-12
-        w = frame.reconstruct()
+        w = 0.5 * np.einsum("a,aij,akl->ijkl", lam, np.stack(frame.forms),
+                            np.stack(frame.forms))
         back = alg.lambda_split(w)
         assert np.abs(back.w_plus - m).max() <= 1e-12 * max(np.abs(m).max(), 1)
         assert np.abs(back.w_minus).max() <= 1e-12 * np.abs(m).max()
@@ -156,29 +159,57 @@ def test_einstein_input_has_zero_ric0_block(cp_sds):
         np.abs(blocks.w_plus).max(), 1e-30)
 
 
+def _rows(point, *sids):
+    """(residual, scale) of each named registry row at `point`."""
+    return [REGISTRY[sid].evaluate(point) for sid in sids]
+
+
 def test_random_sector_tensors_satisfy_identities(rng):
-    for sector in (1, -1):
+    for sector, half in ((1, "plus"), (-1, "minus")):
         for _ in range(50):
             w, frame, lam = alg.random_sector_tensor(rng, sector)
             assert alg.quaternionic_residual(frame) < 1e-13
-            r, s = alg.quadratic_identity_residual(w)
-            assert r <= 1e-13 * max(s, 1e-30)
-            r, s = alg.cubic_identity_residual(w)
-            assert r <= 1e-13 * max(s, 1e-30)
-            r, s = alg.quartic_identity_residual(w)
-            assert r <= 1e-13 * max(s, 1e-30)
+            point = DictPoint({"W+" if sector == 1 else "W-": w})
+            for r, s in _rows(point, *(f"algebra.{n}.sector-{half}" for n in
+                                       ("quadratic", "cubic", "quartic"))):
+                assert r <= 1e-13 * max(s, 1e-30)
 
 
 def test_quadratic_cubic_hold_for_sector_sums(rng):
-    """Both identities hold for W = W+ + W- and for each part alone."""
+    """Both identities hold for W = W+ + W- and for each part alone, and
+    Derdzinski's W+- = (1/2) lam_a E_a (x) E_a for each part."""
     for _ in range(25):
-        wp, _, _ = alg.random_sector_tensor(rng, 1)
-        wm, _, _ = alg.random_sector_tensor(rng, -1)
-        for w in (wp + wm, wp, wm):
-            r, s = alg.quadratic_identity_residual(w)
+        wp, fp, lam_p = alg.random_sector_tensor(rng, 1)
+        wm, fm, lam_m = alg.random_sector_tensor(rng, -1)
+        point = DictPoint({"W": wp + wm, "W+": wp, "W-": wm, "lam+": lam_p,
+                           "lam-": lam_m, "E+": np.stack(fp.forms),
+                           "E-": np.stack(fm.forms)})
+        for r, s in _rows(point, "algebra.quadratic", "algebra.cubic",
+                          "derdzinski.reconstruction",
+                          *(f"algebra.{n}.sector-{h}" for n in
+                            ("quadratic", "cubic") for h in ("plus", "minus"))):
             assert r <= 1e-13 * max(s, 1e-30)
-            r, s = alg.cubic_identity_residual(w)
-            assert r <= 1e-13 * max(s, 1e-30)
+
+
+def test_quartic_slot_terms():
+    """On one half Q_2 = Q_3 = Q_4 = 0 and Q_1 = (1/4)|W|^4.  Q_1 =
+    (1/4)|W|^4 holds on W+ + W- too, as the quadratic identity squared, but
+    Q_2 does not vanish there.  So algebra.quartic.sector-+- stays a
+    function: written as data, scaling Q_2, Q_3 or Q_4 by 1.05 changes no
+    residual on a half, while other_half(0) fails the row."""
+    rng = np.random.default_rng(3)
+    wp, _, _ = alg.random_sector_tensor(rng, 1)
+    wm, _, _ = alg.random_sector_tensor(rng, -1)
+    for w in (wp, wm):
+        q = alg.quartic_terms(w)
+        quarter_w4 = 0.25 * float((w * w).sum()) ** 2
+        assert q[0] == pytest.approx(quarter_w4, rel=1e-13)
+        assert np.abs(q[1:]).max() <= 1e-13 * quarter_w4
+    assert alg.quartic_terms(wp)[0] == pytest.approx(1.948, abs=1e-3)
+    w = wp + wm
+    q = alg.quartic_terms(w)
+    assert q[0] == pytest.approx(0.25 * float((w * w).sum()) ** 2, rel=1e-13)
+    assert q == pytest.approx([3.164, -1.069, 0.0, 0.0], abs=1e-3)
 
 
 def test_sector_projection_orthogonality(rng):

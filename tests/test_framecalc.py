@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from dict_point import DictPoint
 from weylforge import algebra as alg
 from weylforge import framecalc
-from weylforge.identities import PointData
+from weylforge import rng as rng_mod
+from weylforge.charts import curvature_at
+from weylforge.identities import REGISTRY, PointData
 
 
 def synthetic_sector(rng, lam=None, divergence_free=False, degenerate=False):
     """Exact sector tensor and derivative built from the frame expansion.
 
-    Returns (w, nabla_w, frame, data) where data holds the generating
-    one-forms.  With divergence_free=True the eigenvalue differentials are
-    built from the connection forms through the div-free relations.
+    Returns (w, nabla_w, frame, k), k the generating coefficients K_abt.
+    With divergence_free=True the eigenvalue differentials are built from
+    the connection forms through the div-free relations.
     """
     frame = alg.random_quaternionic_frame(rng, 1)
     w_f, e_f, t_f = frame.forms
@@ -48,29 +51,28 @@ def synthetic_sector(rng, lam=None, divergence_free=False, degenerate=False):
         for ib in range(3):
             nw += 0.5 * np.einsum("t,pq,ij->ijpqt", k[ia, ib], forms[ib],
                                   forms[ia])
-    return w, nw, frame, {"dl": dl, "dm": dm, "dn": dn, "a": a, "b": b,
-                          "c": c, "p": p, "q": q, "s": s}
+    return w, nw, frame, k
+
+
+def _derder_rows(w, nw, frame, ed):
+    """(residual, scale) of the registry's derder.norm-plus and
+    derder.cubic-plus rows on a synthetic plus half."""
+    point = DictPoint({"W+": w, "nw1+": nw, "lam+": frame.eigenvalues,
+                       "K+": ed.k})
+    return [REGISTRY[sid].evaluate(point)
+            for sid in ("derder.norm-plus", "derder.cubic-plus")]
 
 
 def test_extraction_recovers_generating_forms(rng):
     for _ in range(20):
-        w, nw, frame, data = synthetic_sector(rng)
+        w, nw, frame, k = synthetic_sector(rng)
         ed = framecalc.extract_frame_derivatives(nw, frame)
-        assert np.abs(ed.d_lambda - data["dl"]).max() < 1e-12
-        assert np.abs(ed.d_mu - data["dm"]).max() < 1e-12
-        assert np.abs(ed.c_scaled - data["p"]).max() < 1e-12
-        assert np.abs(ed.b_scaled - data["q"]).max() < 1e-12
-        assert np.abs(ed.a_scaled - data["s"]).max() < 1e-12
-        if not frame.degenerate:
-            assert np.abs(ed.a - data["a"]).max() < 1e-10
-            assert np.abs(ed.b - data["b"]).max() < 1e-10
-            assert np.abs(ed.c - data["c"]).max() < 1e-10
+        assert np.abs(ed.k - k).max() < 1e-12
         assert ed.recon_residual <= 1e-13 * max(np.abs(nw).max(), 1e-30)
         assert ed.consistency_gap <= 1e-13 * max(np.abs(nw).max(), 1e-30)
-        r, s = framecalc.norm_expansion_residual(ed, nw)
+        (r, s), (r3, s3) = _derder_rows(w, nw, frame, ed)
         assert r <= 1e-13 * max(s, 1e-30)
-        r, s = framecalc.cubic_contraction_residual(w, nw, frame, ed)
-        assert r <= 1e-12 * max(s, 1e-30)
+        assert r3 <= 1e-12 * max(s3, 1e-30)
 
 
 def test_divergence_free_relations_synthetic(rng):
@@ -95,25 +97,28 @@ def test_generic_data_violates_divergence_relations(rng):
 
 
 def test_degenerate_eigenvalues_gap_scaled_path(rng):
-    w, nw, frame, data = synthetic_sector(rng, degenerate=True)
+    w, nw, frame, _ = synthetic_sector(rng, degenerate=True)
     ed = framecalc.extract_frame_derivatives(nw, frame)
     assert frame.degenerate
-    assert ed.c is None          # the lambda-mu gap is closed
-    assert ed.a is not None      # the mu-nu gap resolves
-    r, s = framecalc.norm_expansion_residual(ed, nw)
-    assert r <= 1e-12 * max(s, 1e-30)
-    r, s = framecalc.cubic_contraction_residual(w, nw, frame, ed)
-    assert r <= 1e-12 * max(s, 1e-30)
+    for r, s in _derder_rows(w, nw, frame, ed):
+        assert r <= 1e-12 * max(s, 1e-30)
 
 
-def test_trivial_path_on_parallel_weyl(cp_cp2):
-    pd = PointData(cp_cp2)
-    pack = pd.sector(1)
+def test_trivial_path_on_parallel_weyl(cp_cp2, catalog):
+    """The expansion is the zero expansion exactly where the half is
+    parallel, as PointData.is_parallel measures it: at one point per catalog
+    chart and both halves."""
+    pack = PointData(cp_cp2).sector(1)
     ed = pack.ed
     assert ed.trivial
-    for form in (ed.d_lambda, ed.a_scaled, ed.b_scaled, ed.c_scaled):
-        assert np.abs(form).max() == 0.0
+    assert np.abs(ed.k).max() == 0.0
     assert ed.recon_residual == 0.0
+    for name, chart in catalog.items():
+        point = rng_mod.sample_box(chart.domain, 1, 42, name)[0]
+        pd = PointData(curvature_at(chart, point, depth=1))
+        for sign in (1, -1):
+            assert pd.sector(sign).ed.trivial == pd.is_parallel(sign), \
+                (name, sign)
 
 
 def test_schwarzschild_extraction_residuals(cp_schwarzschild):
@@ -122,37 +127,31 @@ def test_schwarzschild_extraction_residuals(cp_schwarzschild):
         pack = pd.sector(sign)
         ed = pack.ed
         assert not ed.trivial
-        assert np.abs(ed.d_lambda).max() > 1e-4            # nonzero output
+        assert np.abs(ed.k[0, 0]).max() > 1e-4             # nonzero output
         assert ed.recon_residual <= 1e-8 * np.abs(pack.stack(1)).max()
-        r, s = framecalc.norm_expansion_residual(ed, pack.stack(1))
+        r, s = REGISTRY[f"derder.norm-{pack.name}"].evaluate(pd)
         assert r <= 1e-7 * s
         r, s = framecalc.div_free_relations_residual(ed, pack.frame)
         assert r <= 1e-7 * max(s, 1e-30)
 
 
 def test_eqrhs_on_sds_random_points(catalog, rng):
-    from weylforge.charts import curvature_at
     chart = catalog["schwarzschild-de-sitter"]
     lo, hi = chart.domain[:, 0], chart.domain[:, 1]
     for _ in range(20):
         pt = lo + rng.random(4) * (hi - lo)
         pd = PointData(curvature_at(chart, pt, depth=1))
         for sign in (1, -1):
-            pack = pd.sector(sign)
-            r, s = framecalc.cubic_contraction_residual(
-                pack.stack(0), pack.stack(1), pack.frame, pack.ed)
+            r, s = REGISTRY[f"derder.cubic-{pd.sector(sign).name}"].evaluate(
+                pd)
             assert r <= 1e-7 * max(s, 1e-30)
 
 
 def test_eqrhs_universal_on_negative_control(catalog):
     """The cubic contraction formula holds even off every hypothesis."""
-    from weylforge.charts import curvature_at
     cp = curvature_at(catalog["perturbed-schwarzschild"],
                       [4.5, 1.3, 0.9, 0.2], depth=1)
-    pd = PointData(cp)
-    pack = pd.sector(1)
-    r, s = framecalc.cubic_contraction_residual(pack.stack(0), pack.stack(1),
-                                                pack.frame, pack.ed)
+    r, s = REGISTRY["derder.cubic-plus"].evaluate(PointData(cp))
     assert r <= 1e-7 * s
 
 
