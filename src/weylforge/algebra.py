@@ -272,7 +272,9 @@ class TwoFormFrame:
     """Eigen-two-forms of one duality sector with eigenvalues summing to zero.
 
     omega, eta, theta satisfy the quaternionic multiplication table and have
-    pair-bundle norm sqrt(2); eigenvalues are sorted ascending.
+    pair-bundle norm sqrt(2); eigenvalues are sorted ascending.  rows is the
+    rotation from the basis two-forms B_x the frame was built on:
+    E_a = sqrt 2 rows[a, x] B_x.
     """
 
     eigenvalues: np.ndarray      # (lam, mu, nu), ascending
@@ -280,6 +282,7 @@ class TwoFormFrame:
     eta: np.ndarray
     theta: np.ndarray
     degenerate: bool
+    rows: np.ndarray             # (3, 3), orthogonal
 
     @property
     def forms(self) -> tuple:
@@ -289,30 +292,31 @@ class TwoFormFrame:
 DEGENERACY_RTOL = 1e-8
 
 
-def derdzinski_frame(blocks: CurvatureOperatorBlocks,
-                     sign: int) -> TwoFormFrame:
-    """Eigen-decompose sector `sign`'s block into a quaternionic frame.
+def derdzinski_frame(block: np.ndarray, forms: np.ndarray) -> TwoFormFrame:
+    """Eigen-decompose one half's W block into a quaternionic frame.
 
-    The first two eigenvector signs are fixed deterministically; the third is
-    their quaternion product (cross product of coefficient rows), which
-    enforces the multiplication table.  Near-equal eigenvalues only flag the
-    frame as degenerate; the frame itself is still an orthonormal triple.
+    `block` (3, 3) is the half's W+- block in its orthonormal basis
+    two-forms `forms` (3, 4, 4), W+- = block[x, y] B_x (x) B_y.  With
+    block = rows^T diag(lam) rows the frame is E_a = sqrt 2 rows[a, x] B_x,
+    so W+- = (1/2) lam_a E_a (x) E_a.  The first two eigenvector signs are
+    fixed deterministically; the third row is their cross product, which
+    enforces the multiplication table of the triple sqrt 2 B_x.  Near-equal
+    eigenvalues only flag the frame as degenerate; the frame itself is still
+    an orthonormal triple.
     """
-    seeds = sector_seed(sign, blocks.orientation)
-    evals, evecs = jacobi_eigh_3x3(blocks.w_plus if sign == 1
-                                   else blocks.w_minus)
+    evals, evecs = jacobi_eigh_3x3(block)
     rows = evecs.T.copy()
     for r in range(2):
         k = int(np.argmax(np.abs(rows[r])))
         if rows[r, k] < 0:
             rows[r] = -rows[r]
     rows[2] = np.cross(rows[0], rows[1])
-    forms = np.einsum("ab,bB,Bij->aij", rows, seeds, PAIR_FORMS)
+    e = np.sqrt(2.0) * np.einsum("ax,xij->aij", rows, forms)
     spectral = max(np.abs(evals).max(), 1e-300)
     gaps = (evals[1] - evals[0], evals[2] - evals[1])
     degenerate = min(gaps) < DEGENERACY_RTOL * spectral
-    return TwoFormFrame(eigenvalues=evals, omega=forms[0], eta=forms[1],
-                        theta=forms[2], degenerate=degenerate)
+    return TwoFormFrame(eigenvalues=evals, omega=e[0], eta=e[1], theta=e[2],
+                        degenerate=degenerate, rows=rows)
 
 
 def quaternionic_residual(frame: TwoFormFrame) -> float:
@@ -381,7 +385,8 @@ def random_quaternionic_frame(rng: np.random.Generator, sector: int = 1,
     forms = np.einsum("aB,Bij->aij", rot, np.einsum("bB,Bij->bij", seeds,
                                                     PAIR_FORMS))
     return TwoFormFrame(eigenvalues=np.zeros(3), omega=forms[0],
-                        eta=forms[1], theta=forms[2], degenerate=True)
+                        eta=forms[1], theta=forms[2], degenerate=True,
+                        rows=rot)
 
 
 def random_sector_tensor(rng: np.random.Generator, sector: int = 1,

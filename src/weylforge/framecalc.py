@@ -11,65 +11,35 @@ off-diagonal entries are the gap-scaled connection one-forms
 
     K_01 = (lambda - mu) c,   K_02 = (nu - lambda) b,   K_12 = (mu - nu) a .
 
-The checks built on it (the norm expansion, the cubic contraction and the
-divergence-free relations) read the gap-scaled entries, which stay well
-defined when eigenvalues collide -- the catalog's curvature-type-D entries
-are degenerate everywhere, so this is the generic case, not the exception.
+K is the half's nabla W blocks rotated into the frame.  The blocks hold
+nabla W+- in the half's basis two-forms B_x, nabla W+- = N_xyt B_x (x) B_y,
+and E_a = sqrt 2 rows[a, x] B_x (algebra.derdzinski_frame), so
+K_abt = rows[a, x] N_xyt rows[b, y]: a 3x3 rotation per derivative slot,
+with no frame components.  Nothing divides by a gap, so K stays well defined
+when eigenvalues collide -- the catalog's curvature-type-D entries are
+degenerate everywhere, so this is the generic case, not the exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import TwoFormFrame
+
+def extract_frame_derivatives(blocks1: np.ndarray,
+                              rows: np.ndarray) -> np.ndarray:
+    """K_abt (3, 3, 4) of one half: its nabla W blocks `blocks1` (3, 3, 4)
+    rotated by its frame's `rows` (TwoFormFrame.rows)."""
+    return np.einsum("ax,xyt,by->abt", rows, blocks1, rows)
 
 
-@dataclass
-class EigenframeDerivatives:
-    """Projection coefficients of 2 nabla W_sector onto the eigenframe."""
-
-    k: np.ndarray               # (3, 3, 4): K_abt, symmetric in a, b
-    consistency_gap: float      # worst duplicate-slot mismatch before averaging
-    recon_residual: float       # |2 nabla W - reconstruction| (absolute, max)
-    trivial: bool               # nabla W_sector parallel; k is zero
-
-
-def extract_frame_derivatives(nabla_w_sector: np.ndarray,
-                              frame: TwoFormFrame,
-                              trivial: bool = False) -> EigenframeDerivatives:
-    """Project a sector derivative onto the eigenframe expansion.
-
-    `nabla_w_sector` holds frame components of the sector-projected covariant
-    derivative (rank 5, derivative slot last).  When `trivial` (the half is
-    parallel, PointData.is_parallel) the expansion is the zero expansion,
-    which keeps parallel-Weyl points exact regardless of eigenvalue
-    degeneracy.
-    """
-    if trivial:
-        return EigenframeDerivatives(k=np.zeros((3, 3, 4)), consistency_gap=0.0,
-                                     recon_residual=0.0, trivial=True)
-
-    forms = np.stack(frame.forms)
-    k = np.einsum("ijpqt,aij,bpq->abt", nabla_w_sector, forms, forms) / 8.0
-    gap = float(np.abs(k - np.swapaxes(k, 0, 1)).max())
-    ks = 0.5 * (k + np.swapaxes(k, 0, 1))   # least-squares reconciliation
-
-    recon = 0.5 * np.einsum("abt,aij,bpq->ijpqt", ks, forms, forms)
-    recon_res = float(np.abs(recon - nabla_w_sector).max())
-    return EigenframeDerivatives(k=ks, consistency_gap=gap,
-                                 recon_residual=recon_res, trivial=False)
-
-
-def div_free_relations_residual(ed: EigenframeDerivatives, frame: TwoFormFrame):
+def div_free_relations_residual(k: np.ndarray, forms: np.ndarray):
     """Residuals of the three divergence-free relations, gap-scaled.
 
     d lambda_k = theta_kl (lam-mu)c_l - eta_kl (nu-lam)b_l and cyclic; these
-    expansion-component relations are equivalent to div W_sector = 0.
+    expansion-component relations are equivalent to div W_sector = 0.  `k`
+    is K_abt and `forms` the eigen-two-forms (omega, eta, theta), (3, 4, 4).
     """
-    w, e, t = frame.forms
-    k = ed.k
+    w, e, t = forms
     r1 = k[0, 0] - (t @ k[0, 1] - e @ k[0, 2])
     r2 = k[1, 1] - (-t @ k[0, 1] + w @ k[1, 2])
     r3 = k[2, 2] - (e @ k[0, 2] - w @ k[1, 2])

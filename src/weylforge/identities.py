@@ -13,7 +13,9 @@ operands named as in PointData.operand.  A sector variant reads W, nabla^k W
 and the Laplacian fields from its duality sector, so one list serves the full
 identity and both halves.  Three operands exist only for one half: `lam`
 and `E`, the eigenvalues and eigen-two-forms of its Derdzinski frame, and
-`K`, the expansion 2 nabla W+- = K_abt E_a (x) E_b (framecalc); with them
+`K`, the expansion 2 nabla W+- = K_abt E_a (x) E_b.  All three are read off
+the half's W+- blocks: the frame eigen-decomposes the 3x3 W block, and K is
+the nabla W blocks rotated into the frame (framecalc).  With them
 Derdzinski's W+- = (1/2) lam_a E_a (x) E_a and its first-derivative
 expansion are term lists too.  The residual is the largest Frobenius norm of
 sum(lhs) - sum(rhs) over the equations.  The scale is the largest term norm,
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -140,9 +142,8 @@ class SectorPack:
             self._halves = (pd.sector(1), pd.sector(-1))
         self._stacks: dict[int, np.ndarray] = {}
         self._norms: dict[int, float] = {}
-        # pd's split and a scalar, not pd: a back-reference would make every
-        # point's arrays a reference cycle that only the cyclic collector frees
-        self._split = pd.split
+        # a scalar, not pd: a back-reference would make every point's arrays
+        # a reference cycle that only the cyclic collector frees
         self._parallel_scale = max(pd.riem_norm ** 1.5, FLOOR)
 
     def blocks(self, k: int) -> np.ndarray:
@@ -190,14 +191,15 @@ class SectorPack:
 
     @cached_property
     def frame(self) -> algebra.TwoFormFrame:
-        """The sector's Derdzinski frame, built on first read."""
-        return algebra.derdzinski_frame(self._split(), self.sign)
+        """The half's Derdzinski frame, from its W block."""
+        return algebra.derdzinski_frame(self.blocks(0)[0], self.forms[0])
 
     @cached_property
-    def ed(self) -> framecalc.EigenframeDerivatives:
-        """The expansion of nabla W over the frame, zero where is_parallel."""
-        return framecalc.extract_frame_derivatives(
-            self.stack(1), self.frame, trivial=self.is_parallel)
+    def K(self) -> np.ndarray:
+        """K_abt of 2 nabla W = K_abt E_a (x) E_b: the half's nabla W blocks
+        rotated into the frame."""
+        return framecalc.extract_frame_derivatives(self.blocks(1)[0],
+                                                   self.frame.rows)
 
 
 class PointData:
@@ -211,10 +213,6 @@ class PointData:
         self.R = cp.scalar
         self.riem = cp.riem
         self.riem_norm = _frobenius(cp.riem)
-        # lambda_split of riem, made on the first call and shared with the
-        # sector packs; it holds cp's riem and orientation, not self
-        self.split = cache(partial(algebra.lambda_split, cp.riem,
-                                   orientation=cp.orientation))
         self._sectors: dict[int | None, SectorPack] = {}
         for sign in (1, -1, None):
             self._sectors[sign] = SectorPack(self, sign)
@@ -232,7 +230,8 @@ class PointData:
         the sector that a trailing `+` or `-` names.  `lam`, `E` and `K`
         exist only for one half: the eigenvalues (3,) and eigen-two-forms
         (3, 4, 4) of its Derdzinski frame and the coefficients K_abt (3, 3,
-        4) of 2 nabla W over E_a (x) E_b (SectorPack.ed).  `g` is the frame
+        4) of 2 nabla W over E_a (x) E_b (SectorPack.frame and K), read off
+        the half's blocks with no expansion.  `g` is the frame
         metric, `kn_g` the Kulkarni-Nomizu product with it (_KN_G) and
         `cotton_div` the Cotton tensor from div W, C_ijk = 2 (div W)_ikj.
         Any other name (`riem`, `ric`, `R`, or a CurvaturePoint field such
@@ -250,7 +249,7 @@ class PointData:
                 return pack.frame.eigenvalues
             if name == "E":
                 return np.stack(pack.frame.forms)
-            return pack.ed.k
+            return pack.K
         if name.startswith("lap_"):
             key = name[4:]
             return self.lap(key if sign is None
@@ -711,7 +710,7 @@ def ev_block_decomposition(pd: PointData):
     m_direct = algebra.pair_matrix(pd.riem)
     m_rebuilt = algebra.pair_matrix(rebuilt)
     res = np.abs(m_direct - m_rebuilt).max()
-    blocks = pd.split()
+    blocks = algebra.lambda_split(pd.riem, orientation=pd.cp.orientation)
     res = max(res, abs(np.trace(blocks.w_plus)), abs(np.trace(blocks.w_minus)),
               np.abs(blocks.reassemble() - m_direct).max())
     return float(res), float(np.abs(m_direct).max())
@@ -729,15 +728,17 @@ def ev_algebra_quartic(pd: PointData, sign: int):
 
 
 def ev_derder_reconstruction(pd: PointData, sign: int):
-    pack = pd.sector(sign)
-    ed = pack.ed
-    return max(ed.recon_residual, ed.consistency_gap), \
-        float(np.abs(pack.stack(1)).max())
+    """max |(1/2) K_abt E_a (x) E_b - nabla W+-| and max |K - K^T|, against
+    max |nabla W+-|."""
+    nw, k, e = (pd.operand(name, sign) for name in ("nw1", "K", "E"))
+    recon = 0.5 * np.einsum("abt,aij,bpq->ijpqt", k, e, e)
+    res = max(np.abs(recon - nw).max(), np.abs(k - np.swapaxes(k, 0, 1)).max())
+    return float(res), float(np.abs(nw).max())
 
 
 def ev_divz_relations(pd: PointData, sign: int):
-    pack = pd.sector(sign)
-    return framecalc.div_free_relations_residual(pack.ed, pack.frame)
+    return framecalc.div_free_relations_residual(pd.operand("K", sign),
+                                                 pd.operand("E", sign))
 
 
 # ---------------------------------------------------------------------------

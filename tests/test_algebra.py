@@ -73,10 +73,7 @@ def test_frame_reconstruction_random_blocks(rng):
         m = rng.normal(size=(3, 3))
         m = m + m.T
         m -= np.trace(m) / 3.0 * np.eye(3)
-        blocks = alg.CurvatureOperatorBlocks(
-            w_plus=m, w_minus=np.zeros((3, 3)), ric0_block=np.zeros((3, 3)),
-            scalar=0.0)
-        frame = alg.derdzinski_frame(blocks, 1)
+        frame = alg.derdzinski_frame(m, alg.sector_forms()[0])
         lam = frame.eigenvalues
         assert lam[0] <= lam[1] <= lam[2]
         assert abs(lam.sum()) <= 1e-10 * max(np.abs(lam).sum(), 1e-30)
@@ -90,18 +87,14 @@ def test_frame_reconstruction_random_blocks(rng):
 
 def test_degenerate_block_is_flagged():
     m = np.diag([1.0, 1.0, -2.0])
-    blocks = alg.CurvatureOperatorBlocks(m, np.zeros((3, 3)),
-                                         np.zeros((3, 3)), 0.0)
-    frame = alg.derdzinski_frame(blocks, 1)
+    frame = alg.derdzinski_frame(m, alg.sector_forms()[0])
     assert frame.degenerate
     # the triple is still an honest quaternionic frame
     assert alg.quaternionic_residual(frame) < 1e-12
 
 
 def test_zero_weyl_frame_accepted():
-    blocks = alg.CurvatureOperatorBlocks(np.zeros((3, 3)), np.zeros((3, 3)),
-                                         np.zeros((3, 3)), 12.0)
-    frame = alg.derdzinski_frame(blocks, 1)
+    frame = alg.derdzinski_frame(np.zeros((3, 3)), alg.sector_forms()[0])
     assert np.abs(frame.eigenvalues).max() == 0.0
     assert alg.quaternionic_residual(frame) < 1e-12
 

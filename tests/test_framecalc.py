@@ -54,25 +54,60 @@ def synthetic_sector(rng, lam=None, divergence_free=False, degenerate=False):
     return w, nw, frame, k
 
 
-def _derder_rows(w, nw, frame, ed):
-    """(residual, scale) of the registry's derder.norm-plus and
-    derder.cubic-plus rows on a synthetic plus half."""
-    point = DictPoint({"W+": w, "nw1+": nw, "lam+": frame.eigenvalues,
-                       "K+": ed.k})
-    return [REGISTRY[sid].evaluate(point)
-            for sid in ("derder.norm-plus", "derder.cubic-plus")]
+# The plus half's basis two-forms B_x, in which synthetic_sector's frame is
+# built: E_a = sqrt 2 frame.rows[a, x] B_x.
+_PLUS = alg.sector_forms()[0]
+
+
+def _blocks(t):
+    """W+ blocks of a plus-half Weyl-type tensor, trailing slots kept:
+    t = blocks[x, y] B_x (x) B_y, and B_x : B_y = 2 delta_xy."""
+    return 0.25 * np.einsum("xij,ijkl...,ykl->xy...", _PLUS, t, _PLUS)
+
+
+def _projected_k(nw, e):
+    """The reference K: 2 nabla W projected onto E_a (x) E_b, with
+    E_a : E_b = 4 delta_ab, which reads all 1,024 frame components."""
+    return np.einsum("ijpqt,aij,bpq->abt", nw, e, e) / 8.0
+
+
+def _plus_point(w, nw, frame, k):
+    """A DictPoint of the plus half's operands."""
+    return DictPoint({"W+": w, "nw1+": nw, "lam+": frame.eigenvalues,
+                      "E+": np.stack(frame.forms), "K+": k})
+
+
+def _rows(point, *names):
+    """(residual, scale) of each named plus-half registry row at `point`."""
+    return [REGISTRY[f"{name}-plus"].evaluate(point) for name in names]
+
+
+_DERDER = ("derder.reconstruction", "derder.norm", "derder.cubic")
 
 
 def test_extraction_recovers_generating_forms(rng):
     for _ in range(20):
         w, nw, frame, k = synthetic_sector(rng)
-        ed = framecalc.extract_frame_derivatives(nw, frame)
-        assert np.abs(ed.k - k).max() < 1e-12
-        assert ed.recon_residual <= 1e-13 * max(np.abs(nw).max(), 1e-30)
-        assert ed.consistency_gap <= 1e-13 * max(np.abs(nw).max(), 1e-30)
-        (r, s), (r3, s3) = _derder_rows(w, nw, frame, ed)
+        got = framecalc.extract_frame_derivatives(_blocks(nw), frame.rows)
+        assert np.abs(got - k).max() < 1e-12
+        (r0, s0), (r, s), (r3, s3) = _rows(_plus_point(w, nw, frame, got),
+                                           *_DERDER)
+        assert r0 <= 1e-13 * max(s0, 1e-30)
         assert r <= 1e-13 * max(s, 1e-30)
         assert r3 <= 1e-12 * max(s3, 1e-30)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_block_rotation_matches_the_projection(rng, degenerate):
+    """K from the blocks equals the projection of 2 nabla W onto the frame
+    built from the W block, with distinct or repeated eigenvalues."""
+    for _ in range(20):
+        w, nw, _, _ = synthetic_sector(rng, degenerate=degenerate)
+        frame = alg.derdzinski_frame(_blocks(w), _PLUS)
+        assert frame.degenerate == degenerate
+        k = framecalc.extract_frame_derivatives(_blocks(nw), frame.rows)
+        ref = _projected_k(nw, np.stack(frame.forms))
+        assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_divergence_free_relations_synthetic(rng):
@@ -80,8 +115,8 @@ def test_divergence_free_relations_synthetic(rng):
         w, nw, frame, _ = synthetic_sector(rng, divergence_free=True)
         div = np.einsum("tijkt->ijk", nw)
         assert np.abs(div).max() < 1e-12
-        ed = framecalc.extract_frame_derivatives(nw, frame)
-        r, s = framecalc.div_free_relations_residual(ed, frame)
+        k = framecalc.extract_frame_derivatives(_blocks(nw), frame.rows)
+        [(r, s)] = _rows(_plus_point(w, nw, frame, k), "divz.relations")
         assert r <= 1e-12 * max(s, 1e-30)
         # consequence used downstream: the key lemma holds on div-free data
         lhs = np.einsum("ijkl,jpqtk,ipqtl->", w, nw, nw)
@@ -90,34 +125,61 @@ def test_divergence_free_relations_synthetic(rng):
 
 
 def test_generic_data_violates_divergence_relations(rng):
-    w, nw, frame, _ = synthetic_sector(rng, divergence_free=False)
-    ed = framecalc.extract_frame_derivatives(nw, frame)
-    r, s = framecalc.div_free_relations_residual(ed, frame)
+    w, nw, frame, k = synthetic_sector(rng, divergence_free=False)
+    [(r, s)] = _rows(_plus_point(w, nw, frame, k), "divz.relations")
     assert r > 1e-3 * s
 
 
 def test_degenerate_eigenvalues_gap_scaled_path(rng):
-    w, nw, frame, _ = synthetic_sector(rng, degenerate=True)
-    ed = framecalc.extract_frame_derivatives(nw, frame)
+    """On a repeated eigenvalue the frame from the W block is one of many;
+    K read in it still reconstructs nabla W and expands its norm and cubic."""
+    w, nw, _, _ = synthetic_sector(rng, degenerate=True)
+    frame = alg.derdzinski_frame(_blocks(w), _PLUS)
     assert frame.degenerate
-    for r, s in _derder_rows(w, nw, frame, ed):
+    k = framecalc.extract_frame_derivatives(_blocks(nw), frame.rows)
+    for r, s in _rows(_plus_point(w, nw, frame, k), *_DERDER):
         assert r <= 1e-12 * max(s, 1e-30)
 
 
-def test_trivial_path_on_parallel_weyl(cp_cp2, catalog):
-    """The expansion is the zero expansion exactly where the half is
-    parallel, as PointData.is_parallel measures it: at one point per catalog
-    chart and both halves."""
-    pack = PointData(cp_cp2).sector(1)
-    ed = pack.ed
-    assert ed.trivial
-    assert np.abs(ed.k).max() == 0.0
-    assert ed.recon_residual == 0.0
+def test_frame_and_k_expand_nothing(cp_cp2, catalog):
+    """lam, E and K are read off the W+- blocks: no frame components are
+    expanded, and K, a rotation of the nabla W blocks, keeps their norm,
+    |K| = |nabla W+-| / 2, at one point per catalog chart and on the
+    parallel half of CP^2."""
+    points = [cp_cp2] + [
+        curvature_at(chart, rng_mod.sample_box(chart.domain, 1, 42, name)[0],
+                     depth=1)
+        for name, chart in catalog.items()]
+    for cp in points:
+        pd = PointData(cp)
+        for sign in (1, -1):
+            pack = pd.sector(sign)
+            for name in ("lam", "E", "K"):
+                pd.operand(name, sign)
+            assert pack._stacks == {}, (cp.chart.name, sign)
+            k = pd.operand("K", sign)
+            half = pack.norm(1) / 2.0
+            assert abs(np.sqrt((k * k).sum()) - half) <= 1e-14 * half, \
+                (cp.chart.name, sign)
+
+
+def test_jet_blocks_equal_lambda_split(catalog):
+    """The W+- blocks the jets carry are lambda_split's blocks of Riem, and
+    the frames built on the two agree in their eigenvalues, at one point
+    per catalog chart."""
     for name, chart in catalog.items():
         point = rng_mod.sample_box(chart.domain, 1, 42, name)[0]
-        pd = PointData(curvature_at(chart, point, depth=1))
-        for sign in (1, -1):
-            assert pd.sector(sign).ed.trivial == pd.is_parallel(sign), \
+        cp = curvature_at(chart, point, depth=1)
+        pd = PointData(cp)
+        split = alg.lambda_split(cp.riem, orientation=cp.orientation)
+        forms = alg.sector_forms(cp.orientation)
+        bound = 1e-12 * pd.riem_norm
+        for s, (sign, block) in enumerate(((1, split.w_plus),
+                                           (-1, split.w_minus))):
+            jet = pd.sector(sign).blocks(0)[0]
+            assert np.abs(jet - block).max() <= bound, (name, sign)
+            lam = alg.derdzinski_frame(block, forms[s]).eigenvalues
+            assert np.abs(pd.operand("lam", sign) - lam).max() <= bound, \
                 (name, sign)
 
 
@@ -125,13 +187,15 @@ def test_schwarzschild_extraction_residuals(cp_schwarzschild):
     pd = PointData(cp_schwarzschild)
     for sign in (1, -1):
         pack = pd.sector(sign)
-        ed = pack.ed
-        assert not ed.trivial
-        assert np.abs(ed.k[0, 0]).max() > 1e-4             # nonzero output
-        assert ed.recon_residual <= 1e-8 * np.abs(pack.stack(1)).max()
+        k = pd.operand("K", sign)
+        assert np.abs(k[0, 0]).max() > 1e-4             # nonzero output
+        ref = _projected_k(pack.stack(1), pd.operand("E", sign))
+        assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
+        r, s = REGISTRY[f"derder.reconstruction-{pack.name}"].evaluate(pd)
+        assert r <= 1e-8 * s
         r, s = REGISTRY[f"derder.norm-{pack.name}"].evaluate(pd)
         assert r <= 1e-7 * s
-        r, s = framecalc.div_free_relations_residual(ed, pack.frame)
+        r, s = REGISTRY[f"divz.relations-{pack.name}"].evaluate(pd)
         assert r <= 1e-7 * max(s, 1e-30)
 
 

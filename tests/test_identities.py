@@ -429,7 +429,7 @@ def test_point_data_is_freed_by_reference_counting(cp_sds):
     import weakref
     pd = PointData(cp_sds)
     for sign in (1, -1):
-        pd.sector(sign).ed
+        pd.sector(sign).K
     ref = weakref.ref(pd)
     gc.disable()
     try:
@@ -519,7 +519,7 @@ def test_every_term_can_fail(mutation_rows):
 # One input perturbation per hand-written row (an evaluator that is not
 # data), keyed by the row's id without its -plus/-minus suffix.  Each takes
 # a PointData and the row's sector and edits the sector pack's cached
-# stack(k) or its frame before the row is evaluated.
+# stack(k), its blocks or its frame before the row is evaluated.
 def _ricci_type(pd, sign):
     """A Ricci-type (h (.) g) added to W: no longer a Weyl tensor."""
     pack = pd.sector(sign)
@@ -544,11 +544,12 @@ def _scaled_form(pd, sign):
 
 
 def _not_div_free(pd, sign):
-    """W+- (x) v added to nabla W+-: still in the sector, not div-free."""
+    """W+- (x) v added to the blocks of nabla W+-, which K reads: still in
+    the sector, not div-free."""
     pack = pd.sector(sign)
     v = 1e-2 * pack.norm(1) / pack.norm(0) * np.array([1.0, -2.0, 0.5, 3.0])
-    pack._stacks[1] = pack.stack(1) + np.einsum("ijkl,t->ijklt",
-                                                pack.stack(0), v)
+    pack._blocks[1] = pack.blocks(1) + np.einsum("sxy,t->sxyt",
+                                                 pack.blocks(0), v)
 
 
 HAND_WRITTEN_MUTATIONS = {
