@@ -22,9 +22,11 @@ of each workload per side under `tracemalloc` and records the peak of the
 Python allocations made while each point is evaluated, beside
 `peak_rss_mb`: the process's peak RSS also counts memory outside the
 Python heap (BLAS buffers, malloc arenas), so the two tell a change in
-what the program allocates from a move of the process around it.  It wrote
-BENCH_contract_gemm.json, BENCH_jet_kernel.json and BENCH_serial_points.json;
-`--out` is required so that no run overwrites a committed result.
+what the program allocates from a move of the process around it.  Every
+BENCH_*.json at the root of the repository was written by this script, one
+per change; files older than a field (`traced_runs`,
+`tracemalloc_point_peak`) lack it.  `--out` is required so that no run
+overwrites a committed result.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Covers the trace/Weyl decomposition, the Cotton tensor from Ricci
 derivatives, the two-form bundle machinery (self-dual and anti-self-dual
 bases, curvature operator blocks), the eigen-two-form frames of the sector
-operators, and the quartic identity of one duality half.
+operators, and the slot terms of the quartic identity of one duality half.
 
 Conventions.  Two-forms are antisymmetric 4x4 matrices.  The inner product on
 the two-form bundle is <a, b> = (1/2) a_ij b_ij, so coordinate two-forms
@@ -211,6 +211,8 @@ def lambda_split(riem_or_weyl,
 
     Diagonal blocks come from the Weyl part of the input; the off-diagonal
     block is read from the full operator and carries the trace-free Ricci.
+    The pipeline reads its W+- blocks off the jets (charts); this split is
+    their independent reference.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1 (frame sign undefined)")
@@ -228,20 +230,21 @@ def lambda_split(riem_or_weyl,
                                    orientation=orientation)
 
 
-def jacobi_eigh_3x3(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 30):
+def jacobi_eigh_3x3(m: np.ndarray):
     """Cyclic Jacobi diagonalization of a symmetric 3x3 matrix.
 
-    Returns eigenvalues ascending and the matching eigenvector columns.
-    Deterministic; no external solver involved.
+    Returns eigenvalues ascending and the matching eigenvector columns,
+    once every off-diagonal entry is at most 1e-14 of the largest entry or
+    after 30 sweeps.  Deterministic; no external solver involved.
     """
     a = np.array(m, dtype=float)
     if a.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
     v = np.eye(3)
     scale = max(np.abs(a).max(), 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(30):
         off = max(abs(a[0, 1]), abs(a[0, 2]), abs(a[1, 2]))
-        if off <= tol * scale:
+        if off <= 1e-14 * scale:
             break
         for p, q in ((0, 1), (0, 2), (1, 2)):
             apq = a[p, q]
@@ -271,25 +274,15 @@ def jacobi_eigh_3x3(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 30):
 class TwoFormFrame:
     """Eigen-two-forms of one duality sector with eigenvalues summing to zero.
 
-    omega, eta, theta satisfy the quaternionic multiplication table and have
-    pair-bundle norm sqrt(2); eigenvalues are sorted ascending.  rows is the
-    rotation from the basis two-forms B_x the frame was built on:
-    E_a = sqrt 2 rows[a, x] B_x.
+    forms (omega, eta, theta) satisfy the quaternionic multiplication table
+    and have pair-bundle norm sqrt(2); eigenvalues are sorted ascending.
+    rows is the rotation from the basis two-forms B_x the frame was built
+    on: E_a = sqrt 2 rows[a, x] B_x.
     """
 
     eigenvalues: np.ndarray      # (lam, mu, nu), ascending
-    omega: np.ndarray
-    eta: np.ndarray
-    theta: np.ndarray
-    degenerate: bool
+    forms: np.ndarray            # (3, 4, 4): E_a
     rows: np.ndarray             # (3, 3), orthogonal
-
-    @property
-    def forms(self) -> tuple:
-        return self.omega, self.eta, self.theta
-
-
-DEGENERACY_RTOL = 1e-8
 
 
 def derdzinski_frame(block: np.ndarray, forms: np.ndarray) -> TwoFormFrame:
@@ -300,9 +293,9 @@ def derdzinski_frame(block: np.ndarray, forms: np.ndarray) -> TwoFormFrame:
     block = rows^T diag(lam) rows the frame is E_a = sqrt 2 rows[a, x] B_x,
     so W+- = (1/2) lam_a E_a (x) E_a.  The first two eigenvector signs are
     fixed deterministically; the third row is their cross product, which
-    enforces the multiplication table of the triple sqrt 2 B_x.  Near-equal
-    eigenvalues only flag the frame as degenerate; the frame itself is still
-    an orthonormal triple.
+    enforces the multiplication table of the triple sqrt 2 B_x.  On
+    near-equal eigenvalues the frame is one of many, and still an
+    orthonormal triple.
     """
     evals, evecs = jacobi_eigh_3x3(block)
     rows = evecs.T.copy()
@@ -312,16 +305,13 @@ def derdzinski_frame(block: np.ndarray, forms: np.ndarray) -> TwoFormFrame:
             rows[r] = -rows[r]
     rows[2] = np.cross(rows[0], rows[1])
     e = np.sqrt(2.0) * np.einsum("ax,xij->aij", rows, forms)
-    spectral = max(np.abs(evals).max(), 1e-300)
-    gaps = (evals[1] - evals[0], evals[2] - evals[1])
-    degenerate = min(gaps) < DEGENERACY_RTOL * spectral
-    return TwoFormFrame(eigenvalues=evals, omega=e[0], eta=e[1], theta=e[2],
-                        degenerate=degenerate, rows=rows)
+    return TwoFormFrame(eigenvalues=evals, forms=e, rows=rows)
 
 
-def quaternionic_residual(frame: TwoFormFrame) -> float:
-    """Max deviation from the quaternionic multiplication table and norms."""
-    w, e, t = frame.omega, frame.eta, frame.theta
+def quaternionic_residual(forms: np.ndarray) -> float:
+    """Max deviation of a triple of two-forms (3, 4, 4) from the
+    quaternionic multiplication table and norms."""
+    w, e, t = forms
     eye = np.eye(DIM)
     res = [
         np.abs(w @ w + eye).max(), np.abs(e @ e + eye).max(),
@@ -353,14 +343,6 @@ def quartic_terms(w: np.ndarray) -> np.ndarray:
                      ("ijkp", "plst"))], axis=-1)
 
 
-def quartic_identity_residual(w: np.ndarray):
-    """Sector identity Q = Q_1 + .. + Q_4 = (1/4)|W|^4 (quartic_terms)."""
-    q = quartic_terms(w).sum(axis=-1)
-    n2 = np.einsum("...ijkl,...ijkl->...", w, w, optimize=True)
-    rhs = 0.25 * n2 ** 2
-    return np.abs(q - rhs), np.maximum(np.abs(q), np.abs(rhs))
-
-
 # ---------------------------------------------------------------------------
 # Random generators for property batteries
 # ---------------------------------------------------------------------------
@@ -384,9 +366,7 @@ def random_quaternionic_frame(rng: np.random.Generator, sector: int = 1,
     seeds = sector_seed(sector, orientation)
     forms = np.einsum("aB,Bij->aij", rot, np.einsum("bB,Bij->bij", seeds,
                                                     PAIR_FORMS))
-    return TwoFormFrame(eigenvalues=np.zeros(3), omega=forms[0],
-                        eta=forms[1], theta=forms[2], degenerate=True,
-                        rows=rot)
+    return TwoFormFrame(eigenvalues=np.zeros(3), forms=forms, rows=rot)
 
 
 def random_sector_tensor(rng: np.random.Generator, sector: int = 1,

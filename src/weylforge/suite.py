@@ -274,14 +274,13 @@ def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
 
     # stable: within one (identity, manifold) the rows stay in point order
     results.sort(key=lambda r: (r.identity_id, r.manifold))
-    summary, exit_code = _summarize(results, mismatches, capacity_skipped,
-                                    catalog)
+    summary, exit_code = _summarize(results, mismatches, capacity_skipped)
     env = _environment(cfg.deterministic)
     return SuiteReport(config=cfg.as_dict(), environment=env, results=results,
                        summary=summary, exit_code=exit_code)
 
 
-def _summarize(results, mismatches, capacity_skipped, catalog):
+def _summarize(results, mismatches, capacity_skipped):
     per_identity: dict[str, dict] = {}
     controls: dict[str, dict] = {}
     nonfinite = []

@@ -74,7 +74,7 @@ def test_criterion_1_algebraic_battery(rng):
         for name in ("quadratic", "cubic", "quartic"):
             r, s = REGISTRY[f"algebra.{name}.sector-{half}"].evaluate(point)
             worst = max(worst, r / max(s, 1e-30))
-    worst_q = max(alg.quaternionic_residual(f) for f in frames)
+    worst_q = max(alg.quaternionic_residual(f.forms) for f in frames)
     elapsed = time.time() - t0
     announce(1, worst <= 1e-12 and worst_q <= 1e-12 and elapsed < 10.0,
              f"1000-tensor battery: worst residual {worst:.2e}, "

@@ -77,26 +77,25 @@ def test_frame_reconstruction_random_blocks(rng):
         lam = frame.eigenvalues
         assert lam[0] <= lam[1] <= lam[2]
         assert abs(lam.sum()) <= 1e-10 * max(np.abs(lam).sum(), 1e-30)
-        assert alg.quaternionic_residual(frame) < 1e-12
-        w = 0.5 * np.einsum("a,aij,akl->ijkl", lam, np.stack(frame.forms),
-                            np.stack(frame.forms))
+        assert alg.quaternionic_residual(frame.forms) < 1e-12
+        w = 0.5 * np.einsum("a,aij,akl->ijkl", lam, frame.forms, frame.forms)
         back = alg.lambda_split(w)
         assert np.abs(back.w_plus - m).max() <= 1e-12 * max(np.abs(m).max(), 1)
         assert np.abs(back.w_minus).max() <= 1e-12 * np.abs(m).max()
 
 
-def test_degenerate_block_is_flagged():
+def test_degenerate_block_gives_a_quaternionic_frame():
     m = np.diag([1.0, 1.0, -2.0])
     frame = alg.derdzinski_frame(m, alg.sector_forms()[0])
-    assert frame.degenerate
+    assert np.diff(frame.eigenvalues).min() < 1e-8
     # the triple is still an honest quaternionic frame
-    assert alg.quaternionic_residual(frame) < 1e-12
+    assert alg.quaternionic_residual(frame.forms) < 1e-12
 
 
 def test_zero_weyl_frame_accepted():
     frame = alg.derdzinski_frame(np.zeros((3, 3)), alg.sector_forms()[0])
     assert np.abs(frame.eigenvalues).max() == 0.0
-    assert alg.quaternionic_residual(frame) < 1e-12
+    assert alg.quaternionic_residual(frame.forms) < 1e-12
 
 
 def test_lambda_split_constant_curvature():
@@ -161,7 +160,7 @@ def test_random_sector_tensors_satisfy_identities(rng):
     for sector, half in ((1, "plus"), (-1, "minus")):
         for _ in range(50):
             w, frame, lam = alg.random_sector_tensor(rng, sector)
-            assert alg.quaternionic_residual(frame) < 1e-13
+            assert alg.quaternionic_residual(frame.forms) < 1e-13
             point = DictPoint({"W+" if sector == 1 else "W-": w})
             for r, s in _rows(point, *(f"algebra.{n}.sector-{half}" for n in
                                        ("quadratic", "cubic", "quartic"))):
@@ -175,8 +174,7 @@ def test_quadratic_cubic_hold_for_sector_sums(rng):
         wp, fp, lam_p = alg.random_sector_tensor(rng, 1)
         wm, fm, lam_m = alg.random_sector_tensor(rng, -1)
         point = DictPoint({"W": wp + wm, "W+": wp, "W-": wm, "lam+": lam_p,
-                           "lam-": lam_m, "E+": np.stack(fp.forms),
-                           "E-": np.stack(fm.forms)})
+                           "lam-": lam_m, "E+": fp.forms, "E-": fm.forms})
         for r, s in _rows(point, "algebra.quadratic", "algebra.cubic",
                           "derdzinski.reconstruction",
                           *(f"algebra.{n}.sector-{h}" for n in

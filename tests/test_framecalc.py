@@ -65,6 +65,13 @@ def _blocks(t):
     return 0.25 * np.einsum("xij,ijkl...,ykl->xy...", _PLUS, t, _PLUS)
 
 
+def _repeated(frame):
+    """Whether the frame's smallest eigenvalue gap is below 1e-8 of its
+    largest eigenvalue in absolute value."""
+    lam = frame.eigenvalues
+    return np.diff(lam).min() < 1e-8 * np.abs(lam).max()
+
+
 def _projected_k(nw, e):
     """The reference K: 2 nabla W projected onto E_a (x) E_b, with
     E_a : E_b = 4 delta_ab, which reads all 1,024 frame components."""
@@ -74,7 +81,7 @@ def _projected_k(nw, e):
 def _plus_point(w, nw, frame, k):
     """A DictPoint of the plus half's operands."""
     return DictPoint({"W+": w, "nw1+": nw, "lam+": frame.eigenvalues,
-                      "E+": np.stack(frame.forms), "K+": k})
+                      "E+": frame.forms, "K+": k})
 
 
 def _rows(point, *names):
@@ -104,9 +111,9 @@ def test_block_rotation_matches_the_projection(rng, degenerate):
     for _ in range(20):
         w, nw, _, _ = synthetic_sector(rng, degenerate=degenerate)
         frame = alg.derdzinski_frame(_blocks(w), _PLUS)
-        assert frame.degenerate == degenerate
+        assert _repeated(frame) == degenerate
         k = framecalc.extract_frame_derivatives(_blocks(nw), frame.rows)
-        ref = _projected_k(nw, np.stack(frame.forms))
+        ref = _projected_k(nw, frame.forms)
         assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -135,7 +142,7 @@ def test_degenerate_eigenvalues_gap_scaled_path(rng):
     K read in it still reconstructs nabla W and expands its norm and cubic."""
     w, nw, _, _ = synthetic_sector(rng, degenerate=True)
     frame = alg.derdzinski_frame(_blocks(w), _PLUS)
-    assert frame.degenerate
+    assert _repeated(frame)
     k = framecalc.extract_frame_derivatives(_blocks(nw), frame.rows)
     for r, s in _rows(_plus_point(w, nw, frame, k), *_DERDER):
         assert r <= 1e-12 * max(s, 1e-30)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import commutation_reference as ref
-from weylforge import algebra, charts, identities, rng
+from dict_point import DictPoint
+from weylforge import algebra, charts, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
                                   Commutator, PointData, TermList, _frobenius,
@@ -33,7 +34,7 @@ def test_registry_is_well_formed():
 
 def test_term_lists_are_well_formed():
     """Term names identify terms, and each output index of a term appears
-    exactly once among its inputs; only the eight rows that the identities
+    exactly once among its inputs; only the seven rows that the identities
     docstring names are hand-written functions."""
     for sid, spec in REGISTRY.items():
         ev = spec.evaluate
@@ -56,8 +57,8 @@ def test_term_lists_are_well_formed():
                     for sid, spec in REGISTRY.items()
                     if not isinstance(spec.evaluate, DATA)}
     assert hand_written == {
-        "operator.block-decomposition", "algebra.quaternionic",
-        "algebra.quartic.sector", "derder.reconstruction", "divz.relations"}
+        "algebra.quaternionic", "algebra.quartic.sector",
+        "derder.reconstruction", "divz.relations"}
 
 
 # Each block-form commutator and the full-component term list it replaced.
@@ -520,14 +521,6 @@ def test_every_term_can_fail(mutation_rows):
 # data), keyed by the row's id without its -plus/-minus suffix.  Each takes
 # a PointData and the row's sector and edits the sector pack's cached
 # stack(k), its blocks or its frame before the row is evaluated.
-def _ricci_type(pd, sign):
-    """A Ricci-type (h (.) g) added to W: no longer a Weyl tensor."""
-    pack = pd.sector(sign)
-    h = 1e-2 * pack.norm(0) * np.diag([1.0, 2.0, 3.0, 4.0])
-    pack._stacks[0] = pack.stack(0) + np.einsum("mn,mnpqab->pqab", h,
-                                                identities._KN_G)
-
-
 def _other_half(k):
     """The other half added to nabla^k W+-: no longer in one sector."""
     def perturb(pd, sign):
@@ -540,7 +533,9 @@ def _scaled_form(pd, sign):
     """The first eigen-two-form of both frames read scaled by 1.001."""
     for s in (1, -1):
         pack = pd.sector(s)
-        pack.frame = replace(pack.frame, omega=1.001 * pack.frame.omega)
+        forms = pack.frame.forms.copy()
+        forms[0] *= 1.001
+        pack.frame = replace(pack.frame, forms=forms)
 
 
 def _not_div_free(pd, sign):
@@ -553,7 +548,6 @@ def _not_div_free(pd, sign):
 
 
 HAND_WRITTEN_MUTATIONS = {
-    "operator.block-decomposition": _ricci_type,
     "algebra.quaternionic": _scaled_form,
     "algebra.quartic.sector": _other_half(0),
     "derder.reconstruction": _other_half(1),
@@ -562,11 +556,11 @@ HAND_WRITTEN_MUTATIONS = {
 
 
 def test_every_hand_written_row_can_fail(cp_schwarzschild):
-    """Each of the 8 hand-written rows passes at an Einstein point with
+    """Each of the 7 hand-written rows passes at an Einstein point with
     W+, W- and nabla W nonzero, and fails once its inputs are perturbed."""
     rows = {sid: spec for sid, spec in REGISTRY.items()
             if not isinstance(spec.evaluate, DATA)}
-    assert len(rows) == 8
+    assert len(rows) == 7
     for sid, spec in rows.items():
         pd = PointData(cp_schwarzschild)
         assert gate_satisfied(spec, pd), sid
@@ -576,3 +570,33 @@ def test_every_hand_written_row_can_fail(cp_schwarzschild):
             "-minus")](pd, spec.sector)
         rel, _ = residual_rel(spec, pd, *spec.evaluate(pd))
         assert rel > spec.tol, (sid, rel)
+
+
+def test_hand_written_rows_read_only_their_operands(cp_schwarzschild):
+    """Each hand-written row gives exactly the same (residual, scale) on a
+    DictPoint of the point's operands E+-, W+-, nw1+- and K+- as on its
+    PointData: it reads nothing of the point but PointData.operand."""
+    pd = PointData(cp_schwarzschild)
+    point = DictPoint({name + h: pd.operand(name, sign)
+                       for name in ("E", "W", "nw1", "K")
+                       for h, sign in (("+", 1), ("-", -1))})
+    for sid, spec in REGISTRY.items():
+        if not isinstance(spec.evaluate, DATA):
+            assert spec.evaluate(point) == spec.evaluate(pd), sid
+
+
+def test_suite_splits_no_riemann_tensor(catalog, monkeypatch):
+    """Every W+- block is read off the jets: run_suite over the catalog,
+    one point per chart and every identity, calls neither
+    algebra.lambda_split nor algebra.pair_matrix."""
+    calls = []
+    for name in ("lambda_split", "pair_matrix"):
+        def counting(*args, _name=name, _fn=getattr(algebra, name),
+                     **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(algebra, name, counting)
+    cfg = RunConfig(identities=("all",), points_per_manifold=1, seed=42,
+                    deterministic=True)
+    assert run_suite(cfg, catalog=catalog).exit_code == 0
+    assert calls == []
