@@ -21,13 +21,15 @@ change.  The script prints:
   change divides by more, a looser check, and is flagged.
 
 It exits 0 when rows and `summary.ok` are identical, no residual moved past
-the bar and no check got looser, and 1 otherwise.
+the bar and no check got looser, and 1 otherwise.  A reader that stops
+early (`| head`) ends the printing quietly, with the same exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -84,6 +86,19 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     res = compare(json.loads(args.parent.read_text()),
                   json.loads(args.change.read_text()))
+    try:
+        _print(res)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): print nothing more, and let
+        # the interpreter's last flush write to /dev/null, not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    ok = (res["rows_identical"] and res["ok_identical"]
+          and not res["over_bar"] and not res["looser"])
+    return 0 if ok else 1
+
+
+def _print(res: dict) -> None:
     print(f"rows identical: {res['rows_identical']} "
           f"({res['rows'][0]} parent, {res['rows'][1]} change)")
     print(f"summary.ok identical: {res['ok_identical']} "
@@ -101,9 +116,6 @@ def main(argv=None) -> int:
                              key=lambda kv: -kv[1]):
             flag = "  LOOSER" if v > LOOSER else ""
             print(f"  {v:.15f}  {sid}{flag}")
-    ok = (res["rows_identical"] and res["ok_identical"]
-          and not res["over_bar"] and not res["looser"])
-    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -230,46 +230,6 @@ def lambda_split(riem_or_weyl,
                                    orientation=orientation)
 
 
-def jacobi_eigh_3x3(m: np.ndarray):
-    """Cyclic Jacobi diagonalization of a symmetric 3x3 matrix.
-
-    Returns eigenvalues ascending and the matching eigenvector columns,
-    once every off-diagonal entry is at most 1e-14 of the largest entry or
-    after 30 sweeps.  Deterministic; no external solver involved.
-    """
-    a = np.array(m, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    v = np.eye(3)
-    scale = max(np.abs(a).max(), 1e-300)
-    for _ in range(30):
-        off = max(abs(a[0, 1]), abs(a[0, 2]), abs(a[1, 2]))
-        if off <= 1e-14 * scale:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if abs(apq) <= 1e-300 * scale:
-                continue
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            # hypot, not sqrt(1 + tau^2): tau^2 overflows when apq is tiny
-            # against the diagonal gap
-            if tau >= 0.0:
-                t = 1.0 / (tau + np.hypot(1.0, tau))
-            else:
-                t = -1.0 / (-tau + np.hypot(1.0, tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-            v = v @ rot
-    evals = np.diag(a).copy()
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
-
-
 @dataclass
 class TwoFormFrame:
     """Eigen-two-forms of one duality sector with eigenvalues summing to zero.
@@ -291,13 +251,13 @@ def derdzinski_frame(block: np.ndarray, forms: np.ndarray) -> TwoFormFrame:
     `block` (3, 3) is the half's W+- block in its orthonormal basis
     two-forms `forms` (3, 4, 4), W+- = block[x, y] B_x (x) B_y.  With
     block = rows^T diag(lam) rows the frame is E_a = sqrt 2 rows[a, x] B_x,
-    so W+- = (1/2) lam_a E_a (x) E_a.  The first two eigenvector signs are
-    fixed deterministically; the third row is their cross product, which
-    enforces the multiplication table of the triple sqrt 2 B_x.  On
-    near-equal eigenvalues the frame is one of many, and still an
-    orthonormal triple.
+    so W+- = (1/2) lam_a E_a (x) E_a, lam ascending from LAPACK's eigh.
+    The first two eigenvector signs are fixed deterministically; the third
+    row is their cross product, which enforces the multiplication table of
+    the triple sqrt 2 B_x.  On a repeated eigenvalue the frame is one of
+    many, and still a quaternionic triple.
     """
-    evals, evecs = jacobi_eigh_3x3(block)
+    evals, evecs = np.linalg.eigh(block)
     rows = evecs.T.copy()
     for r in range(2):
         k = int(np.argmax(np.abs(rows[r])))
@@ -341,44 +301,3 @@ def quartic_terms(w: np.ndarray) -> np.ndarray:
         np.einsum(f"...{a},...{b},...jklist->...", w, w, d, optimize=True)
         for a, b in (("pjkl", "pist"), ("ipkl", "pjst"), ("ijpl", "pkst"),
                      ("ijkp", "plst"))], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Random generators for property batteries
-# ---------------------------------------------------------------------------
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform-ish SO(3) matrix from a random unit quaternion."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    a, b, c, d = q
-    return np.array([
-        [a*a + b*b - c*c - d*d, 2*(b*c - a*d), 2*(b*d + a*c)],
-        [2*(b*c + a*d), a*a - b*b + c*c - d*d, 2*(c*d - a*b)],
-        [2*(b*d - a*c), 2*(c*d + a*b), a*a - b*b - c*c + d*d],
-    ])
-
-
-def random_quaternionic_frame(rng: np.random.Generator, sector: int = 1,
-                              orientation: int = 1) -> TwoFormFrame:
-    """Random rotation of the seed triple; the table holds by construction."""
-    rot = random_rotation(rng)
-    seeds = sector_seed(sector, orientation)
-    forms = np.einsum("aB,Bij->aij", rot, np.einsum("bB,Bij->bij", seeds,
-                                                    PAIR_FORMS))
-    return TwoFormFrame(eigenvalues=np.zeros(3), forms=forms, rows=rot)
-
-
-def random_sector_tensor(rng: np.random.Generator, sector: int = 1,
-                         scale: float = 1.0):
-    """Exact algebraic sector tensor (1/2) sum lam_i v_i (x) v_i, lam sums to 0.
-
-    Returns (tensor, frame, eigenvalues); eigenvalues are not sorted.
-    """
-    frame = random_quaternionic_frame(rng, sector)
-    l1, l2 = rng.normal(size=2) * scale
-    lam = np.array([l1, l2, -l1 - l2])
-    forms = frame.forms
-    w = 0.5 * sum(lam[i] * np.einsum("ij,kl->ijkl", forms[i], forms[i])
-                  for i in range(3))
-    return w, frame, lam

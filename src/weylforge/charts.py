@@ -593,7 +593,6 @@ class CurvaturePoint:
     frame: np.ndarray
     orientation: int
     jet_order: int
-    depth: int
     riem: np.ndarray
     ric: np.ndarray
     scalar: float
@@ -601,7 +600,6 @@ class CurvaturePoint:
     forms: np.ndarray        # the blocks' basis two-forms, Coframe.forms
     nabla_riem: np.ndarray | None
     ric_deriv: np.ndarray | None
-    d_scalar: np.ndarray | None
     cotton: np.ndarray | None
     laplacians: dict
 
@@ -655,7 +653,7 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
     ric_f = to_frame(ric[..., 0], frame)
     scalar = float(rs[0])
 
-    nabla_riem_f = ric_deriv_f = d_scalar_f = cotton = None
+    nabla_riem_f = ric_deriv_f = cotton = None
     if depth >= 1:
         # read at degree 0 only: order-1 coordinate components against the
         # constant Gamma, in the coordinate frame
@@ -688,10 +686,9 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
 
     return CurvaturePoint(
         chart=chart, point=point, frame=frame, orientation=chart.orientation,
-        jet_order=order, depth=depth, riem=riem_f, ric=ric_f, scalar=scalar,
+        jet_order=order, riem=riem_f, ric=ric_f, scalar=scalar,
         weyl_blocks=blocks, forms=cof.forms, nabla_riem=nabla_riem_f,
-        ric_deriv=ric_deriv_f, d_scalar=d_scalar_f, cotton=cotton,
-        laplacians=lap)
+        ric_deriv=ric_deriv_f, cotton=cotton, laplacians=lap)
 
 
 def scalar_laplacian(chart: MetricChart, point, fld: str) -> float:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dict_point import DictPoint
+from sector_tensors import random_sector_tensor
 from weylforge import algebra as alg
 from weylforge import charts, cli
 from weylforge.charts import curvature_at
@@ -68,7 +69,7 @@ def test_criterion_1_algebraic_battery(rng):
     frames = []
     for i in range(n):
         sign, half = (1, "plus") if i % 2 == 0 else (-1, "minus")
-        w, frame, _ = alg.random_sector_tensor(rng, sign)
+        w, frame, _ = random_sector_tensor(rng, sign)
         frames.append(frame)
         point = DictPoint({"W+" if sign == 1 else "W-": w})
         for name in ("quadratic", "cubic", "quartic"):

@@ -6,6 +6,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dict_point import DictPoint
+from sector_tensors import random_sector_tensor
 from weylforge import algebra as alg
 from weylforge.identities import REGISTRY
 
@@ -44,36 +45,16 @@ def test_seed_triples_are_quaternionic(sector):
         assert np.array_equal(STAR6 @ r, sector * r)
 
 
-def test_jacobi_against_lapack(rng):
-    for _ in range(200):
-        m = rng.normal(size=(3, 3))
-        m = m + m.T
-        vals, vecs = alg.jacobi_eigh_3x3(m)
-        ref = np.sort(np.linalg.eigvalsh(m))
-        assert np.abs(vals - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
-        recon = vecs @ np.diag(vals) @ vecs.T
-        assert np.abs(recon - m).max() <= 1e-12 * max(np.abs(m).max(), 1.0)
-        assert np.abs(vecs @ vecs.T - np.eye(3)).max() < 1e-12
-
-
-def test_jacobi_tiny_off_diagonal_does_not_overflow():
-    """An off-diagonal entry tiny against the diagonal gap makes tau
-    about 1e170; its rotation must not square tau."""
-    m = np.array([[0.0, 1e-170, 0.0], [1e-170, 1.0, 1.0], [0.0, 1.0, 2.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vals, vecs = alg.jacobi_eigh_3x3(m)
-    assert np.abs(vals - np.linalg.eigvalsh(m)).max() <= 1e-14
-    assert np.abs(vecs @ np.diag(vals) @ vecs.T - m).max() <= 1e-14
-
-
 def test_frame_reconstruction_random_blocks(rng):
-    """Eigen-reconstruction: trace-free random block -> frame -> tensor."""
-    for _ in range(50):
-        m = rng.normal(size=(3, 3))
-        m = m + m.T
-        m -= np.trace(m) / 3.0 * np.eye(3)
-        frame = alg.derdzinski_frame(m, alg.sector_forms()[0])
+    """Eigen-reconstruction: trace-free block -> frame -> tensor, with no
+    floating-point warning, on 50 random blocks and one whose off-diagonal
+    entry 1e-170 is tiny against its diagonal gap."""
+    tiny = np.array([[0.0, 1e-170, 0.0], [1e-170, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    for m in [*(x + x.T for x in rng.normal(size=(50, 3, 3))), tiny]:
+        m = m - np.trace(m) / 3.0 * np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = alg.derdzinski_frame(m, alg.sector_forms()[0])
         lam = frame.eigenvalues
         assert lam[0] <= lam[1] <= lam[2]
         assert abs(lam.sum()) <= 1e-10 * max(np.abs(lam).sum(), 1e-30)
@@ -116,7 +97,7 @@ def test_lambda_split_rejects_asymmetric_input(rng):
 
 
 def test_lambda_split_rejects_bad_orientation(rng):
-    w, _, _ = alg.random_sector_tensor(rng, 1)
+    w, _, _ = random_sector_tensor(rng, 1)
     with pytest.raises(ValueError, match="orientation"):
         alg.lambda_split(w, orientation=0)
 
@@ -159,7 +140,7 @@ def _rows(point, *sids):
 def test_random_sector_tensors_satisfy_identities(rng):
     for sector, half in ((1, "plus"), (-1, "minus")):
         for _ in range(50):
-            w, frame, lam = alg.random_sector_tensor(rng, sector)
+            w, frame, lam = random_sector_tensor(rng, sector)
             assert alg.quaternionic_residual(frame.forms) < 1e-13
             point = DictPoint({"W+" if sector == 1 else "W-": w})
             for r, s in _rows(point, *(f"algebra.{n}.sector-{half}" for n in
@@ -171,8 +152,8 @@ def test_quadratic_cubic_hold_for_sector_sums(rng):
     """Both identities hold for W = W+ + W- and for each part alone, and
     Derdzinski's W+- = (1/2) lam_a E_a (x) E_a for each part."""
     for _ in range(25):
-        wp, fp, lam_p = alg.random_sector_tensor(rng, 1)
-        wm, fm, lam_m = alg.random_sector_tensor(rng, -1)
+        wp, fp, lam_p = random_sector_tensor(rng, 1)
+        wm, fm, lam_m = random_sector_tensor(rng, -1)
         point = DictPoint({"W": wp + wm, "W+": wp, "W-": wm, "lam+": lam_p,
                            "lam-": lam_m, "E+": fp.forms, "E-": fm.forms})
         for r, s in _rows(point, "algebra.quadratic", "algebra.cubic",
@@ -189,8 +170,8 @@ def test_quartic_slot_terms():
     function: written as data, scaling Q_2, Q_3 or Q_4 by 1.05 changes no
     residual on a half, while other_half(0) fails the row."""
     rng = np.random.default_rng(3)
-    wp, _, _ = alg.random_sector_tensor(rng, 1)
-    wm, _, _ = alg.random_sector_tensor(rng, -1)
+    wp, _, _ = random_sector_tensor(rng, 1)
+    wm, _, _ = random_sector_tensor(rng, -1)
     for w in (wp, wm):
         q = alg.quartic_terms(w)
         quarter_w4 = 0.25 * float((w * w).sum()) ** 2
@@ -205,8 +186,8 @@ def test_quartic_slot_terms():
 
 def test_sector_projection_orthogonality(rng):
     """lambda_split's W+ block of W+ + W- is W+'s, with its eigenvalues."""
-    wp, _, lam_p = alg.random_sector_tensor(rng, 1)
-    wm, _, lam_m = alg.random_sector_tensor(rng, -1)
+    wp, _, lam_p = random_sector_tensor(rng, 1)
+    wm, _, lam_m = random_sector_tensor(rng, -1)
     total = alg.lambda_split(wp + wm)
     assert np.abs(np.linalg.eigvalsh(total.w_plus) - np.sort(lam_p)).max() \
         < 1e-13
@@ -220,7 +201,7 @@ def test_sector_projection_orthogonality(rng):
 
 
 def test_orientation_flip_swaps_sectors(rng):
-    w, _, _ = alg.random_sector_tensor(rng, 1)
+    w, _, _ = random_sector_tensor(rng, 1)
     same = alg.lambda_split(w)
     flipped = alg.lambda_split(w, orientation=-1)
     assert np.abs(flipped.w_plus).max() < 1e-14
@@ -231,7 +212,7 @@ def test_orientation_flip_swaps_sectors(rng):
 def test_riemann_symmetry_violation_on_demand(rng):
     bad = rng.normal(size=(4, 4, 4, 4))
     assert alg.riemann_symmetry_violation(bad) > 0.1
-    w, _, _ = alg.random_sector_tensor(rng, 1)
+    w, _, _ = random_sector_tensor(rng, 1)
     assert alg.riemann_symmetry_violation(w) < 1e-14
 
 
@@ -264,7 +245,7 @@ def test_block_curvature_action_is_the_slot_action(seed, sector, slots):
     full-component action of m on every slot, and it maps the tensor's
     Lambda+- blocks into themselves: the other sector's blocks stay 0."""
     rng = np.random.default_rng(seed)
-    t, _, _ = alg.random_sector_tensor(rng, sector)
+    t, _, _ = random_sector_tensor(rng, sector)
     for _ in range(slots):
         t = np.multiply.outer(t, rng.normal(size=4))
     x = rng.normal(size=(4,) * 4)

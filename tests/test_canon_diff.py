@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,31 @@ def test_residual_moved_past_the_bar_fails(tmp_path, capsys):
     capsys.readouterr()
     assert canon_diff.main([str(p) for p in paths]) == 1
     assert "bianchi1.weyl  OVER BAR" in capsys.readouterr().out
+
+
+def _run(paths, stdout):
+    """canon_diff.py as a script on `paths`, its stdout the file descriptor
+    `stdout`: (exit code, stderr)."""
+    proc = subprocess.run([sys.executable, str(_PATH), *map(str, paths)],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("verdict", [0, 1])
+def test_closed_pipe_ends_quietly(tmp_path, verdict):
+    """Read in full, the script exits with its verdict.  When the reader
+    has closed the pipe (`| head`), it exits with the same verdict and
+    writes nothing to stderr, where a BrokenPipeError traceback went."""
+    change = json.loads(json.dumps(PARENT))
+    if verdict:
+        change["summary"]["ok"] = False
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    for path, doc in zip(paths, (PARENT, change)):
+        path.write_text(json.dumps(doc))
+    assert _run(paths, subprocess.PIPE) == (verdict, "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert _run(paths, write_end) == (verdict, "")
+    finally:
+        os.close(write_end)

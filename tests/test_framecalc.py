@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dict_point import DictPoint
+from sector_tensors import random_quaternionic_frame, random_sector_tensor
 from weylforge import algebra as alg
 from weylforge import framecalc
 from weylforge import rng as rng_mod
@@ -16,7 +17,7 @@ def synthetic_sector(rng, lam=None, divergence_free=False, degenerate=False):
     With divergence_free=True the eigenvalue differentials are built from
     the connection forms through the div-free relations.
     """
-    frame = alg.random_quaternionic_frame(rng, 1)
+    frame = random_quaternionic_frame(rng, 1)
     w_f, e_f, t_f = frame.forms
     if lam is None:
         if degenerate:
@@ -228,8 +229,8 @@ def test_eqrhs_universal_on_negative_control(catalog):
 
 def test_mix_orthogonality_synthetic(rng):
     """Plus-sector tensors are blind to minus-sector derivative data."""
-    w_plus, _, _ = alg.random_sector_tensor(rng, 1)
-    frame_m = alg.random_quaternionic_frame(rng, -1)
+    w_plus, _, _ = random_sector_tensor(rng, 1)
+    frame_m = random_quaternionic_frame(rng, -1)
     forms = frame_m.forms
     k = rng.normal(size=(3, 3, 4))
     k = 0.5 * (k + np.swapaxes(k, 0, 1))
