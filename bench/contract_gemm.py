@@ -10,11 +10,13 @@ DIR is a checkout of the parent commit.  For each workload of BENCHMARK.json
 the script runs `perfbench/run.py --trace 0` in both checkouts `--pairs`
 times, alternating which side runs first, with seed first_seed + i on both
 sides of pair i, and records per end-to-end metric both sides' medians and
-quartiles and how many pairs each side won.  It then makes TRACED_RUNS
-traced runs (`--trace 1`) per side and workload, with seed first_seed,
-alternating which side goes first, and records the median of each
-per-layer metric: the per-layer times and the exact `mul_pairs` counters.
-It also counts the multiply-adds of the dense products in
+quartiles, how many pairs each side won, and whether a gain is resolved:
+the change won at least nine tenths of the pairs and its median is better
+than the parent's by more than the parent's interquartile range.  It then
+makes TRACED_RUNS traced runs (`--trace 1`) per side and workload, with
+seed first_seed, alternating which side goes first, and records the median
+of each per-layer metric: the per-layer times and the exact `mul_pairs`
+counters.  It also counts the multiply-adds of the dense products in
 `jets.contract_slot` over one iteration of each workload of the change,
 from the shapes of its arguments: the traced `mul_pairs` count only
 operator builds and elementwise jet products.  Last, it runs one iteration
@@ -24,7 +26,7 @@ Python allocations made while each point is evaluated, beside
 Python heap (BLAS buffers, malloc arenas), so the two tell a change in
 what the program allocates from a move of the process around it.  Every
 BENCH_*.json at the root of the repository was written by this script, one
-per change; files older than a field (`traced_runs`,
+per change; files older than a field (`traced_runs`, `resolved`,
 `tracemalloc_point_peak`) lack it.  `--out` is required so that no run
 overwrites a committed result.
 """
@@ -71,7 +73,9 @@ def spread(values: list) -> dict:
 
 
 def compare(pairs: list, declared: list) -> dict:
-    """Per metric: both sides' medians and quartiles, and pairs won."""
+    """Per metric: both sides' medians and quartiles, pairs won, and
+    `resolved`: the change won at least 9 of 10 pairs and its median is
+    better than the parent's by more than the parent's IQR."""
     out = {}
     for m in declared:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -79,13 +83,17 @@ def compare(pairs: list, declared: list) -> dict:
         chg = [p["change"]["metrics"][name] for p in pairs]
         diffs = [sign * (c - p) for p, c in zip(par, chg)]
         p_side, c_side = spread(par), spread(chg)
+        wins = sum(d > 0 for d in diffs)
+        gain = sign * (c_side["median"] - p_side["median"])
+        iqr = p_side["q3"] - p_side["q1"]
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": p_side, "change": c_side,
-            "change_wins": sum(d > 0 for d in diffs),
+            "change_wins": wins,
             "parent_wins": sum(d < 0 for d in diffs),
             "change_over_parent": c_side["median"] / p_side["median"],
-            "parent_iqr": p_side["q3"] - p_side["q1"],
+            "parent_iqr": iqr,
+            "resolved": bool(10 * wins >= 9 * len(pairs) and gain > iqr),
         }
     return out
 

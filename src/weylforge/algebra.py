@@ -3,7 +3,9 @@
 Covers the trace/Weyl decomposition, the Cotton tensor from Ricci
 derivatives, the two-form bundle machinery (self-dual and anti-self-dual
 bases, curvature operator blocks), the eigen-two-form frames of the sector
-operators, and the slot terms of the quartic identity of one duality half.
+operators, the slot terms of the quartic identity of one duality half, and
+`contract`, which evaluates an einsum of three or more tensors as a chain
+of matrix products.
 
 Conventions.  Two-forms are antisymmetric 4x4 matrices.  The inner product on
 the two-form bundle is <a, b> = (1/2) a_ij b_ij, so coordinate two-forms
@@ -16,7 +18,9 @@ star; +1 means the chart's coordinate order is positively oriented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -285,19 +289,100 @@ def quaternionic_residual(forms: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Contractions of three or more tensors
+# ---------------------------------------------------------------------------
+
+def _as_matrices(term: str, groups: tuple, size: dict) -> tuple:
+    """Axis order and (batch, rows, cols) shape that view an operand with
+    indices `term` as a stack of matrices, grouping its indices as `groups`."""
+    order = [c for g in groups for c in g]
+    return (tuple(term.index(c) for c in order),
+            tuple(math.prod(size[c] for c in g) for g in groups))
+
+
+@lru_cache(maxsize=None)
+def _contraction_plan(subscripts: str, shapes: tuple) -> tuple:
+    """The pair steps of `contract` for operands of these shapes.
+
+    numpy's greedy path (einsum_path) orders the pairs.  Each step takes
+    operands i < j of the current list, drops them and appends their
+    product; it is (i, j, axis order and matrix shape of each, shape of
+    the product).  The product's indices are the batch indices (in both
+    and still needed), then i's free ones, then j's.  Returns the steps
+    and the axis order that takes the last product to the output.
+    """
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    if any(len(set(t)) != len(t) for t in terms):
+        raise ValueError(f"contract: an operand repeats an index in "
+                         f"{subscripts!r}")
+    path = np.einsum_path(subscripts, *(np.empty(s) for s in shapes),
+                          optimize="greedy")[0][1:]
+    size = {c: n for t, s in zip(terms, shapes) for c, n in zip(t, s)}
+    steps = []
+    for step in path:
+        if len(step) != 2:
+            raise ValueError(f"contract: the greedy path of {subscripts!r} "
+                             f"contracts {len(step)} operands at once")
+        i, j = sorted(step)
+        a, b = terms[i], terms[j]
+        del terms[j], terms[i]
+        kept = set(output + "".join(terms))
+        if (set(a) ^ set(b)) - kept:
+            raise ValueError(f"contract: {subscripts!r} sums an index of "
+                             f"one operand alone")
+        batch = [c for c in a if c in b and c in kept]
+        inner = [c for c in a if c in b and c not in kept]
+        free_a = [c for c in a if c not in b]
+        free_b = [c for c in b if c not in a]
+        steps.append((i, j, *_as_matrices(a, (batch, free_a, inner), size),
+                      *_as_matrices(b, (batch, inner, free_b), size),
+                      tuple(size[c] for c in batch + free_a + free_b)))
+        terms.append("".join(batch + free_a + free_b))
+    return tuple(steps), tuple(terms[0].index(c) for c in output)
+
+
+def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum(subscripts, *operands) as one matrix product per pair.
+
+    For explicit subscripts (`->`) with no index repeated in an operand.
+    The plan is made once per subscripts and operand shapes: operands are
+    paired in numpy's greedy order, and each pair is one transpose,
+    reshape and `@` (batched over the indices both keep).  A scalar result
+    is a 0-d array.
+    """
+    steps, out = _contraction_plan(subscripts,
+                                   tuple(op.shape for op in operands))
+    ops = list(operands)
+    for i, j, perm_a, mat_a, perm_b, mat_b, shape in steps:
+        a = ops[i].transpose(perm_a).reshape(mat_a)
+        b = ops[j].transpose(perm_b).reshape(mat_b)
+        del ops[j], ops[i]
+        ops.append((a @ b).reshape(shape))
+    return ops[0].transpose(out)
+
+
+# ---------------------------------------------------------------------------
 # The quartic identity
 # ---------------------------------------------------------------------------
 
+def weyl_square(w: np.ndarray) -> np.ndarray:
+    """D (64, 64), D[jkl, ist] = W_rjkl W_rist, one matrix product; its
+    trace is |W|^2."""
+    m = w.reshape(DIM, DIM ** 3)
+    return m.T @ m
+
+
 def quartic_terms(w: np.ndarray) -> np.ndarray:
-    """The four slot terms of Q, batched, on a last axis.
+    """The four slot terms of Q, (4,).
 
     Q_r = W_..p.. W_p.st D_jklist, with p in slot r of the first W and
-    D_jklist = W_rjkl W_rist.  Q_1 = (1/4)|W|^4 holds for every 4D Weyl
+    D = weyl_square(W).  Q_1 = |D|^2 = (1/4)|W|^4 holds for every 4D Weyl
     tensor: it is the quadratic identity W_pjkl W_rjkl = (1/4)|W|^2 delta_pr
     squared.  On one duality half Q_2 = Q_3 = Q_4 = 0; on W+ + W- Q_2 is not.
     """
-    d = np.einsum("...rjkl,...rist->...jklist", w, w, optimize=True)
-    return np.stack([
-        np.einsum(f"...{a},...{b},...jklist->...", w, w, d, optimize=True)
-        for a, b in (("pjkl", "pist"), ("ipkl", "pjst"), ("ijpl", "pkst"),
-                     ("ijkp", "plst"))], axis=-1)
+    d = weyl_square(w)
+    d6 = d.reshape((DIM,) * 6)
+    return np.array([float((d * d).sum())] + [
+        float(contract(f"{a},{b},jklist->", w, w, d6))
+        for a, b in (("ipkl", "pjst"), ("ijpl", "pkst"), ("ijkp", "plst"))])

@@ -25,6 +25,16 @@ statement, whose terms all vanish together, and bochner2.pro-boch-weyl,
 whose scale leaves out one of its terms.  An operand norm is
 PointData.norm, which reads |W| and |nabla^k W| off the W+- blocks.
 
+How a term is contracted depends only on its subscripts.  A term of one or
+two tensors is one einsum loop, never a planned path, so no inner product
+becomes a BLAS dot, whose summation order depends on the thread count.  A
+term of three or more tensors is algebra.contract: one matrix product per
+pair of operands, paired in numpy's greedy order and planned once per
+subscripts and operand shapes.  The exception is a term whose operands all
+share an index, the Derdzinski frame's a,aij,akl->ijkl and a,abt,abt->:
+over three frame directions one einsum loop is faster than batched pair
+products.
+
 The one data evaluator that is not an einsum list is the Commutator: the
 Ricci identity [nabla_a, nabla_b] nabla^(k-2) W = R(e_a, e_b) .
 nabla^(k-2) W, evaluated on the W+- blocks of nabla^k W with no expansion
@@ -324,12 +334,6 @@ class PointData:
 # Identities as term lists
 # ---------------------------------------------------------------------------
 
-# einsum plans a contraction path only for terms of two or more tensors with
-# at least this many distinct indices: below it, planning costs more than it
-# saves (measured on the registry's terms, single-threaded).
-_PLAN_MIN_INDICES = 8
-
-
 @dataclass(frozen=True)
 class Term:
     """coeff * einsum(subscripts, *operands).
@@ -342,31 +346,30 @@ class Term:
     coeff: float
     subscripts: str
     operands: str
-    # (einsum over the tensor operands or None, their names, the scalar
-    # operands' names, whether einsum plans a path), split once
+    # (the tensor operands' subscripts or None, their names, the scalar
+    # operands' names, the function that contracts them), split once
     _split: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inputs, out = self.subscripts.split("->")
         pairs = list(zip(inputs.split(","), self.operands.split(),
                          strict=True))
-        tensors = tuple(name for sub, name in pairs if sub)
-        spec = ",".join(sub for sub, _ in pairs if sub) + "->" + out
-        plan = len(tensors) > 1 and \
-            len(set(spec) - set(",->")) >= _PLAN_MIN_INDICES
+        subs = [sub for sub, _ in pairs if sub]
+        pairwise = len(subs) > 2 and not set.intersection(*map(set, subs))
         object.__setattr__(self, "_split", (
-            spec if tensors else None, tensors,
-            tuple(name for sub, name in pairs if not sub), plan))
+            ",".join(subs) + "->" + out if subs else None,
+            tuple(name for sub, name in pairs if sub),
+            tuple(name for sub, name in pairs if not sub),
+            algebra.contract if pairwise else np.einsum))
 
     def value(self, pd: PointData, sign: int | None):
-        spec, tensors, scalars, plan = self._split
+        spec, tensors, scalars, contract = self._split
         coeff = self.coeff
         for name in scalars:
             coeff *= pd.operand(name, sign)
         if spec is None:
             return float(coeff)
-        value = np.einsum(spec, *(pd.operand(n, sign) for n in tensors),
-                          optimize=plan)
+        value = contract(spec, *(pd.operand(n, sign) for n in tensors))
         if spec.endswith("->"):
             value = float(value)
         return value if coeff == 1.0 else coeff * value
@@ -719,9 +722,8 @@ def ev_algebra_quaternionic(pd: PointData):
 def ev_algebra_quartic(pd: PointData, sign: int):
     """Q = Q_1 + .. + Q_4 = (1/4)|W|^4 on one half (algebra.quartic_terms)."""
     w = pd.operand("W", sign)
-    q = algebra.quartic_terms(w).sum(axis=-1)
-    # n2 stays a 0-d array: its square is numpy's, not a Python float's
-    n2 = np.einsum("...ijkl,...ijkl->...", w, w, optimize=True)
+    q = algebra.quartic_terms(w).sum()
+    n2 = algebra.weyl_square(w).trace()     # |W|^2
     rhs = 0.25 * n2 ** 2
     return float(np.abs(q - rhs)), float(np.maximum(np.abs(q), np.abs(rhs)))
 

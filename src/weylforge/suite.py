@@ -345,15 +345,52 @@ def _environment(deterministic: bool) -> dict:
 # Report rendering
 # ---------------------------------------------------------------------------
 
+# One results row as json.dumps(indent=2, sort_keys=True) writes it inside
+# the report: keys sorted, floats by float.__repr__, strings ASCII-escaped.
+_JSON_ROW = """    {
+      "identity_id": %s,
+      "jet_order_used": %d,
+      "manifold": %s,
+      "point": [
+        %s
+      ],
+      "residual_abs": %s,
+      "residual_rel": %s,
+      "scale": %s,
+      "status": %s
+    }"""
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it: NaN and +-Infinity as bare words."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def render_json(report: SuiteReport) -> str:
+    """The report as json.dumps(doc, indent=2, sort_keys=True) writes it.
+
+    The results rows, most of the report, are written from one fixed
+    layout, _JSON_ROW, in place of json's generic encoder.
+    """
     import json
-    doc = {
-        "config": report.config,
-        "environment": report.environment,
-        "results": [r.as_dict() for r in report.results],
-        "summary": report.summary,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    from json.encoder import encode_basestring_ascii as text
+    head = json.dumps({"config": report.config,
+                       "environment": report.environment},
+                      indent=2, sort_keys=True)
+    tail = json.dumps({"summary": report.summary}, indent=2, sort_keys=True)
+    rows = ",\n".join(_JSON_ROW % (
+        text(r.identity_id), r.jet_order_used, text(r.manifold),
+        ",\n        ".join(map(_json_float, r.point)),
+        _json_float(r.residual_abs), _json_float(r.residual_rel),
+        _json_float(r.scale), text(r.status)) for r in report.results)
+    results = f"[\n{rows}\n  ]" if rows else "[]"
+    return f"{head[:-2]},\n  \"results\": {results},\n{tail[2:]}\n"
 
 
 CSV_COLUMNS = ("identity_id", "manifold", "x1", "x2", "x3", "x4",

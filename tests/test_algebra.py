@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dict_point import DictPoint
 from sector_tensors import random_sector_tensor
 from weylforge import algebra as alg
-from weylforge.identities import REGISTRY
+from weylforge.identities import REGISTRY, Commutator, PointData, TermList
 
 # Hodge star on the pair basis for epsilon_1234 = +1:
 # *(e1^e2) = e3^e4, *(e1^e3) = -e2^e4, *(e1^e4) = e2^e3.
@@ -182,6 +182,73 @@ def test_quartic_slot_terms():
     q = alg.quartic_terms(w)
     assert q[0] == pytest.approx(0.25 * float((w * w).sum()) ** 2, rel=1e-13)
     assert q == pytest.approx([3.164, -1.069, 0.0, 0.0], abs=1e-3)
+
+
+def test_cubic_rows_hold_on_a_cancelling_battery_tensor(rng):
+    """Tensor 710 of test_criterion_1_algebraic_battery, a W+ whose cubic
+    invariant nearly cancels (W_ijkl W_ipkq W_jplq = -0.0179).  The cubic
+    terms summed as one einsum loop left residual/scale 9.1e-13 there;
+    contracted pairwise as matrix products they leave 2.9e-15."""
+    for i in range(711):
+        w, _, _ = random_sector_tensor(rng, 1 if i % 2 == 0 else -1)
+    point = DictPoint({"W+": w, "W-": w})
+    for half in ("plus", "minus"):
+        r, s = REGISTRY[f"algebra.cubic.sector-{half}"].evaluate(point)
+        assert r <= 1e-13 * s
+
+
+# The quartic's slot terms (algebra.quartic_terms), p in slot r of the
+# first W, with D_jklist = W_rjkl W_rist.
+QUARTIC_SLOTS = ("pjkl,pist,jklist->", "ipkl,pjst,jklist->",
+                 "ijpl,pkst,jklist->", "ijkp,plst,jklist->")
+
+
+def test_contract_agrees_with_einsum(cp_sds):
+    """algebra.contract matches one einsum loop on every registry term of
+    three or more tensors, on random operands of the registry's shapes, and
+    on the quartic's slot terms: to 1e-13 relative to the summed sizes of
+    the products, the scale of round-off in a sum that may cancel.  Of
+    those terms only the two whose operands all share an index stay on
+    einsum.  Subscripts that no pair of matrix products can take raise."""
+    pd = PointData(cp_sds)
+    gen = np.random.default_rng(11)
+    cases, on_einsum = [], set()
+    for spec in REGISTRY.values():
+        if not isinstance(spec.evaluate, (TermList, Commutator)):
+            continue
+        for term in spec.evaluate.terms:
+            subscripts, tensors, _, how = term._split
+            if len(tensors) < 3:
+                continue
+            if how is np.einsum:
+                on_einsum.add(subscripts)
+                continue
+            assert how is alg.contract, (spec.id, term.name)
+            cases.append((subscripts, [
+                gen.normal(size=np.shape(pd.operand(name, 1)))
+                for name in tensors]))
+    assert on_einsum == {"a,aij,akl->ijkl", "a,abt,abt->"}
+    w = gen.normal(size=(4,) * 4)
+    d = np.einsum("rjkl,rist->jklist", w, w)
+    cases += [(slot, [w, w, d]) for slot in QUARTIC_SLOTS]
+    for subscripts, ops in cases:
+        want = np.einsum(subscripts, *ops, optimize=False)
+        size = np.einsum(subscripts, *map(np.abs, ops), optimize=False)
+        got = alg.contract(subscripts, *ops)
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-13 * size).all(), subscripts
+    # quartic_terms forms D once and reads Q_1 as |D|^2
+    want = [np.einsum(slot, w, w, d, optimize=False) for slot in QUARTIC_SLOTS]
+    assert alg.quartic_terms(w) == pytest.approx(want, rel=1e-13)
+    assert np.trace(alg.weyl_square(w)) == pytest.approx((w * w).sum(),
+                                                         rel=1e-15)
+    eye = np.eye(4)
+    with pytest.raises(ValueError, match="repeats an index"):
+        alg.contract("ii,ij,jk->k", eye, eye, eye)
+    with pytest.raises(ValueError, match="of one operand alone"):
+        alg.contract("ij,jk,kl->i", eye, eye, eye)
+    with pytest.raises(ValueError, match="3 operands at once"):
+        alg.contract("i,j,k->ijk", eye[0], eye[0], eye[0])
 
 
 def test_sector_projection_orthogonality(rng):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +175,26 @@ def test_json_schema_and_finiteness(tmp_path):
                             "status", "jet_order_used"}
         for key in ("residual_abs", "scale", "residual_rel"):
             assert isinstance(row[key], float)
+
+
+def test_render_json_writes_what_json_dumps_writes():
+    """render_json writes the results rows from a fixed layout; its output
+    is byte for byte json.dumps(doc, indent=2, sort_keys=True) on a real
+    report, on one with non-finite residuals and on one with no rows."""
+    real = suite.run_suite(suite.RunConfig(
+        manifolds=("schwarzschild", "flat-r4"), identities=("all",),
+        points_per_manifold=1, seed=5))
+    row = real.results[0]
+    nonfinite = dataclasses.replace(real, results=[
+        dataclasses.replace(row, residual_abs=math.nan, scale=math.inf,
+                            residual_rel=-math.inf), row])
+    empty = dataclasses.replace(real, results=[])
+    for report in (real, nonfinite, empty):
+        doc = {"config": report.config, "environment": report.environment,
+               "results": [r.as_dict() for r in report.results],
+               "summary": report.summary}
+        assert suite.render_json(report) == \
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_timestamp_present_without_deterministic(tmp_path):
