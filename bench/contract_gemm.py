@@ -16,19 +16,22 @@ than the parent's by more than the parent's interquartile range.  It then
 makes TRACED_RUNS traced runs (`--trace 1`) per side and workload, with
 seed first_seed, alternating which side goes first, and records the median
 of each per-layer metric: the per-layer times and the exact `mul_pairs`
-counters.  It also counts the multiply-adds of the dense products in
-`jets.contract_slot` over one iteration of each workload of the change,
-from the shapes of its arguments: the traced `mul_pairs` count only
-operator builds and elementwise jet products.  Last, it runs one iteration
-of each workload per side under `tracemalloc` and records the peak of the
-Python allocations made while each point is evaluated, beside
+counters.  Beside those medians, `traced_spread` keeps each metric's runs
+and quartiles per side, since the traced layer times of one side move by
+tens of percent with no code change: a layer moved only if the change's
+runs leave the parent's.  It also counts the multiply-adds of the dense
+products in `jets.contract_slot` over one iteration of each workload of
+the change, from the shapes of its arguments: the traced `mul_pairs` count
+only operator builds and elementwise jet products.  Last, it runs one
+iteration of each workload per side under `tracemalloc` and records the
+peak of the Python allocations made while each point is evaluated, beside
 `peak_rss_mb`: the process's peak RSS also counts memory outside the
 Python heap (BLAS buffers, malloc arenas), so the two tell a change in
 what the program allocates from a move of the process around it.  Every
 BENCH_*.json at the root of the repository was written by this script, one
 per change; files older than a field (`traced_runs`, `resolved`,
-`tracemalloc_point_peak`) lack it.  `--out` is required so that no run
-overwrites a committed result.
+`tracemalloc_point_peak`, `traced_spread`) lack it.  `--out` is required
+so that no run overwrites a committed result.
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ def spread(values: list) -> dict:
     q1, q3 = np.percentile(values, [25, 75])
     return {"median": statistics.median(values), "q1": float(q1),
             "q3": float(q3), "runs": values}
+
+
+def traced_spread(traced: dict) -> dict:
+    """Per side and per-layer metric: the traced runs and their quartiles."""
+    return {side: {k: spread([r[k] for r in runs]) for k in runs[0]}
+            for side, runs in traced.items()}
 
 
 def compare(pairs: list, declared: list) -> dict:
@@ -212,6 +221,7 @@ def main(argv=None) -> int:
                        "change": p["change"]["metrics"]} for p in pairs],
             "traced": {s: {k: statistics.median(r[k] for r in runs)
                            for k in runs[0]} for s, runs in traced.items()},
+            "traced_spread": traced_spread(traced),
         }
     gemm = count_gemm(names, args.first_seed)
     for name in names:

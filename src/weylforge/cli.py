@@ -68,30 +68,35 @@ def _parse_conformal(args) -> dict | None:
     """Monomial coefficients for the conformal factor exponent.
 
     Accepts repeated 'e1,e2,e3,e4=coeff' items or a single JSON object string
-    mapping 'e1,e2,e3,e4' keys to coefficients.
+    mapping 'e1,e2,e3,e4' keys to coefficients.  A monomial given twice, in
+    either form, is a ConfigError.
     """
-    items = args or ()
     coeffs = {}
-    for item in items:
+    for item in args or ():
         text = item.strip()
         if text.startswith("{"):
             try:
-                pairs = json.loads(text)
+                # the object's pairs in order, repeated keys included
+                pairs = json.loads(text, object_pairs_hook=list)
             except ValueError as exc:
                 raise ConfigError(f"--conformal-phi: {item!r} is not a JSON "
                                   f"object: {exc}") from None
-            for key, val in pairs.items():
-                coeffs[_exponents(key, item)] = _coefficient(val, item)
-            continue
-        if "=" not in text:
+        elif "=" in text:
+            key, val = text.split("=", 1)
+            try:
+                num = float(val)
+            except ValueError:
+                num = val.strip()
+            pairs = [(key, num)]
+        else:
             raise ConfigError(
                 f"--conformal-phi expects e1,e2,e3,e4=coeff, got {item!r}")
-        key, val = text.split("=", 1)
-        try:
-            num = float(val)
-        except ValueError:
-            num = val.strip()
-        coeffs[_exponents(key, item)] = _coefficient(num, item)
+        for key, val in pairs:
+            exp = _exponents(key, item)
+            if exp in coeffs:
+                raise ConfigError(f"--conformal-phi: monomial {exp} is given "
+                                  f"more than once")
+            coeffs[exp] = _coefficient(val, item)
     return coeffs or None
 
 
@@ -129,8 +134,8 @@ def _property_summary(chart) -> str:
         bits.append(f"Einstein(lambda={pd.R / 4.0:.6g})")
     else:
         bits.append("non-Einstein")
-    bits.append("divW=0" if pd.is_harmonic() else "divW!=0")
-    bits.append("gradW=0" if pd.is_parallel() else "gradW!=0")
+    bits.append("divW=0" if pd.is_harmonic else "divW!=0")
+    bits.append("gradW=0" if pd.is_parallel else "gradW!=0")
     if pd.is_conformally_flat:
         bits.append("W=0")
     if chart.properties.negative_control:

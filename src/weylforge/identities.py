@@ -1,17 +1,19 @@
 """Registry of pointwise curvature identities as residual checks.
 
-Every check consumes a CurvaturePoint (plus duality-sector data where needed)
-and returns a pair (residual_abs, scale).  The suite divides the residual by
-max(scale, |Riem|^(h/2), 1e-30) where h is the identity's homogeneity weight
-(frame components of every term scale as c^-h under g -> c^2 g), so relative
-residuals are scale invariant and "0 = 0" points pass no matter how the
-round-off noise falls.
+Every check is handed one SectorPack, the point seen from the duality sector
+that its IdentitySpec.sector names: the pack of the half W+ or W-, or
+PointData, the whole point.  That field alone states a row's half; the
+suite picks the pack.  A check returns a pair (residual_abs, scale).  The
+suite divides the residual by max(scale, |Riem|^(h/2), 1e-30) where h is the
+identity's homogeneity weight (frame components of every term scale as c^-h
+under g -> c^2 g), so relative residuals are scale invariant and "0 = 0"
+points pass no matter how the round-off noise falls.
 
 Most identities are data, a TermList: one or more equations
 sum(lhs) = sum(rhs), each term coeff * einsum(subscripts, *operands) over
-operands named as in PointData.operand.  A sector variant reads W, nabla^k W
-and the Laplacian fields from its duality sector, so one list serves the full
-identity and both halves.  Three operands exist only for one half: `lam`
+operands named as in SectorPack.operand.  W, nabla^k W and the Laplacian
+fields are read from the sector the list is handed, so one list serves the
+full identity and both halves.  Three operands exist only for one half: `lam`
 and `E`, the eigenvalues and eigen-two-forms of its Derdzinski frame, and
 `K`, the expansion 2 nabla W+- = K_abt E_a (x) E_b.  All three are read off
 the half's W+- blocks: the frame eigen-decomposes the 3x3 W block, and K is
@@ -23,7 +25,7 @@ unless an equation names its bounds: terms, the summed left side, or products
 of operand norms such as |W| |Riem|.  Named bounds serve a pure X = 0
 statement, whose terms all vanish together, and bochner2.pro-boch-weyl,
 whose scale leaves out one of its terms.  An operand norm is
-PointData.norm, which reads |W| and |nabla^k W| off the W+- blocks.
+SectorPack.norm, which reads |W| and |nabla^k W| off the W+- blocks.
 
 How a term is contracted depends only on its subscripts.  A term of one or
 two tensors is one einsum loop, never a planned path, so no inner product
@@ -47,7 +49,7 @@ commute2.einstein-contracted stays a TermList, since it contracts a
 two-form slot with a derivative slot.
 
 Seven rows stay functions, each for a reason, and each reads only
-PointData.operand:
+SectorPack.operand:
 - algebra.quaternionic is a multiplication table of the frames, at
   homogeneity 0;
 - algebra.quartic.sector-+-: three of the four slot terms of its Q vanish
@@ -58,20 +60,20 @@ PointData.operand:
 
 Identities carry a hypothesis gate, re-verified numerically at each point
 before a check is marked applicable; GATES is the one table of what each
-gate means, read for the check's duality half IdentitySpec.sector.  The
-gates measure |W|, |nabla W| and div W on the W+- blocks too
-(SectorPack.norm and div): W and nabla^k W become frame components only
-for a term that reads them as an operand.  On the negative-control chart a
-designated set of hypothesis-dependent identities is evaluated anyway and
-expected to be violated; that expectation is part of the suite's pass
-criteria.
+gate means, read on the same sector pack as the check, whose cached
+properties keep each answer.  The gates measure |W|, |nabla W| and div W on
+the W+- blocks too (SectorPack.norm and div): W and nabla^k W become frame
+components only for a term that reads them as an operand.  On the
+negative-control chart a designated set of hypothesis-dependent identities
+is evaluated anyway and expected to be violated; that expectation is part
+of the suite's pass criteria.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -119,43 +121,52 @@ def _computed(fields: dict, key, what: str):
             f"{what} {key!r} not computed at this point") from None
 
 
-def _parse(name: str, sign: int | None) -> tuple:
-    """(name, sign, k) of an operand name: a trailing `+` or `-` names the
-    duality sector in place of `sign`, and k is 0 for W, k for nw<k>
-    (nabla^k W) and None for any other operand."""
+def _parse(name: str) -> tuple:
+    """(name, half, k) of an operand name: a trailing `+` or `-` names the
+    duality half (+1 or -1) to read it from, else half is None, and k is 0
+    for W, k for nw<k> (nabla^k W) and None for any other operand."""
+    half = None
     if name[-1] in "+-":
-        name, sign = name[:-1], 1 if name[-1] == "+" else -1
+        name, half = name[:-1], 1 if name[-1] == "+" else -1
     if name == "W":
-        return name, sign, 0
+        return name, half, 0
     if name.startswith("nw"):
-        return name, sign, int(name[2:])
-    return name, sign, None
+        return name, half, int(name[2:])
+    return name, half, None
 
 
 class SectorPack:
-    """W and nabla^k W at a point, in duality sector `sign` (+1 or -1) or
-    whole (None), held as their W+- blocks.
+    """A point seen from duality half `sign` (+1 or -1): W and nabla^k W
+    held as the half's W+- blocks, the point's other operands, and the
+    half's gates.  PointData is the whole point, sign None.
 
-    Every measured size reads the blocks: norm(k) and the divergence div.
+    Every measured size reads the blocks: norm and the divergence div.
     Frame components are expanded only for a term that reads them as an
-    operand, by stack(k) on first read: a half expands its W+- blocks, and
-    the whole tensor is the sum of its two halves, which is what expanding
-    both blocks at once computes.
+    operand, by stack(k) on first read.
     """
 
-    def __init__(self, pd: "PointData", sign: int | None):
+    def __init__(self, cp: CurvaturePoint, sign: int | None,
+                 riem_norm: float):
+        # cp and a scalar, not the PointData: a back-reference would make
+        # every point's arrays a reference cycle that only the cyclic
+        # collector frees
+        self.cp = cp
         self.sign = sign
         self.name = _SECTOR_NAME.get(sign)
+        self.riem, self.ric, self.R = cp.riem, cp.ric, cp.scalar
+        self.riem_norm = riem_norm
         s = {None: slice(0, 2), 1: slice(0, 1), -1: slice(1, 2)}[sign]
-        self._blocks = {k: b[s] for k, b in pd.cp.weyl_blocks.items()}
-        self.forms = pd.cp.forms[s]
-        if sign is None:
-            self._halves = (pd.sector(1), pd.sector(-1))
+        self._blocks = {k: b[s] for k, b in cp.weyl_blocks.items()}
+        self.forms = cp.forms[s]
         self._stacks: dict[int, np.ndarray] = {}
         self._norms: dict[int, float] = {}
-        # a scalar, not pd: a back-reference would make every point's arrays
-        # a reference cycle that only the cyclic collector frees
-        self._parallel_scale = max(pd.riem_norm ** 1.5, FLOOR)
+
+    def sector(self, sign: int | None) -> "SectorPack":
+        """The pack of duality sector `sign`: a half holds only itself."""
+        if sign != self.sign:
+            raise ValueError(f"the {self.name} half has no "
+                             f"{_SECTOR_NAME.get(sign, 'whole')} operands")
+        return self
 
     def blocks(self, k: int) -> np.ndarray:
         """The W+- blocks of nabla^k W: (n, 3, 3, 4, .., 4), n sectors."""
@@ -166,21 +177,65 @@ class SectorPack:
     def stack(self, k: int) -> np.ndarray:
         """nabla^k W in frame components (k = 0 is W)."""
         if k not in self._stacks:
-            blocks = self.blocks(k)     # a missing k names this pack
-            if self.sign is None:
-                plus, minus = self._halves
-                self._stacks[k] = plus.stack(k) + minus.stack(k)
-            else:
-                self._stacks[k] = algebra.from_sector_blocks(blocks,
-                                                             self.forms)
+            self._stacks[k] = algebra.from_sector_blocks(self.blocks(k),
+                                                         self.forms)
         return self._stacks[k]
 
-    def norm(self, k: int) -> float:
-        """|nabla^k W| from the blocks: each basis two-form has Frobenius
-        norm sqrt 2, so the frame components' norm is twice the blocks'."""
+    def operand(self, name: str):
+        """The term operand `name` in this sector.
+
+        `W`, `nw<k>` (nabla^k W) and `lap_<field>` (the scalar Laplacian
+        field) are read from this sector, or from the half that a trailing
+        `+` or `-` names.  `lam`, `E` and `K` exist only for one half: the
+        eigenvalues (3,) and eigen-two-forms (3, 4, 4) of its Derdzinski
+        frame and the coefficients K_abt (3, 3, 4) of 2 nabla W over
+        E_a (x) E_b (frame and K), read off the half's blocks with no
+        expansion.  `g` is the frame metric, `kn_g` the Kulkarni-Nomizu
+        product with it (_KN_G) and `cotton_div` the Cotton tensor from
+        div W, C_ijk = 2 (div W)_ikj.  Any other name (`riem`, `ric`, `R`,
+        or a CurvaturePoint field such as `cotton`) is read whole.
+        """
+        name, half, k = _parse(name)
+        if half is not None:
+            return self.sector(half).operand(name)
+        if k is not None:
+            return self.stack(k)
+        if name in ("lam", "E", "K"):
+            if self.sign is None:
+                raise ValueError(f"operand {name!r} exists only for one "
+                                 f"half: read it from a half or with a + "
+                                 f"or - suffix")
+            if name == "lam":
+                return self.frame.eigenvalues
+            return self.frame.forms if name == "E" else self.K
+        if name.startswith("lap_"):
+            key = name[4:] if self.sign is None else f"{name[4:]}_{self.name}"
+            return _computed(self.cp.laplacians, key, "Laplacian field")
+        if name == "g":
+            return _EYE
+        if name == "kn_g":
+            return _KN_G
+        if name == "cotton_div":
+            return 2.0 * np.swapaxes(self.div, 1, 2)
+        if name in ("riem", "ric", "R"):
+            return getattr(self, name)
+        return getattr(self.cp, name)
+
+    def norm(self, name: str) -> float:
+        """The Frobenius norm of operand(name).  That of W and nw<k> reads
+        the blocks: each basis two-form has Frobenius norm sqrt 2, so the
+        frame components' norm is twice the blocks'."""
+        name, half, k = _parse(name)
+        if half is not None:
+            return self.sector(half).norm(name)
+        if k is None:
+            return _frobenius(self.operand(name))
         if k not in self._norms:
             self._norms[k] = 2.0 * _frobenius(self.blocks(k))
         return self._norms[k]
+
+    def floor(self, h: int) -> float:
+        return max(self.riem_norm, 0.0) ** (h / 2.0)
 
     @cached_property
     def div(self) -> np.ndarray:
@@ -189,11 +244,6 @@ class SectorPack:
         second form."""
         c = np.einsum("sxyt,sxti->syi", self.blocks(1), self.forms)
         return np.einsum("syi,syjk->ijk", c, self.forms)
-
-    @cached_property
-    def is_parallel(self) -> bool:
-        """nabla W = 0 in this sector: |nabla W| at round-off of |Riem|^1.5."""
-        return self.norm(1) <= PARALLEL_GATE_RTOL * self._parallel_scale
 
     @cached_property
     def action(self) -> np.ndarray:
@@ -212,84 +262,7 @@ class SectorPack:
         return framecalc.extract_frame_derivatives(self.blocks(1)[0],
                                                    self.frame.rows)
 
-
-class PointData:
-    """A CurvaturePoint with its gates and the sector packs of W+, W- and
-    the whole W.  The gates and the operand norms of the scale bounds read
-    |W|, |nabla^k W| and div W off the packs' blocks."""
-
-    def __init__(self, cp: CurvaturePoint):
-        self.cp = cp
-        self.ric = cp.ric
-        self.R = cp.scalar
-        self.riem = cp.riem
-        self.riem_norm = _frobenius(cp.riem)
-        self._sectors: dict[int | None, SectorPack] = {}
-        for sign in (1, -1, None):
-            self._sectors[sign] = SectorPack(self, sign)
-        # is_harmonic by sign: every harmonic-gated identity asks again
-        self._harmonic: dict[int | None, bool] = {}
-
-    def lap(self, key: str) -> float:
-        return _computed(self.cp.laplacians, key, "Laplacian field")
-
-    def operand(self, name: str, sign: int | None = None):
-        """The term operand `name` at this point.
-
-        `W`, `nw<k>` (nabla^k W) and `lap_<field>` (the scalar Laplacian
-        field) are read from duality sector `sign` when it is set, or from
-        the sector that a trailing `+` or `-` names.  `lam`, `E` and `K`
-        exist only for one half: the eigenvalues (3,) and eigen-two-forms
-        (3, 4, 4) of its Derdzinski frame and the coefficients K_abt (3, 3,
-        4) of 2 nabla W over E_a (x) E_b (SectorPack.frame and K), read off
-        the half's blocks with no expansion.  `g` is the frame
-        metric, `kn_g` the Kulkarni-Nomizu product with it (_KN_G) and
-        `cotton_div` the Cotton tensor from div W, C_ijk = 2 (div W)_ikj.
-        Any other name (`riem`, `ric`, `R`, or a CurvaturePoint field such
-        as `cotton`) is read whole, whatever the sign.
-        """
-        name, sign, k = _parse(name, sign)
-        if k is not None:
-            return self.sector(sign).stack(k)
-        if name in ("lam", "E", "K"):
-            if sign is None:
-                raise ValueError(f"operand {name!r} exists only for one "
-                                 f"half: give a sign or a + or - suffix")
-            pack = self.sector(sign)
-            if name == "lam":
-                return pack.frame.eigenvalues
-            if name == "E":
-                return pack.frame.forms
-            return pack.K
-        if name.startswith("lap_"):
-            key = name[4:]
-            return self.lap(key if sign is None
-                            else f"{key}_{_SECTOR_NAME[sign]}")
-        if name == "g":
-            return _EYE
-        if name == "kn_g":
-            return _KN_G
-        if name == "cotton_div":
-            return 2.0 * np.swapaxes(self.sector(None).div, 1, 2)
-        if name in ("riem", "ric", "R"):
-            return getattr(self, name)
-        return getattr(self.cp, name)
-
-    def norm(self, name: str, sign: int | None = None) -> float:
-        """The Frobenius norm of operand(name, sign): of W and nw<k> from
-        the sector's blocks, with no expansion."""
-        name, sign, k = _parse(name, sign)
-        if k is not None:
-            return self.sector(sign).norm(k)
-        return _frobenius(self.operand(name, sign))
-
-    def sector(self, sign: int | None) -> SectorPack:
-        return self._sectors[sign]
-
-    def floor(self, h: int) -> float:
-        return max(self.riem_norm, 0.0) ** (h / 2.0)
-
-    # -- measured hypothesis gates, each measured once per point ------------
+    # -- measured hypothesis gates, each measured once per pack -------------
 
     @cached_property
     def is_einstein(self) -> bool:
@@ -297,26 +270,50 @@ class PointData:
         return _frobenius(ric0) <= \
             EINSTEIN_GATE_RTOL * max(self.riem_norm, FLOOR)
 
-    def is_harmonic(self, sign: int | None = None) -> bool:
-        """div W = 0, of the whole W or of one sector."""
-        if sign not in self._harmonic:
-            pack = self.sector(sign)
-            scale = max(pack.norm(1), self.riem_norm ** 1.5, FLOOR)
-            self._harmonic[sign] = \
-                _frobenius(pack.div) <= HARMONIC_GATE_RTOL * scale
-        return self._harmonic[sign]
+    @cached_property
+    def is_harmonic(self) -> bool:
+        """div W = 0 in this sector."""
+        scale = max(self.norm("nw1"), self.riem_norm ** 1.5, FLOOR)
+        return _frobenius(self.div) <= HARMONIC_GATE_RTOL * scale
 
-    def is_parallel(self, sign: int | None = None) -> bool:
-        """nabla W = 0, of the whole W or of one sector."""
-        return self.sector(sign).is_parallel
+    @cached_property
+    def is_parallel(self) -> bool:
+        """nabla W = 0 in this sector: |nabla W| at round-off of |Riem|^1.5."""
+        return self.norm("nw1") <= \
+            PARALLEL_GATE_RTOL * max(self.riem_norm ** 1.5, FLOOR)
 
-    def sector_nonzero(self, sign: int) -> bool:
-        return self.sector(sign).norm(0) > \
-            SECTOR_NONZERO_RTOL * max(self.riem_norm, FLOOR)
+    @cached_property
+    def is_nonzero(self) -> bool:
+        """W != 0 in this sector."""
+        return self.norm("W") > SECTOR_NONZERO_RTOL * max(self.riem_norm,
+                                                          FLOOR)
+
+
+class PointData(SectorPack):
+    """A CurvaturePoint as its whole sector, sign None, holding the packs
+    of its two halves.  The whole W is the sum of its halves, which is what
+    expanding both blocks at once computes."""
+
+    def __init__(self, cp: CurvaturePoint):
+        riem_norm = _frobenius(cp.riem)
+        self._halves = {s: SectorPack(cp, s, riem_norm) for s in (1, -1)}
+        super().__init__(cp, None, riem_norm)
+
+    def sector(self, sign: int | None) -> SectorPack:
+        return self if sign is None else self._halves[sign]
+
+    def stack(self, k: int) -> np.ndarray:
+        if k not in self._stacks:
+            self.blocks(k)      # a missing k names the whole W
+            self._stacks[k] = self._halves[1].stack(k) \
+                + self._halves[-1].stack(k)
+        return self._stacks[k]
+
+    # -- gates of the whole point only --------------------------------------
 
     @cached_property
     def is_conformally_flat(self) -> bool:
-        return self.sector(None).norm(0) <= \
+        return self.norm("W") <= \
             CONFORMAL_GATE_RTOL * max(self.riem_norm, FLOOR)
 
     @cached_property
@@ -338,7 +335,7 @@ class PointData:
 class Term:
     """coeff * einsum(subscripts, *operands).
 
-    `operands` is a space-separated list of PointData.operand names; an
+    `operands` is a space-separated list of SectorPack.operand names; an
     empty subscript marks a scalar operand (R or a Laplacian field).
     """
 
@@ -362,14 +359,14 @@ class Term:
             tuple(name for sub, name in pairs if not sub),
             algebra.contract if pairwise else np.einsum))
 
-    def value(self, pd: PointData, sign: int | None):
+    def value(self, sector: SectorPack):
         spec, tensors, scalars, contract = self._split
         coeff = self.coeff
         for name in scalars:
-            coeff *= pd.operand(name, sign)
+            coeff *= sector.operand(name)
         if spec is None:
             return float(coeff)
-        value = contract(spec, *(pd.operand(n, sign) for n in tensors))
+        value = contract(spec, *(sector.operand(n) for n in tensors))
         if spec.endswith("->"):
             value = float(value)
         return value if coeff == 1.0 else coeff * value
@@ -381,7 +378,7 @@ class Equation:
 
     Each bound in `scale` is a term name, "lhs" (the norm of the summed left
     side), or (coeff, "op op ...") for |coeff| times the product of those
-    operands' norms (PointData.norm).  With no bounds the scale is the
+    operands' norms (SectorPack.norm).  With no bounds the scale is the
     largest term norm.
     """
 
@@ -408,12 +405,12 @@ def _norm(value) -> float:
     return abs(value) if isinstance(value, float) else _frobenius(value)
 
 
-def _scale(bounds: tuple, pd: PointData, sign: int | None, size) -> float:
+def _scale(bounds: tuple, sector: SectorPack, size) -> float:
     """The largest of the named scale bounds.
 
     A bound is "lhs" or a term name, whose norm is size(bound), or
     (coeff, "op op ..") for |coeff| times the product of those operands'
-    norms, PointData.norm.
+    norms, SectorPack.norm.
     """
     scale = 0.0
     for bound in bounds:
@@ -422,7 +419,7 @@ def _scale(bounds: tuple, pd: PointData, sign: int | None, size) -> float:
         else:
             coeff, names = bound
             scale = max(scale, abs(coeff) * math.prod(
-                pd.norm(n, sign) for n in names.split()))
+                sector.norm(n) for n in names.split()))
     return scale
 
 
@@ -431,21 +428,20 @@ class TermList:
     """A registry evaluator: the residual and scale of its equations."""
 
     equations: tuple
-    sign: int | None = None
 
     @property
     def terms(self) -> tuple:
         return tuple(t for eq in self.equations for t in eq.lhs + eq.rhs)
 
-    def __call__(self, pd: PointData) -> tuple[float, float]:
+    def __call__(self, sector: SectorPack) -> tuple[float, float]:
         residual = scale = 0.0
         for eq in self.equations:
-            values = {t.name: t.value(pd, self.sign) for t in eq.lhs + eq.rhs}
+            values = {t.name: t.value(sector) for t in eq.lhs + eq.rhs}
             lhs = _sum([values[t.name] for t in eq.lhs])
             rhs = _sum([values[t.name] for t in eq.rhs])
             residual = max(residual, _norm(lhs - rhs))
             scale = max(scale, _scale(
-                eq.scale or tuple(values), pd, self.sign,
+                eq.scale or tuple(values), sector,
                 lambda b: _norm(lhs if b == "lhs" else values[b])))
         return residual, scale
 
@@ -469,22 +465,20 @@ class Commutator:
     k: int
     curvature: tuple
     scale: tuple
-    sign: int | None = None
 
     @property
     def terms(self) -> tuple:
         return self.curvature
 
-    def __call__(self, pd: PointData) -> tuple[float, float]:
-        pack = pd.sector(self.sign)
-        top = pack.blocks(self.k)
+    def __call__(self, sector: SectorPack) -> tuple[float, float]:
+        top = sector.blocks(self.k)
         lhs = top - np.swapaxes(top, -1, -2)
-        m = _sum([t.value(pd, self.sign) for t in self.curvature])
-        rhs = algebra.curvature_action(m, pack.blocks(self.k - 2),
-                                       pack.forms, pack.action)
+        m = _sum([t.value(sector) for t in self.curvature])
+        rhs = algebra.curvature_action(m, sector.blocks(self.k - 2),
+                                       sector.forms, sector.action)
         sizes = {"lhs": 2.0 * _frobenius(lhs)}
         return 2.0 * _frobenius(lhs - rhs), \
-            _scale(self.scale, pd, self.sign, sizes.__getitem__)
+            _scale(self.scale, sector, sizes.__getitem__)
 
 
 _WEYL_DECOMPOSITION = (
@@ -714,32 +708,32 @@ _GAP_POINTWISE = (Equation((Term("|W|^2", 6.0, "ijkl,ijkl->", "W W"),),
 # ---------------------------------------------------------------------------
 
 def ev_algebra_quaternionic(pd: PointData):
-    res = max(algebra.quaternionic_residual(pd.operand("E", 1)),
-              algebra.quaternionic_residual(pd.operand("E", -1)))
+    res = max(algebra.quaternionic_residual(pd.operand("E+")),
+              algebra.quaternionic_residual(pd.operand("E-")))
     return res, 1.0
 
 
-def ev_algebra_quartic(pd: PointData, sign: int):
+def ev_algebra_quartic(half: SectorPack):
     """Q = Q_1 + .. + Q_4 = (1/4)|W|^4 on one half (algebra.quartic_terms)."""
-    w = pd.operand("W", sign)
+    w = half.operand("W")
     q = algebra.quartic_terms(w).sum()
     n2 = algebra.weyl_square(w).trace()     # |W|^2
     rhs = 0.25 * n2 ** 2
     return float(np.abs(q - rhs)), float(np.maximum(np.abs(q), np.abs(rhs)))
 
 
-def ev_derder_reconstruction(pd: PointData, sign: int):
+def ev_derder_reconstruction(half: SectorPack):
     """max |(1/2) K_abt E_a (x) E_b - nabla W+-| and max |K - K^T|, against
     max |nabla W+-|."""
-    nw, k, e = (pd.operand(name, sign) for name in ("nw1", "K", "E"))
+    nw, k, e = (half.operand(name) for name in ("nw1", "K", "E"))
     recon = 0.5 * np.einsum("abt,aij,bpq->ijpqt", k, e, e)
     res = max(np.abs(recon - nw).max(), np.abs(k - np.swapaxes(k, 0, 1)).max())
     return float(res), float(np.abs(nw).max())
 
 
-def ev_divz_relations(pd: PointData, sign: int):
-    return framecalc.div_free_relations_residual(pd.operand("K", sign),
-                                                 pd.operand("E", sign))
+def ev_divz_relations(half: SectorPack):
+    return framecalc.div_free_relations_residual(half.operand("K"),
+                                                 half.operand("E"))
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +767,6 @@ class OutOfScopeEntry:
     id: str
     anchors: tuple
     note: str
-
-
-def _sector_id(base: str, sign: int) -> str:
-    return f"{base}-{_SECTOR_NAME[sign]}"
 
 
 def _build_registry():
@@ -858,46 +848,40 @@ def _build_registry():
                      4, ("d2w",), 10, 1e-5, TermList(_BOCHNERK_K2)),
     ]
     for sign in (1, -1):
-        sfx = partial(_sector_id, sign=sign)
+        h = _SECTOR_NAME[sign]
         specs += [
-            IdentitySpec(sfx("algebra.quadratic.sector"), ("WeylWeylMetric",),
-                         "any", 0, (), 4, 1e-12, TermList(_QUADRATIC, sign),
-                         sign),
-            IdentitySpec(sfx("algebra.cubic.sector"), ("WWW",), "any", 0,
-                         (), 6, 1e-12, TermList(_CUBIC, sign), sign),
-            IdentitySpec(sfx("algebra.quartic.sector"), ("lem-quart",), "any",
-                         0, (), 8, 1e-12, partial(ev_algebra_quartic,
-                                                  sign=sign), sign),
-            IdentitySpec(sfx("derder.reconstruction"), ("eq-derder",), "any",
-                         1, (), 3, 1e-8,
-                         partial(ev_derder_reconstruction, sign=sign), sign),
-            IdentitySpec(sfx("derder.norm"), ("eq-nqder",), "any", 1, (),
-                         6, 1e-7, TermList(_DERDER_NORM, sign), sign),
-            IdentitySpec(sfx("derder.cubic"), ("eqrhs",), "any", 1, (), 8,
-                         1e-7, TermList(_DERDER_CUBIC, sign), sign),
-            IdentitySpec(sfx("divz.relations"), ("eq-divz",),
+            IdentitySpec(f"algebra.quadratic.sector-{h}", ("WeylWeylMetric",),
+                         "any", 0, (), 4, 1e-12, TermList(_QUADRATIC), sign),
+            IdentitySpec(f"algebra.cubic.sector-{h}", ("WWW",), "any", 0,
+                         (), 6, 1e-12, TermList(_CUBIC), sign),
+            IdentitySpec(f"algebra.quartic.sector-{h}", ("lem-quart",), "any",
+                         0, (), 8, 1e-12, ev_algebra_quartic, sign),
+            IdentitySpec(f"derder.reconstruction-{h}", ("eq-derder",), "any",
+                         1, (), 3, 1e-8, ev_derder_reconstruction, sign),
+            IdentitySpec(f"derder.norm-{h}", ("eq-nqder",), "any", 1, (),
+                         6, 1e-7, TermList(_DERDER_NORM), sign),
+            IdentitySpec(f"derder.cubic-{h}", ("eqrhs",), "any", 1, (), 8,
+                         1e-7, TermList(_DERDER_CUBIC), sign),
+            IdentitySpec(f"divz.relations-{h}", ("eq-divz",),
                          "sector-harmonic", 1, (), 3, 1e-7,
-                         partial(ev_divz_relations, sign=sign), sign),
-            IdentitySpec(sfx("key1.sector"), ("lem-key1",), "sector-harmonic",
-                         1, (), 8, 1e-7, TermList(_KEY1, sign),
-                         sign),
-            IdentitySpec(sfx("key2.sector"), ("lem-key2",), "any", 1, (),
-                         8, 1e-8, TermList(_KEY2, sign), sign),
-            IdentitySpec(sfx("bochner1.sector"), ("niceself",),
+                         ev_divz_relations, sign),
+            IdentitySpec(f"key1.sector-{h}", ("lem-key1",), "sector-harmonic",
+                         1, (), 8, 1e-7, TermList(_KEY1), sign),
+            IdentitySpec(f"key2.sector-{h}", ("lem-key2",), "any", 1, (),
+                         8, 1e-8, TermList(_KEY2), sign),
+            IdentitySpec(f"bochner1.sector-{h}", ("niceself",),
                          "sector-harmonic", 2, ("w",), 6, 1e-8,
-                         TermList(_BOCHNER1_4D, sign), sign),
-            IdentitySpec(sfx("bochner2.pro-boch"),
+                         TermList(_BOCHNER1_4D), sign),
+            IdentitySpec(f"bochner2.pro-boch-{h}",
                          ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 3,
-                         ("dw",), 8, 1e-6,
-                         TermList(_PRO_BOCH, sign), sign),
-            IdentitySpec(sfx("bochnerk.k2"),
+                         ("dw",), 8, 1e-6, TermList(_PRO_BOCH), sign),
+            IdentitySpec(f"bochnerk.k2-{h}",
                          ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 4,
-                         ("d2w",), 10, 1e-5,
-                         TermList(_BOCHNERK_K2, sign), sign),
-            IdentitySpec(sfx("gap.pointwise"),
+                         ("d2w",), 10, 1e-5, TermList(_BOCHNERK_K2), sign),
+            IdentitySpec(f"gap.pointwise-{h}",
                          ("final-proposition", "lem-quart"),
                          "einstein-parallel-sector", 1, (), 4, 1e-8,
-                         TermList(_GAP_POINTWISE, sign), sign),
+                         TermList(_GAP_POINTWISE), sign),
         ]
     return {s.id: s for s in specs}
 
@@ -948,41 +932,43 @@ CONTROL_MIN_FRACTION = 0.6
 class Gate:
     """One hypothesis gate: its `list identities` label; `declared(props)`,
     whether a chart's ChartProperties could satisfy it, so that the suite
-    attempts the check there; `measured(pd, sign)`, the part a declaration
-    implies; and `nonzero(pd, sign)`, the rest (a nonvanishing half).  `sign`
-    is the check's duality half or None.  A check applies where both hold;
-    a failed `measured` on a declaring chart is a declaration mismatch."""
+    attempts the check there; `measured(sector)`, the part a declaration
+    implies; and `nonzero(sector)`, the rest (a nonvanishing half).
+    `sector` is the SectorPack of the check's duality half, or the whole
+    PointData.  A check applies where both hold; a failed `measured` on a
+    declaring chart is a declaration mismatch."""
 
     label: str
     declared: Callable
     measured: Callable
-    nonzero: Callable = lambda pd, sign: True
+    nonzero: Callable = lambda sector: True
 
 
 _HARMONIC = Gate("[harmonic-Weyl,4D]",
                  lambda p: p.harmonic_weyl or p.einstein is not None,
-                 lambda pd, sign: pd.is_harmonic(sign))
+                 lambda sector: sector.is_harmonic)
 
 GATES: dict[str, Gate] = {
-    "any": Gate("[any]", lambda p: True, lambda pd, sign: True),
+    "any": Gate("[any]", lambda p: True, lambda sector: True),
     "harmonic": _HARMONIC,
     "sector-harmonic": replace(_HARMONIC, label="[half-harmonic-Weyl,4D]"),
     "einstein": Gate("[Einstein,4D]", lambda p: p.einstein is not None,
-                     lambda pd, sign: pd.is_einstein),
+                     lambda sector: sector.is_einstein),
     "einstein-parallel-sector": Gate(
         "[Einstein,parallel-sector,4D]",
         lambda p: p.einstein is not None and p.parallel_weyl,
-        lambda pd, sign: pd.is_einstein and pd.is_parallel(sign),
-        lambda pd, sign: pd.sector_nonzero(sign)),
+        lambda sector: sector.is_einstein and sector.is_parallel,
+        lambda sector: sector.is_nonzero),
     "conformal": Gate("[conformally-flat]", lambda p: p.conformally_flat,
-                      lambda pd, sign: pd.is_conformally_flat),
+                      lambda pd: pd.is_conformally_flat),
 }
 
 
-def gate_satisfied(spec: IdentitySpec, pd: PointData) -> bool:
-    """Numerically verified hypothesis gate for one identity at one point."""
+def gate_satisfied(spec: IdentitySpec, sector: SectorPack) -> bool:
+    """Numerically verified hypothesis gate for one identity at one point,
+    on the sector the identity names."""
     gate = GATES[spec.gate]
-    return gate.measured(pd, spec.sector) and gate.nonzero(pd, spec.sector)
+    return gate.measured(sector) and gate.nonzero(sector)
 
 
 def static_applicable(spec: IdentitySpec, props) -> bool:

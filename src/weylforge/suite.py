@@ -128,16 +128,16 @@ def _audit_point(chart: MetricChart, pd: PointData) -> list:
                        f"measured {lam}")
     if p.ricci_flat and not pd.is_ricci_flat:
         bad.append("declared Ricci-flat but Ricci is nonzero")
-    if p.harmonic_weyl and not pd.is_harmonic():
+    if p.harmonic_weyl and not pd.is_harmonic:
         bad.append("declared harmonic Weyl but div W is nonzero")
-    if p.parallel_weyl and not pd.is_parallel():
+    if p.parallel_weyl and not pd.is_parallel:
         bad.append("declared parallel Weyl but nabla W is nonzero")
     if p.conformally_flat and not pd.is_conformally_flat:
         bad.append("declared conformally flat but W is nonzero")
     if p.negative_control:
         if pd.is_einstein:
             bad.append("declared negative control but metric measures Einstein")
-        if pd.is_harmonic():
+        if pd.is_harmonic:
             bad.append("declared negative control but div W vanishes")
         if not pd.cotton_nonzero:
             bad.append("declared negative control but Cotton tensor vanishes")
@@ -153,21 +153,26 @@ def _row(sid: str, pd: PointData, status: str, res_abs=0.0, scale=0.0,
 
 
 def _check(spec: IdentitySpec, pd: PointData, tol: float,
-           control: float | None = None) -> IdentityCheckResult:
+           control: float | None = None) -> tuple[IdentityCheckResult, bool]:
     """One identity at one point: gate, residual, relative residual, status.
 
-    `control` is the violation threshold of a negative-control identity,
-    which is evaluated despite its gate; None for an ordinary check.
+    The gate and the evaluator read the sector that spec.sector names, the
+    one place a row's half is picked.  `control` is the violation threshold
+    of a negative-control identity, which is evaluated despite its gate;
+    None for an ordinary check.  Returns the row and whether the gate's
+    measured part failed.
     """
-    if control is None and not gate_satisfied(spec, pd):
-        return _row(spec.id, pd, "not_applicable")
-    res_abs, scale = spec.evaluate(pd)
+    sector = pd.sector(spec.sector)
+    if control is None and not gate_satisfied(spec, sector):
+        return _row(spec.id, pd, "not_applicable"), \
+            not GATES[spec.gate].measured(sector)
+    res_abs, scale = spec.evaluate(sector)
     rel, floor = residual_rel(spec, pd, res_abs, scale)
     if control is None:
         status = "pass" if rel <= tol else "fail"
     else:
         status = "expected-fail" if rel > control else "unexpected-pass"
-    return _row(spec.id, pd, status, res_abs, floor, rel)
+    return _row(spec.id, pd, status, res_abs, floor, rel), False
 
 
 def _evaluate_point(chart, point, attempted, requested, order, depth, laps,
@@ -186,13 +191,12 @@ def _evaluate_point(chart, point, attempted, requested, order, depth, laps,
         if sid not in attempted_ids:
             rows.append(_row(sid, pd, "not_applicable"))
             continue
-        row = _check(spec, pd, tolerances.get(sid, spec.tol),
-                     control_ids.get(sid))
+        row, gate_failed = _check(spec, pd, tolerances.get(sid, spec.tol),
+                                  control_ids.get(sid))
         # an attempted identity off the control list is statically
         # applicable, so a failed gate contradicts the declaration unless
         # only its nonzero part fails
-        if row.status == "not_applicable" and \
-                not GATES[spec.gate].measured(pd, spec.sector):
+        if gate_failed:
             mismatches.append({
                 **where, "problem": f"{sid}: declared properties imply gate "
                                     f"'{spec.gate}' but measurement fails it"})
@@ -223,7 +227,7 @@ def check_identity(identity_id: str, cp, tol: float | None = None
     else:
         _check_tolerance(identity_id, tol)
     pd = cp if isinstance(cp, PointData) else PointData(cp)
-    return _check(spec, pd, tol)
+    return _check(spec, pd, tol)[0]
 
 
 def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
@@ -290,18 +294,20 @@ def _summarize(results, mismatches, capacity_skipped):
             "unexpected_pass": 0, "max_residual_rel": 0.0})
         key = r.status.replace("-", "_")
         agg[key] += 1
-        if r.status != "not_applicable":
-            agg["max_residual_rel"] = max(agg["max_residual_rel"],
-                                          r.residual_rel)
+        top = agg["max_residual_rel"]
+        # max() would keep a finite max over a later NaN: NaN sticks
+        if r.status != "not_applicable" and \
+                not (math.isnan(top) or r.residual_rel <= top):
+            agg["max_residual_rel"] = r.residual_rel
         if r.status in ("expected-fail", "unexpected-pass"):
             c = controls.setdefault(r.manifold, {}).setdefault(
                 r.identity_id, {"violations": 0, "points": 0})
             c["points"] += 1
             if r.status == "expected-fail":
                 c["violations"] += 1
-        for v in (r.residual_abs, r.scale, r.residual_rel):
-            if not math.isfinite(v):
-                nonfinite.append(f"{r.identity_id}@{r.manifold}{r.point}")
+        if not all(map(math.isfinite,
+                       (r.residual_abs, r.scale, r.residual_rel))):
+            nonfinite.append(f"{r.identity_id}@{r.manifold}{r.point}")
     controls_met = True
     for manifold, ids in controls.items():
         for sid, c in ids.items():

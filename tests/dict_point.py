@@ -1,9 +1,17 @@
 """A test point whose term operands are the entries of a dict.
 
-It supplies what a registry TermList reads of a point, operand(name, sign)
-and norm(name, sign), so the registry's own rows can be evaluated on
-synthetic tensors.  A key carries its half as a `+` or `-` suffix ("W+",
-"lam-"); a name with no entry for its half is read whole ("g", "W").
+A registry evaluator is handed one sector of a point, the SectorPack that
+its IdentitySpec.sector names, and reads operand(name) and norm(name) of
+it.  DictPoint supplies those, so the registry's own rows can be evaluated
+on synthetic tensors: DictPoint(operands) is the whole point and
+sector(sign) its half.  A key carries its half as a `+` or `-` suffix
+("W+", "lam-"); a half reads its own key first, and a name with no entry
+for its half is read whole ("g", "W").  A `+` or `-` suffix on the name
+read picks that half's key.
+
+evaluate(spec, point) runs a row on the sector it names, of a DictPoint or
+a PointData: a half row handed the whole point would still run, on the
+whole W.
 """
 
 import numpy as np
@@ -14,14 +22,22 @@ _SUFFIX = {None: "", 1: "+", -1: "-"}
 
 
 class DictPoint:
-    def __init__(self, operands: dict):
+    def __init__(self, operands: dict, sign: int | None = None):
         self.operands = {"g": np.eye(4), **operands}
+        self.sign = sign
 
-    def operand(self, name: str, sign: int | None = None):
-        name, sign, _ = _parse(name, sign)
-        key = name + _SUFFIX[sign]
+    def sector(self, sign: int | None) -> "DictPoint":
+        return DictPoint(self.operands, sign)
+
+    def operand(self, name: str):
+        name, half, _ = _parse(name)
+        key = name + _SUFFIX[self.sign if half is None else half]
         return self.operands[key if key in self.operands else name]
 
-    def norm(self, name: str, sign: int | None = None) -> float:
-        return _frobenius(self.operand(name, sign))
+    def norm(self, name: str) -> float:
+        return _frobenius(self.operand(name))
 
+
+def evaluate(spec, point):
+    """(residual, scale) of registry row `spec` on the sector it names."""
+    return spec.evaluate(point.sector(spec.sector))

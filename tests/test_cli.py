@@ -197,6 +197,36 @@ def test_render_json_writes_what_json_dumps_writes():
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _summary_row(rel, residual_abs=1e-20):
+    return suite.IdentityCheckResult("key2.full", "flat-r4",
+                                     (0.0, 0.0, 0.0, 0.0), residual_abs, 1.0,
+                                     rel, "pass", 4)
+
+
+def test_summary_max_residual_is_nan_once_a_row_is_nan():
+    """A NaN residual_rel sets its identity's max to NaN, in either row
+    order: max() alone keeps the finite value when it comes first."""
+    for rels in ((math.nan, 1e-20), (1e-20, math.nan), (0.0, math.nan)):
+        summary, code = suite._summarize(
+            [_summary_row(rel) for rel in rels], [], [])
+        assert math.isnan(summary["per_identity"]["key2.full"]
+                          ["max_residual_rel"]), rels
+        assert code == 1
+    summary, _ = suite._summarize([_summary_row(r) for r in (1e-20, 3e-9)],
+                                  [], [])
+    assert summary["per_identity"]["key2.full"]["max_residual_rel"] == 3e-9
+
+
+def test_summary_lists_a_nonfinite_row_once():
+    """A row with several non-finite fields is one entry of `nonfinite`,
+    and the CLI names it once."""
+    rows = [_summary_row(math.nan, residual_abs=math.nan),
+            _summary_row(1e-20)]
+    summary, code = suite._summarize(rows, [], [])
+    assert summary["nonfinite"] == ["key2.full@flat-r4(0.0, 0.0, 0.0, 0.0)"]
+    assert code == 1 and not summary["ok"]
+
+
 def test_timestamp_present_without_deterministic(tmp_path):
     out = tmp_path / "r.json"
     code = cli.main(["verify", "--manifolds", "flat-r4", "--points", "1",
@@ -319,6 +349,21 @@ def test_conformal_phi_coefficients_are_finite_real_numbers(phi, shown,
     assert err.startswith("configuration error: --conformal-phi")
     assert f"coefficient {shown} in {phi!r}" in err
     assert "could not convert" not in err
+
+
+@pytest.mark.parametrize("phis", [
+    ["1,0,0,0=0.1", "1,0,0,0=0.2"],
+    ['{"1,0,0,0": 0.1, "1, 0,0,0": 0.2}'],
+    ['{"1,0,0,0": 0.1, "1,0,0,0": 0.2}'],
+    ['{"1,0,0,0": 0.1}', "1,0,0,0=0.1"]])
+def test_conformal_phi_repeated_monomial_exits_2(phis, capsys):
+    """A monomial given twice, in either form or across both, is a
+    configuration error: the run would silently keep the last value."""
+    args = [f"--conformal-phi={phi}" for phi in phis]
+    assert cli.main(["verify", "--manifolds", "conformally-flat",
+                     "--points", "1", *args]) == 2
+    assert "monomial (1, 0, 0, 0) is given more than once" in \
+        capsys.readouterr().err
 
 
 def test_conformal_phi_json_must_parse(capsys):

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "bench" / "contract_gemm.py"
 _SPEC = importlib.util.spec_from_file_location("contract_gemm", _PATH)
 contract_gemm = importlib.util.module_from_spec(_SPEC)
@@ -49,3 +51,27 @@ def test_compare_leaves_a_narrow_or_split_gain_unresolved():
     assert not res["checks_per_s"]["resolved"]
     assert res["cpu_ms_per_check"]["parent_wins"] == 10
     assert not res["cpu_ms_per_check"]["resolved"]
+
+
+def test_traced_spread_keeps_each_sides_runs_and_quartiles():
+    """Per side and metric, the three traced runs in run order, their median
+    and quartiles: a layer time that moves by a quarter between runs shows
+    its spread beside the median that `traced` keeps."""
+    traced = {"parent": [{"identities.eval_s": 0.10, "charts.weyl_s": 2.0},
+                         {"identities.eval_s": 0.08, "charts.weyl_s": 2.0},
+                         {"identities.eval_s": 0.12, "charts.weyl_s": 2.0}],
+              "change": [{"identities.eval_s": 0.07, "charts.weyl_s": 1.0},
+                         {"identities.eval_s": 0.05, "charts.weyl_s": 3.0},
+                         {"identities.eval_s": 0.06, "charts.weyl_s": 2.0}]}
+    got = contract_gemm.traced_spread(traced)
+    assert set(got) == {"parent", "change"}
+    parent = got["parent"]["identities.eval_s"]
+    assert parent["runs"] == [0.10, 0.08, 0.12]
+    assert parent["median"] == 0.10
+    assert (parent["q1"], parent["q3"]) == pytest.approx((0.09, 0.11))
+    change = got["change"]["identities.eval_s"]
+    assert change["median"] == 0.06 and change["q3"] < parent["q1"]
+    assert got["parent"]["charts.weyl_s"] == {
+        "median": 2.0, "q1": 2.0, "q3": 2.0, "runs": [2.0, 2.0, 2.0]}
+    assert (got["change"]["charts.weyl_s"]["q1"],
+            got["change"]["charts.weyl_s"]["q3"]) == (1.5, 2.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import commutation_reference as ref
-from dict_point import DictPoint
+from dict_point import DictPoint, evaluate
 from weylforge import algebra, charts, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
@@ -40,7 +40,6 @@ def test_term_lists_are_well_formed():
         ev = spec.evaluate
         if not isinstance(ev, DATA):
             continue
-        assert ev.sign == spec.sector, sid
         names = [t.name for t in ev.terms]
         assert len(names) == len(set(names)), sid
         for t in ev.terms:
@@ -82,9 +81,8 @@ def test_commutation_block_form_equals_the_full_component_reference(
     for _, pd in sample_points:
         for sid, equations in COMMUTATION_REFERENCE.items():
             for sign in (None, 1, -1):
-                blocks = replace(REGISTRY[sid].evaluate, sign=sign)
-                r1, s1 = blocks(pd)
-                r2, s2 = TermList(equations, sign)(pd)
+                r1, s1 = REGISTRY[sid].evaluate(pd.sector(sign))
+                r2, s2 = TermList(equations)(pd.sector(sign))
                 assert abs(r1 - r2) <= 1e-12 * s2, (sid, sign, r1, r2)
                 assert s1 == pytest.approx(s2, rel=1e-12), (sid, sign)
 
@@ -97,12 +95,12 @@ def test_identities_pass_on_sds(sid, catalog):
     cp = curvature_at(chart, [4.5, 1.1, 0.9, 0.35], depth=max(spec.depth, 1),
                       laplacians=spec.laplacians)
     pd = PointData(cp)
-    if not gate_satisfied(spec, pd):
+    if not gate_satisfied(spec, pd.sector(spec.sector)):
         # only the parallel-sector gap checks and the conformal-flatness
         # control are inapplicable on Schwarzschild-de Sitter
         assert spec.gate in ("einstein-parallel-sector", "conformal")
         return
-    res, scale = spec.evaluate(pd)
+    res, scale = evaluate(spec, pd)
     rel, _ = residual_rel(spec, pd, res, scale)
     assert rel <= spec.tol, (sid, rel)
 
@@ -117,16 +115,16 @@ def test_harmonic_identities_on_non_einstein_chart(catalog):
                 "bochner1.4d", "bochner1.sector-plus", "lem-paolo",
                 "key1.full", "gradweyl.harmonic"):
         spec = REGISTRY[sid]
-        assert gate_satisfied(spec, pd), sid
-        res, scale = spec.evaluate(pd)
+        assert gate_satisfied(spec, pd.sector(spec.sector)), sid
+        res, scale = evaluate(spec, pd)
         rel, _ = residual_rel(spec, pd, res, scale)
         assert rel <= spec.tol, (sid, rel)
 
 
 def test_gap_check_not_applicable_on_schwarzschild(cp_schwarzschild):
     pd = PointData(cp_schwarzschild)
-    spec = REGISTRY["gap.pointwise-plus"]
-    assert not gate_satisfied(spec, pd)     # nabla W != 0 there
+    assert not gate_satisfied(REGISTRY["gap.pointwise-plus"],
+                              pd.sector(1))     # nabla W != 0 there
 
 
 def test_gap_check_values(cp_cp2, cp_s2xs2):
@@ -135,13 +133,13 @@ def test_gap_check_values(cp_cp2, cp_s2xs2):
         for sign in signs:
             sid = "gap.pointwise-plus" if sign == 1 else "gap.pointwise-minus"
             spec = REGISTRY[sid]
-            assert gate_satisfied(spec, pd)
-            res, scale = spec.evaluate(pd)
+            assert gate_satisfied(spec, pd.sector(sign))
+            res, scale = evaluate(spec, pd)
             rel, _ = residual_rel(spec, pd, res, scale)
             assert rel <= 1e-8
     # the vanishing sector of CP^2 is excluded by the nonzero gate
     pd = PointData(cp_cp2)
-    assert not gate_satisfied(REGISTRY["gap.pointwise-minus"], pd)
+    assert not gate_satisfied(REGISTRY["gap.pointwise-minus"], pd.sector(-1))
 
 
 def test_static_gating_matches_declarations(catalog):
@@ -299,7 +297,7 @@ def test_half_only_operands_need_a_half(cp_schwarzschild):
         with pytest.raises(ValueError, match=f"operand '{name}'"):
             pd.operand(name)
         assert pd.operand(name + "-").shape == shape
-        assert pd.operand(name, 1).shape == shape
+        assert pd.sector(1).operand(name).shape == shape
 
 
 def test_blocks_are_expanded_on_first_read(catalog, monkeypatch):
@@ -354,15 +352,16 @@ def test_block_norms_and_divergence_equal_the_expansion(catalog, name):
     the trace of the expanded frame components, for the whole W and each
     half."""
     pd = PointData(_depth2_point(catalog[name]))
-    for sign in (None, 1, -1):
+    for sign, suffix in ((None, ""), (1, "+"), (-1, "-")):
         pack = pd.sector(sign)
         for k in range(3):
+            name = "W" if k == 0 else f"nw{k}"
             want = _frobenius(pack.stack(k))
-            assert abs(pack.norm(k) - want) <= 1e-14 * want, (sign, k)
-            assert pd.norm("W" if k == 0 else f"nw{k}", sign) == \
-                pack.norm(k)
+            assert abs(pack.norm(name) - want) <= 1e-14 * want, (sign, k)
+            assert pd.norm(name + suffix) == pack.norm(name)
         trace = np.einsum("tijkt->ijk", pack.stack(1))
-        assert np.abs(pack.div - trace).max() <= 1e-13 * pack.norm(1), sign
+        assert np.abs(pack.div - trace).max() <= \
+            1e-13 * pack.norm("nw1"), sign
 
 
 def test_gates_and_audit_expand_nothing(catalog, monkeypatch):
@@ -382,14 +381,14 @@ def test_gates_and_audit_expand_nothing(catalog, monkeypatch):
         pd = PointData(_depth2_point(chart))
         suite._audit_point(chart, pd)
         for spec in REGISTRY.values():
-            gate_satisfied(spec, pd)
+            gate_satisfied(spec, pd.sector(spec.sector))
         assert calls == [], name
 
 
 def test_gates_are_measured_once_per_point(catalog, monkeypatch):
     """A second declaration audit and gate pass at a point measures nothing
-    again: each gate keeps its answer, or the norms it reads, on the
-    PointData."""
+    again: each gate keeps its answer, or the norms it reads, on the sector
+    pack it is read on."""
     from weylforge import identities, suite
     points = [(chart, PointData(_depth2_point(chart)))
               for chart in catalog.values()]
@@ -398,7 +397,7 @@ def test_gates_are_measured_once_per_point(catalog, monkeypatch):
         for chart, pd in points:
             suite._audit_point(chart, pd)
             for spec in REGISTRY.values():
-                gate_satisfied(spec, pd)
+                gate_satisfied(spec, pd.sector(spec.sector))
 
     audit_and_gates()
     frobenius, calls = identities._frobenius, []
@@ -481,9 +480,9 @@ def mutation_rows(sample_points):
                     spec.id in CONTROL_EXPECT_FAIL:
                 continue
             if not (static_applicable(spec, chart.properties)
-                    and gate_satisfied(spec, pd)):
+                    and gate_satisfied(spec, pd.sector(spec.sector))):
                 continue
-            rel, _ = residual_rel(spec, pd, *spec.evaluate(pd))
+            rel, _ = residual_rel(spec, pd, *evaluate(spec, pd))
             if rel <= spec.tol:
                 out.append((spec, pd))
     return out
@@ -511,8 +510,8 @@ def test_every_term_can_fail(mutation_rows):
         rows = [pd for s, pd in mutation_rows if s is spec]
         for term in spec.evaluate.terms:
             mutated = _scaled(spec.evaluate, term.name, 1.05)
-            if not any(residual_rel(spec, pd, *mutated(pd))[0] > spec.tol
-                       for pd in rows):
+            if not any(residual_rel(spec, pd, *mutated(
+                    pd.sector(spec.sector)))[0] > spec.tol for pd in rows):
                 undetected.add((sid, term.name))
     assert undetected == UNDETECTED_MUTATIONS
 
@@ -542,7 +541,8 @@ def _not_div_free(pd, sign):
     """W+- (x) v added to the blocks of nabla W+-, which K reads: still in
     the sector, not div-free."""
     pack = pd.sector(sign)
-    v = 1e-2 * pack.norm(1) / pack.norm(0) * np.array([1.0, -2.0, 0.5, 3.0])
+    v = 1e-2 * pack.norm("nw1") / pack.norm("W") \
+        * np.array([1.0, -2.0, 0.5, 3.0])
     pack._blocks[1] = pack.blocks(1) + np.einsum("sxy,t->sxyt",
                                                  pack.blocks(0), v)
 
@@ -563,26 +563,26 @@ def test_every_hand_written_row_can_fail(cp_schwarzschild):
     assert len(rows) == 7
     for sid, spec in rows.items():
         pd = PointData(cp_schwarzschild)
-        assert gate_satisfied(spec, pd), sid
-        assert residual_rel(spec, pd, *spec.evaluate(pd))[0] <= spec.tol, sid
+        assert gate_satisfied(spec, pd.sector(spec.sector)), sid
+        assert residual_rel(spec, pd, *evaluate(spec, pd))[0] <= spec.tol, sid
         pd = PointData(cp_schwarzschild)
         HAND_WRITTEN_MUTATIONS[sid.removesuffix("-plus").removesuffix(
             "-minus")](pd, spec.sector)
-        rel, _ = residual_rel(spec, pd, *spec.evaluate(pd))
+        rel, _ = residual_rel(spec, pd, *evaluate(spec, pd))
         assert rel > spec.tol, (sid, rel)
 
 
 def test_hand_written_rows_read_only_their_operands(cp_schwarzschild):
     """Each hand-written row gives exactly the same (residual, scale) on a
     DictPoint of the point's operands E+-, W+-, nw1+- and K+- as on its
-    PointData: it reads nothing of the point but PointData.operand."""
+    PointData: it reads nothing of its sector but SectorPack.operand."""
     pd = PointData(cp_schwarzschild)
-    point = DictPoint({name + h: pd.operand(name, sign)
+    point = DictPoint({name + h: pd.sector(sign).operand(name)
                        for name in ("E", "W", "nw1", "K")
                        for h, sign in (("+", 1), ("-", -1))})
     for sid, spec in REGISTRY.items():
         if not isinstance(spec.evaluate, DATA):
-            assert spec.evaluate(point) == spec.evaluate(pd), sid
+            assert evaluate(spec, point) == evaluate(spec, pd), sid
 
 
 def test_suite_splits_no_riemann_tensor(catalog, monkeypatch):
