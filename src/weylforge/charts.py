@@ -62,8 +62,8 @@ from typing import Callable
 import numpy as np
 
 from . import algebra, jets
-from .jets import (Jet, contract_slot, mul_coeffs, mul_operator, n_coeffs,
-                   partial_coeffs)
+from .jets import (Jet, contract_slot, gradient_coeffs, mul_coeffs,
+                   mul_operator, n_coeffs)
 
 DIM = 4
 
@@ -204,10 +204,15 @@ def first_kind_jets(g: np.ndarray, order: int) -> np.ndarray:
 
     Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2, indexed [l, i, j].
     """
-    dg = np.stack([partial_coeffs(g, order, d) for d in range(DIM)], axis=-2)
+    dg = gradient_coeffs(g, order)
     # dg[a, b, d] = d_d g_ab
     return 0.5 * (np.einsum("jlic->lijc", dg) + np.einsum("iljc->lijc", dg)
                   - np.einsum("ijlc->lijc", dg))
+
+
+# Gamma^k_ij = g^kl Gamma_{l,ij} on the pairs i <= j: every (k, pair).
+_GAMMA_TERMS = _matmul_terms(np.ndindex(DIM, len(_SYM_I)), _FULL[:DIM],
+                             np.ones((DIM, len(_SYM_I)), dtype=bool))
 
 
 def christoffel_jets(g: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
@@ -219,8 +224,9 @@ def christoffel_jets(g: np.ndarray, ginv: np.ndarray, order: int) -> np.ndarray:
     """
     og = order - 1
     low = first_kind_jets(g, order)[:, _SYM_I, _SYM_J]
-    prod = mul_coeffs(ginv[:, :, None, :n_coeffs(og)], low[None], og, og, og)
-    return prod.sum(axis=1)[:, _SYM]
+    prod = _pruned_matmul(ginv[..., :n_coeffs(og)], low, _GAMMA_TERMS, og, og,
+                          og)
+    return prod.reshape(DIM, len(_SYM_I), -1)[:, _SYM]
 
 
 # Riemann's quadratic terms on the pairs A <= B of symmetric index pairs.
@@ -248,7 +254,7 @@ def riemann_jets(g: np.ndarray, gamma: np.ndarray, order: int) -> np.ndarray:
     oo = order - 2
     n = n_coeffs(oo)
     low = first_kind_jets(g, order)
-    dlow = np.stack([partial_coeffs(low, og, d) for d in range(DIM)], axis=-2)
+    dlow = gradient_coeffs(low, og)
     # dlow[i, l, j, k] = d_k Gamma_{i,lj}
     t1 = np.einsum("iljkc->ijklc", dlow)
     t2 = np.einsum("ikjlc->ijklc", dlow)
@@ -331,7 +337,7 @@ def covariant_derivative(t: np.ndarray, order_t: int, frame: np.ndarray,
     """
     oo = order_t - 1
     n = n_coeffs(oo)
-    d = np.stack([partial_coeffs(t, order_t, j) for j in range(DIM)], axis=-2)
+    d = gradient_coeffs(t, order_t)
     out = contract_slot(d, mul_operator(frame[..., :n], oo, oo, oo),
                         d.ndim - 2)
     conn_op = mul_operator(conn[..., :n], oo, oo, oo)
@@ -404,22 +410,27 @@ def duality_cross_field(t: np.ndarray, order: int) -> np.ndarray:
     return 4.0 * (sq[0] - sq[1])
 
 
+# Where d_p f and d_p d_q f sit at the expansion point among f's jet
+# coefficients: at x_p, and at x_p x_q times d_p d_q (x_p x_q), which is 2
+# on the diagonal.
+_UNIT = np.eye(DIM, dtype=int)
+_GRAD_INDEX = np.array([jets.MONO_INDEX[tuple(e)] for e in _UNIT])
+_HESS_INDEX = np.array([[jets.MONO_INDEX[tuple(p + q)] for q in _UNIT]
+                        for p in _UNIT])
+_HESS_FACTOR = 1.0 + np.eye(DIM)
+
+
 def scalar_jet_laplacian(f: np.ndarray, order_f: int, ginv0: np.ndarray,
                          gamma0: np.ndarray) -> float:
     """Rough Laplacian of a scalar jet at the expansion point.
 
-    Delta f = g^pq (d_p d_q f - Gamma^r_pq d_r f), evaluated from the jet's
-    first and second partial derivative coefficients.
+    Delta f = g^pq (d_p d_q f - Gamma^r_pq d_r f), with d_p f and
+    d_p d_q f read off the jet's degree-1 and degree-2 coefficients.
     """
     if order_f < 2:
         raise CapacityError("scalar Laplacian needs a jet of order >= 2")
-    grad = np.empty(DIM)
-    hess = np.empty((DIM, DIM))
-    firsts = [partial_coeffs(f, order_f, p) for p in range(DIM)]
-    for p in range(DIM):
-        grad[p] = firsts[p][..., 0]
-        for q in range(DIM):
-            hess[p, q] = partial_coeffs(firsts[p], order_f - 1, q)[..., 0]
+    grad = f[..., _GRAD_INDEX]
+    hess = f[..., _HESS_INDEX] * _HESS_FACTOR
     corr = np.einsum("rpq,r->pq", gamma0, grad)
     return float(np.einsum("pq,pq->", ginv0, hess - corr))
 
@@ -515,8 +526,7 @@ def orthonormal_frame(g: np.ndarray, order: int,
     # = V^T y: omega on its pairs m < a reads y on the pairs l < a only
     oc = order - 1
     n = n_coeffs(oc)
-    dv = np.stack([partial_coeffs(v, order, k) for k in range(DIM)],
-                  axis=-2)                             # dv[l, a, k]
+    dv = gradient_coeffs(v, order)                     # dv[l, a, k]
     rot = np.einsum("jm,jkxc,xi->mikc", e0,
                     first_kind_jets(g, order)[..., :n], e0)  # E0^T Gamma_k E0
     y = np.zeros((DIM, DIM, DIM, n))                    # y[l, a, k]
@@ -665,8 +675,7 @@ def curvature_at(chart: MetricChart, point, depth: int = 2, laplacians=(),
         ric_deriv = covariant_derivative(ric[..., :lin], 1, _COORDINATES,
                                          gam, (_COORDINATE_MAP,) * 2)
         ric_deriv_f = to_frame(ric_deriv[..., 0], frame)
-        d_scalar_f = frame.T @ np.array(
-            [partial_coeffs(rs, 1, d)[0] for d in range(DIM)])
+        d_scalar_f = frame.T @ gradient_coeffs(rs, 1)[:, 0]
         cotton = algebra.cotton_from_ricci(ric_deriv_f, d_scalar_f)
 
     lap = {}

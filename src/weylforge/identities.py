@@ -27,14 +27,28 @@ statement, whose terms all vanish together, and bochner2.pro-boch-weyl,
 whose scale leaves out one of its terms.  An operand norm is
 SectorPack.norm, which reads |W| and |nabla^k W| off the W+- blocks.
 
+A term that contracts its W-type operands two-form pair against two-form
+pair reads their W+- blocks, operand b<k> (b0 is W), in place of frame
+components.  Each basis two-form has B_ij B_ij = 2, so the term's
+coefficient carries a factor 2 per contracted pair of two-form slots: 4
+for an inner product, 8 for a chain of three.  These are |W|^2 (in
+algebra.quadratic, bochner1 and gap.pointwise), W_ijkl W_ijpq W_klpq,
+|nabla W|^2, R |nabla W|^2, W_ijkl nabla W_ijpqt nabla W_klpqt,
+|nabla^2 W|^2, <nabla W, nabla Delta W> and four of the five terms of
+bochnerk.k2, so nabla^3 W and nabla^4 W are never expanded.  A term that
+contracts a two-form slot with any other index (the Riem_pirs term of
+bochnerk.k2, Delta W, commute2.einstein-contracted, the other W and
+nabla W terms) reads W, nw1 or nw2 in frame components.
+
 How a term is contracted depends only on its subscripts.  A term of one or
 two tensors is one einsum loop, never a planned path, so no inner product
 becomes a BLAS dot, whose summation order depends on the thread count.  A
 term of three or more tensors is algebra.contract: one matrix product per
 pair of operands, paired in numpy's greedy order and planned once per
 subscripts and operand shapes.  The exception is a term whose operands all
-share an index, the Derdzinski frame's a,aij,akl->ijkl and a,abt,abt->:
-over three frame directions one einsum loop is faster than batched pair
+share an index, the Derdzinski frame's a,aij,akl->ijkl and a,abt,abt->
+and the block chains hxy,hxz,hyz-> and hxy,hxzt,hyzt-> (h the sector):
+on operands this small one einsum loop is faster than batched pair
 products.
 
 The one data evaluator that is not an einsum list is the Commutator: the
@@ -63,7 +77,7 @@ before a check is marked applicable; GATES is the one table of what each
 gate means, read on the same sector pack as the check, whose cached
 properties keep each answer.  The gates measure |W|, |nabla W| and div W on
 the W+- blocks too (SectorPack.norm and div): W and nabla^k W become frame
-components only for a term that reads them as an operand.  On the
+components only for a term that reads them as operand W or nw<k>.  On the
 negative-control chart a designated set of hypothesis-dependent identities
 is evaluated anyway and expected to be violated; that expectation is part
 of the suite's pass criteria.
@@ -73,7 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -121,10 +135,12 @@ def _computed(fields: dict, key, what: str):
             f"{what} {key!r} not computed at this point") from None
 
 
+@lru_cache(maxsize=None)
 def _parse(name: str) -> tuple:
     """(name, half, k) of an operand name: a trailing `+` or `-` names the
     duality half (+1 or -1) to read it from, else half is None, and k is 0
-    for W, k for nw<k> (nabla^k W) and None for any other operand."""
+    for W, k for nw<k> (nabla^k W) and b<k> (its W+- blocks) and None for
+    any other operand."""
     half = None
     if name[-1] in "+-":
         name, half = name[:-1], 1 if name[-1] == "+" else -1
@@ -132,6 +148,8 @@ def _parse(name: str) -> tuple:
         return name, half, 0
     if name.startswith("nw"):
         return name, half, int(name[2:])
+    if name[0] == "b" and name[1:].isdigit():
+        return name, half, int(name[1:])
     return name, half, None
 
 
@@ -141,8 +159,9 @@ class SectorPack:
     half's gates.  PointData is the whole point, sign None.
 
     Every measured size reads the blocks: norm and the divergence div.
-    Frame components are expanded only for a term that reads them as an
-    operand, by stack(k) on first read.
+    A term that contracts two-form pair against two-form pair reads the
+    blocks too, as operand b<k>.  Frame components are expanded only for a
+    term that reads W or nw<k>, by stack(k) on first read.
     """
 
     def __init__(self, cp: CurvaturePoint, sign: int | None,
@@ -184,7 +203,8 @@ class SectorPack:
     def operand(self, name: str):
         """The term operand `name` in this sector.
 
-        `W`, `nw<k>` (nabla^k W) and `lap_<field>` (the scalar Laplacian
+        `W`, `nw<k>` (nabla^k W), `b<k>` (the W+- blocks of nabla^k W,
+        blocks(k); b0 is W's) and `lap_<field>` (the scalar Laplacian
         field) are read from this sector, or from the half that a trailing
         `+` or `-` names.  `lam`, `E` and `K` exist only for one half: the
         eigenvalues (3,) and eigen-two-forms (3, 4, 4) of its Derdzinski
@@ -199,7 +219,7 @@ class SectorPack:
         if half is not None:
             return self.sector(half).operand(name)
         if k is not None:
-            return self.stack(k)
+            return self.blocks(k) if name[0] == "b" else self.stack(k)
         if name in ("lam", "E", "K"):
             if self.sign is None:
                 raise ValueError(f"operand {name!r} exists only for one "
@@ -228,7 +248,7 @@ class SectorPack:
         name, half, k = _parse(name)
         if half is not None:
             return self.sector(half).norm(name)
-        if k is None:
+        if k is None or name[0] == "b":
             return _frobenius(self.operand(name))
         if k not in self._norms:
             self._norms[k] = 2.0 * _frobenius(self.blocks(k))
@@ -539,20 +559,29 @@ _FAKE_SECOND_BIANCHI = (Equation(
                             ("ikt", "jl", 1), ("jtl", "ik", -1),
                             ("jlk", "it", -1), ("jkt", "il", -1)))),)
 
-# Terms that several identities share, at coefficient 1.
-_NABLA_W_SQ = Term("|nabla W|^2", 1.0, "ijklt,ijklt->", "nw1 nw1")
-_R_NABLA_W_SQ = Term("R |nabla W|^2", 1.0, ",ijklt,ijklt->", "R nw1 nw1")
-_W_NW_NW = Term("W_ijkl nabla W_ijpqt nabla W_klpqt", 1.0,
-                "ijkl,ijpqt,klpqt->", "W nw1 nw1")
-_W3 = Term("W_ijkl W_ijpq W_klpq", 1.0, "ijkl,ijpq,klpq->", "W W W")
+def _times(term: Term, c: float) -> Term:
+    """`term` with its coefficient multiplied by c, pair factor kept."""
+    return replace(term, coeff=c * term.coeff)
+
+
+# Terms that several identities share, at coefficient 1 in frame
+# components.  A term on the blocks b<k> is indexed h (the sector), then
+# its two two-form slots, then the derivative slots, and its coefficient
+# carries the pair factor (module docstring): 4 for an inner product, 8
+# for a chain of three.
+_NABLA_W_SQ = Term("|nabla W|^2", 4.0, "hxyt,hxyt->", "b1 b1")
+_R_NABLA_W_SQ = Term("R |nabla W|^2", 4.0, ",hxyt,hxyt->", "R b1 b1")
+_W_NW_NW = Term("W_ijkl nabla W_ijpqt nabla W_klpqt", 8.0,
+                "hxy,hxzt,hyzt->", "b0 b1 b1")
+_W3 = Term("W_ijkl W_ijpq W_klpq", 8.0, "hxy,hxz,hyz->", "b0 b0 b0")
 _W_IPKQ = Term("W_ijkl W_ipkq W_jplq", 1.0, "ijkl,ipkq,jplq->", "W W W")
 
 # The pointwise algebra of W and of each half.
 _QUADRATIC = (Equation(
     (Term("W_ijkt W_ijkl", 1.0, "ijkt,ijkl->tl", "W W"),),
-    (Term("|W|^2 g_tl", 0.25, "pqrs,pqrs,tl->tl", "W W g"),),
+    (Term("|W|^2 g_tl", 0.25 * 4.0, "hxy,hxy,tl->tl", "b0 b0 g"),),
     ((0.25, "W W"),)),)
-_CUBIC = (Equation((_W_IPKQ,), (replace(_W3, coeff=0.5),)),)
+_CUBIC = (Equation((_W_IPKQ,), (_times(_W3, 0.5),)),)
 # Derdzinski's form of each half: W+- = (1/2) lam_a E_a (x) E_a.
 _DERDZINSKI = tuple(
     Equation((Term(f"W{h}_ijkl", 1.0, "ijkl->ijkl", f"W{h}"),),
@@ -562,20 +591,20 @@ _DERDZINSKI = tuple(
     for h in "+-")
 # Its first derivative, 2 nabla W+- = K_abt E_a (x) E_b: |nabla W+-|^2 and
 # W+-(nabla W+-, nabla W+-) in K, the latter with lam + mu + nu = 0 used.
-_DERDER_NORM = (Equation((replace(_NABLA_W_SQ, coeff=0.25),),
+_DERDER_NORM = (Equation((_times(_NABLA_W_SQ, 0.25),),
                          (Term("K_abt K_abt", 1.0, "abt,abt->", "K K"),)),)
 _DERDER_CUBIC = (Equation(
-    (replace(_W_NW_NW, coeff=0.125),),
+    (_times(_W_NW_NW, 0.125),),
     (Term("lam_a K_abt K_abt", 1.0, "a,abt,abt->", "lam K K"),)),)
 
 _GRAD_SWAP = Term("<nabla W, nabla W swapped>", 1.0, "ijklt,ijktl->",
                   "nw1 nw1")
 _GRADWEYL_GENERAL = (Equation(
     (_GRAD_SWAP,),
-    (replace(_NABLA_W_SQ, coeff=0.5),
+    (_times(_NABLA_W_SQ, 0.5),
      Term("|div W|^2", -1.0, "tijkt,sijks->", "nw1 nw1"))),)
 _GRADWEYL_HARMONIC = (Equation((_GRAD_SWAP,),
-                               (replace(_NABLA_W_SQ, coeff=0.5),)),)
+                               (_times(_NABLA_W_SQ, 0.5),)),)
 
 
 def _commute_riemann(k: int) -> Commutator:
@@ -614,11 +643,11 @@ _COMMUTE2_EINSTEIN_CONTRACTED = (Equation(
 _KEY1 = (Equation(
     (Term("W_ijkl nabla W_jpqtk nabla W_ipqtl", 1.0, "ijkl,jpqtk,ipqtl->",
           "W nw1 nw1"),),
-    (replace(_W_NW_NW, coeff=-0.5),)),)
+    (_times(_W_NW_NW, -0.5),)),)
 _KEY2 = (Equation(
     (Term("W_ijkl nabla W_ipkqt nabla W_jplqt", 1.0, "ijkl,ipkqt,jplqt->",
           "W nw1 nw1"),),
-    (replace(_W_NW_NW, coeff=0.5),)),)
+    (_times(_W_NW_NW, 0.5),)),)
 
 _MIX_ORTHOGONALITY = tuple(
     Equation((Term(f"W{a} nabla W{b} nabla W{b}", 1.0, "ijkl,jpqtk,ipqtl->",
@@ -651,27 +680,27 @@ _BOCHNER1_GENERAL = (Equation(
     (_DELTA_W_SQ,),
     (_NABLA_W_SQ,
      Term("Ric_pq W_pikl W_qikl", 2.0, "pq,pikl,qikl->", "ric W W"),
-     replace(_W_IPKQ, coeff=-4.0), replace(_W3, coeff=-1.0))),)
+     _times(_W_IPKQ, -4.0), _times(_W3, -1.0))),)
 _BOCHNER1_4D = (Equation(
     (_DELTA_W_SQ,),
-    (_NABLA_W_SQ, Term("R |W|^2", 0.5, ",ijkl,ijkl->", "R W W"),
-     replace(_W3, coeff=-3.0))),)
+    (_NABLA_W_SQ, Term("R |W|^2", 0.5 * 4.0, ",hxy,hxy->", "R b0 b0"),
+     _times(_W3, -3.0))),)
 
 # The first rough Bochner formula, Riemann form and Weyl form.
 _DELTA_DW = Term("Delta|nabla W|^2", 0.5, "->", "lap_dw")
-_NABLA2_W_SQ = Term("|nabla^2 W|^2", 1.0, "ijklst,ijklst->", "nw2 nw2")
-_INNER_NABLA_LAP = Term("<nabla W, nabla Delta W>", 1.0, "ijklt,ijklsst->",
-                        "nw1 nw3")
+_NABLA2_W_SQ = Term("|nabla^2 W|^2", 4.0, "hxyst,hxyst->", "b2 b2")
+_INNER_NABLA_LAP = Term("<nabla W, nabla Delta W>", 4.0, "hxyt,hxysst->",
+                        "b1 b3")
 _PRO_BOCH = (Equation(
     (_DELTA_DW,),
-    (_NABLA2_W_SQ, _INNER_NABLA_LAP, replace(_R_NABLA_W_SQ, coeff=0.25),
+    (_NABLA2_W_SQ, _INNER_NABLA_LAP, _times(_R_NABLA_W_SQ, 0.25),
      Term("nabla W_ijkls nabla W_rjklt Riem_rist", 8.0, "ijkls,rjklt,rist->",
           "nw1 nw1 riem"))),)
 # Its scale takes the same bounds as the Riemann form's: it leaves out the
 # (2/3) R <nabla W, nabla W^t> term.
 _PRO_BOCH_WEYL = (Equation(
     (_DELTA_DW,),
-    (_NABLA2_W_SQ, _INNER_NABLA_LAP, replace(_R_NABLA_W_SQ, coeff=0.25),
+    (_NABLA2_W_SQ, _INNER_NABLA_LAP, _times(_R_NABLA_W_SQ, 0.25),
      Term("nabla W_ijkls nabla W_rjklt W_rist", 8.0, "ijkls,rjklt,rist->",
           "nw1 nw1 W"),
      Term("R <nabla W, nabla W^t>", 2.0 / 3.0, ",ijkls,sjkli->",
@@ -681,25 +710,26 @@ _PRO_BOCH_WEYL = (Equation(
 
 _TEO_SBF = (Equation(
     (_DELTA_DW,),
-    (_NABLA2_W_SQ, replace(_R_NABLA_W_SQ, coeff=13.0 / 12.0),
-     replace(_W_NW_NW, coeff=-10.0))),)
+    (_NABLA2_W_SQ, _times(_R_NABLA_W_SQ, 13.0 / 12.0),
+     _times(_W_NW_NW, -10.0))),)
 _LEM_PAOLO = (Equation(
     (_INNER_NABLA_LAP,),
-    (replace(_R_NABLA_W_SQ, coeff=0.5), replace(_W_NW_NW, coeff=-6.0))),)
+    (_times(_R_NABLA_W_SQ, 0.5), _times(_W_NW_NW, -6.0))),)
 
-# The second rough Bochner formula (k = 2).
+# The second rough Bochner formula (k = 2).  The Riem_pirs term contracts
+# a two-form slot with Riem, so it alone reads frame components.
 _BOCHNERK_K2 = (Equation(
     (Term("Delta|nabla^2 W|^2", 0.5, "->", "lap_d2w"),),
-    (Term("|nabla^3 W|^2", 1.0, "ijklstu,ijklstu->", "nw3 nw3"),
-     Term("<nabla^2 W, nabla^2 Delta W>", 1.0, "ijklsu,ijklsttu->",
-          "nw2 nw4"),
-     Term("R |nabla^2 W|^2", 0.25, ",ijklst,ijklst->", "R nw2 nw2"),
+    (Term("|nabla^3 W|^2", 4.0, "hxystu,hxystu->", "b3 b3"),
+     Term("<nabla^2 W, nabla^2 Delta W>", 4.0, "hxysu,hxysttu->", "b2 b4"),
+     Term("R |nabla^2 W|^2", 0.25 * 4.0, ",hxyst,hxyst->", "R b2 b2"),
      Term("nabla^2 W_ijkltr nabla^2 W_pjklts Riem_pirs", 8.0,
           "ijkltr,pjklts,pirs->", "nw2 nw2 riem"),
-     Term("nabla^2 W_ijkltr nabla^2 W_ijklps Riem_ptrs", 2.0,
-          "ijkltr,ijklps,ptrs->", "nw2 nw2 riem"))),)
+     Term("nabla^2 W_ijkltr nabla^2 W_ijklps Riem_ptrs", 2.0 * 4.0,
+          "hxytr,hxyps,ptrs->", "b2 b2 riem"))),)
 
-_GAP_POINTWISE = (Equation((Term("|W|^2", 6.0, "ijkl,ijkl->", "W W"),),
+_GAP_POINTWISE = (Equation((Term("|W|^2", 6.0 * 4.0, "hxy,hxy->",
+                                 "b0 b0"),),
                            (Term("R^2", 1.0, ",->", "R R"),)),)
 
 

@@ -218,6 +218,22 @@ def partial_coeffs(a: np.ndarray, order: int, axis: int) -> np.ndarray:
     return a[..., src] * fac
 
 
+@lru_cache(maxsize=None)
+def _gradient_table(order: int):
+    """(src, fac), each (NVARS, nc(order-1)): _partial_table of every axis."""
+    src, fac = zip(*(_partial_table(order, axis) for axis in range(NVARS)))
+    return np.stack(src), np.stack(fac)
+
+
+def gradient_coeffs(a: np.ndarray, order: int) -> np.ndarray:
+    """All four partial derivatives of a, (..., NVARS, nc(order-1)), in one
+    gather: partial_coeffs along each axis, stacked before the coefficients."""
+    if order < 1:
+        raise ValueError("cannot differentiate an order-0 jet")
+    src, fac = _gradient_table(order)
+    return a[..., src] * fac
+
+
 def truncate_coeffs(a: np.ndarray, order_out: int) -> np.ndarray:
     return a[..., :n_coeffs(order_out)]
 
@@ -347,8 +363,43 @@ class Jet:
         return f"Jet(order={self.order}, value={self.value!r})"
 
 
+@lru_cache(maxsize=None)
+def _power_indices(axis: int, order: int) -> np.ndarray:
+    """Coefficient indices of x_axis^k, k = 1..order."""
+    return np.array([MONO_INDEX[tuple(k if i == axis else 0
+                                      for i in range(NVARS))]
+                     for k in range(1, order + 1)], dtype=np.intp)
+
+
+def _coordinate_axis(a: Jet) -> int | None:
+    """The 0-based axis i when a is x_i about its value: its one nonzero
+    non-constant coefficient is 1.0 on x_i.  Else None."""
+    nonzero = np.flatnonzero(a.coeffs[1:])
+    if len(nonzero) == 1 and nonzero[0] < NVARS \
+            and a.coeffs[1 + nonzero[0]] == 1.0:
+        return int(nonzero[0])
+    return None
+
+
 def _compose(a: Jet, scaled: np.ndarray) -> Jet:
-    """Evaluate sum_k scaled[k] * (a - a0)^k by Horner, truncated at a.order."""
+    """Evaluate sum_k scaled[k] * (a - a0)^k, truncated at a.order.
+
+    By Horner's rule, except for a coordinate variable a = x_i about a0:
+    then (a - a0)^k is the monomial x_i^k, and each scaled[k] is placed on
+    it with the bits Horner gives.  Horner passes a nonzero scaled[k] on
+    exactly and turns a zero into +0.0 (it adds the +0.0 entries of a
+    constant jet), and its constant term is the chain c * 0.0 + scaled[k].
+    A non-finite scaled[k] goes through Horner, which spreads it as NaN.
+    """
+    axis = _coordinate_axis(a)
+    if axis is not None and np.isfinite(scaled).all():
+        coeffs = np.zeros(n_coeffs(a.order))
+        coeffs[_power_indices(axis, a.order)] = scaled[1:] + 0.0
+        c = float(scaled[-1])
+        for s in scaled[-2::-1]:
+            c = c * 0.0 + float(s)
+        coeffs[0] = c
+        return Jet(a.order, coeffs)
     h = Jet(a.order, a.coeffs.copy())
     h.coeffs[0] = 0.0
     acc = Jet.constant(float(scaled[-1]), a.order)

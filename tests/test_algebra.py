@@ -188,7 +188,10 @@ def test_cubic_rows_hold_on_a_cancelling_battery_tensor(rng):
     """Tensor 710 of test_criterion_1_algebraic_battery, a W+ whose cubic
     invariant nearly cancels (W_ijkl W_ipkq W_jplq = -0.0179).  The cubic
     terms summed as one einsum loop left residual/scale 9.1e-13 there;
-    contracted pairwise as matrix products they leave 2.9e-15."""
+    contracted pairwise as matrix products they left 2.9e-15.  With
+    W_ijkl W_ijpq W_klpq read off the blocks that DictPoint projects from
+    the tensor, the row reads 5.2e-14; on the tensor's own floats, summed
+    exactly, the residual/scale is 6.4e-14."""
     for i in range(711):
         w, _, _ = random_sector_tensor(rng, 1 if i % 2 == 0 else -1)
     point = DictPoint({"W+": w, "W-": w})
@@ -208,8 +211,10 @@ def test_contract_agrees_with_einsum(cp_sds):
     three or more tensors, on random operands of the registry's shapes, and
     on the quartic's slot terms: to 1e-13 relative to the summed sizes of
     the products, the scale of round-off in a sum that may cancel.  Of
-    those terms only the two whose operands all share an index stay on
-    einsum.  Subscripts that no pair of matrix products can take raise."""
+    those terms only the four whose operands all share an index stay on
+    einsum: the Derdzinski frame's two and the two chains of W+- blocks,
+    which share the sector index h.  Subscripts that no pair of matrix
+    products can take raise."""
     pd = PointData(cp_sds)
     gen = np.random.default_rng(11)
     cases, on_einsum = [], set()
@@ -228,7 +233,8 @@ def test_contract_agrees_with_einsum(cp_sds):
                 gen.normal(size=np.shape(
                     pd.sector(spec.sector).operand(name)))
                 for name in tensors]))
-    assert on_einsum == {"a,aij,akl->ijkl", "a,abt,abt->"}
+    assert on_einsum == {"a,aij,akl->ijkl", "a,abt,abt->", "hxy,hxz,hyz->",
+                         "hxy,hxzt,hyzt->"}
     w = gen.normal(size=(4,) * 4)
     d = np.einsum("rjkl,rist->jklist", w, w)
     cases += [(slot, [w, w, d]) for slot in QUARTIC_SLOTS]

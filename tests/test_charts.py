@@ -415,6 +415,23 @@ def test_scalar_hessian_symmetry(catalog):
     assert np.abs(hess - hess.T).max() <= 1e-11 * max(np.abs(hess).max(), 1.0)
 
 
+@pytest.mark.parametrize("order_f", [2, 3])
+def test_scalar_laplacian_reads_the_partial_derivatives(rng, order_f):
+    """d_p f and d_p d_q f read off the degree-1 and degree-2 coefficients
+    give the Laplacian of the partial-derivative form bit for bit."""
+    f = rng.normal(size=jets.n_coeffs(order_f))
+    x = rng.normal(size=(4, 4))
+    ginv0 = x @ x.T + 4.0 * np.eye(4)
+    gamma0 = rng.normal(size=(4, 4, 4))
+    firsts = [jets.partial_coeffs(f, order_f, p) for p in range(4)]
+    grad = np.array([d[0] for d in firsts])
+    hess = np.array([[jets.partial_coeffs(d, order_f - 1, q)[0]
+                      for q in range(4)] for d in firsts])
+    corr = np.einsum("rpq,r->pq", gamma0, grad)
+    want = float(np.einsum("pq,pq->", ginv0, hess - corr))
+    assert charts.scalar_jet_laplacian(f, order_f, ginv0, gamma0) == want
+
+
 def test_frame_invariance_of_norms(cp_schwarzschild, rng):
     """|W|^2, |nabla W|^2, |nabla^2 W|^2 agree across orthonormal frames."""
     cp = cp_schwarzschild

@@ -8,7 +8,8 @@ from dict_point import DictPoint, evaluate
 from weylforge import algebra, charts, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
-                                  Commutator, PointData, TermList, _frobenius,
+                                  Commutator, PointData, Term, TermList,
+                                  _frobenius,
                                   gate_satisfied, residual_rel,
                                   static_applicable)
 from weylforge.suite import RunConfig, run_suite
@@ -339,6 +340,95 @@ def test_commutators_expand_no_derivative_stack(catalog, monkeypatch):
         assert isinstance(REGISTRY[sid].evaluate, Commutator), sid
         assert check_identity(sid, pd).status == "pass", sid
     assert degrees and set(degrees) == {0}
+
+
+# Every term that reads W+- blocks b<k>, by name: its frame-component
+# subscripts and operands, and the factor its coefficient carries, 2 per
+# contracted pair of two-form slots.
+FRAME_TWINS = {
+    "|W|^2": ("ijkl,ijkl->", "W W", 4),
+    "|W|^2 g_tl": ("pqrs,pqrs,tl->tl", "W W g", 4),
+    "R |W|^2": (",ijkl,ijkl->", "R W W", 4),
+    "W_ijkl W_ijpq W_klpq": ("ijkl,ijpq,klpq->", "W W W", 8),
+    "|nabla W|^2": ("ijklt,ijklt->", "nw1 nw1", 4),
+    "R |nabla W|^2": (",ijklt,ijklt->", "R nw1 nw1", 4),
+    "W_ijkl nabla W_ijpqt nabla W_klpqt": ("ijkl,ijpqt,klpqt->",
+                                           "W nw1 nw1", 8),
+    "|nabla^2 W|^2": ("ijklst,ijklst->", "nw2 nw2", 4),
+    "<nabla W, nabla Delta W>": ("ijklt,ijklsst->", "nw1 nw3", 4),
+    "|nabla^3 W|^2": ("ijklstu,ijklstu->", "nw3 nw3", 4),
+    "<nabla^2 W, nabla^2 Delta W>": ("ijklsu,ijklsttu->", "nw2 nw4", 4),
+    "R |nabla^2 W|^2": (",ijklst,ijklst->", "R nw2 nw2", 4),
+    "nabla^2 W_ijkltr nabla^2 W_ijklps Riem_ptrs": (
+        "ijkltr,ijklps,ptrs->", "nw2 nw2 riem", 4),
+}
+
+
+def _block_terms():
+    """Every registry term that reads a b<k> operand."""
+    return [t for spec in REGISTRY.values() if isinstance(spec.evaluate, DATA)
+            for t in spec.evaluate.terms
+            if any(n[0] == "b" for n in t.operands.split())]
+
+
+def _assert_block_terms_equal_their_twins(point):
+    """Each block term's value equals its frame twin's, on the whole point
+    and on each half, to 1e-13 of the summed sizes of the products."""
+    for sign in (None, 1, -1):
+        sector = point.sector(sign)
+        for term in _block_terms():
+            subscripts, operands, factor = FRAME_TWINS[term.name]
+            twin = Term(term.name, term.coeff / factor, subscripts, operands)
+            ops = [sector.operand(n) for n in operands.split()]
+            size = abs(twin.coeff) * np.einsum(subscripts, *map(np.abs, ops))
+            got, want = term.value(sector), twin.value(sector)
+            assert np.abs(got - want).max() <= 1e-13 * size.max(), \
+                (sign, term.name)
+
+
+def test_block_terms_equal_their_frame_einsum():
+    """On random W+- blocks with 0 to 4 derivative slots, expanded to the
+    frame components of each half and of their sum, each term that reads
+    the blocks equals its frame-component einsum over the DictPoint
+    operands, for the whole point and each half.  FRAME_TWINS covers every
+    such term of the registry."""
+    gen = np.random.default_rng(25)
+    forms = algebra.sector_forms()
+    ops = {"R": gen.normal(), "riem": gen.normal(size=(4,) * 4)}
+    for k in range(5):
+        blocks = gen.normal(size=(2, 3, 3) + (4,) * k)
+        name = "W" if k == 0 else f"nw{k}"
+        plus, minus = (algebra.from_sector_blocks(blocks[s:s + 1],
+                                                  forms[s:s + 1])
+                       for s in (0, 1))
+        ops |= {name: plus + minus, name + "+": plus, name + "-": minus}
+    assert {t.name for t in _block_terms()} == set(FRAME_TWINS)
+    _assert_block_terms_equal_their_twins(DictPoint(ops))
+
+
+def test_bochner_rows_expand_no_stack_above_nw2(catalog, monkeypatch):
+    """At an Einstein point of depth 4 every applicable row passes and
+    none expands nabla^3 W or nabla^4 W to frame components: only the
+    terms that contract a two-form slot with another index read W, nabla W
+    and nabla^2 W expanded.  On the point's own blocks each block term
+    equals its frame twin, for the whole point and each half."""
+    from weylforge.suite import check_identity
+    expand = algebra.from_sector_blocks
+    degrees = set()
+
+    def counting(blocks, forms):
+        degrees.add(blocks.ndim - 3)
+        return expand(blocks, forms)
+
+    monkeypatch.setattr(algebra, "from_sector_blocks", counting)
+    pd = PointData(curvature_at(catalog["schwarzschild-de-sitter"],
+                                [4.5, 1.1, 0.9, 0.35], depth=4,
+                                laplacians=charts.LAPLACIAN_FIELDS))
+    for sid in REGISTRY:
+        assert check_identity(sid, pd).status in ("pass", "not_applicable")
+    assert check_identity("bochnerk.k2-plus", pd).status == "pass"
+    assert degrees == {0, 1, 2}
+    _assert_block_terms_equal_their_twins(pd)
 
 
 def _depth2_point(chart):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -84,6 +85,83 @@ def test_mixed_partials_exact(rng):
         d12 = a.partial(1).partial(2)
         d21 = a.partial(2).partial(1)
         assert np.array_equal(d12.coeffs, d21.coeffs)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_gradient_coeffs_is_the_stacked_partials(rng, order):
+    """One gather gives every partial derivative of a jet tensor, bit for
+    bit, stacked before the coefficient axis."""
+    a = rng.normal(size=(3, 2, jets.n_coeffs(order)))
+    want = np.stack([jets.partial_coeffs(a, order, d) for d in range(4)],
+                    axis=-2)
+    got = jets.gradient_coeffs(a, order)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gradient_coeffs_order_zero_rejected():
+    with pytest.raises(ValueError):
+        jets.gradient_coeffs(np.ones(1), 0)
+
+
+def _horner(a, scaled):
+    """sum_k scaled[k] (a - a0)^k by Horner's rule: the reference."""
+    h = Jet(a.order, a.coeffs.copy())
+    h.coeffs[0] = 0.0
+    acc = Jet.constant(float(scaled[-1]), a.order)
+    for c in scaled[-2::-1]:
+        acc = acc * h + float(c)
+    return acc
+
+
+_ANY_VALUE = (jets.sin, jets.cos, jets.exp)
+_POSITIVE_VALUE = (jets.sqrt, jets.recip, lambda x: jets.power(x, -1.5),
+                   lambda x: jets.power(x, 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_compose_on_a_coordinate_is_horner_bit_for_bit(monkeypatch, order):
+    """On a coordinate variable x_i the elementary functions place their
+    Taylor coefficients on the powers of x_i: Horner's result to the bit,
+    signs of zero included, where a coefficient vanishes (sin and cos at
+    +0 and -0), is negative, or is not finite (exp of a large value)."""
+    for axis, value in itertools.product(range(1, 5), (0.0, -0.0, -0.7, 0.3,
+                                                       2.5, math.pi, 710.0)):
+        x = Jet.variable(axis, value, order)
+        for f in _ANY_VALUE + (_POSITIVE_VALUE if value > 0 else ()):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fast = f(x).coeffs
+                with monkeypatch.context() as m:
+                    m.setattr(jets, "_compose", _horner)
+                    slow = f(x).coeffs
+            assert fast.tobytes() == slow.tobytes(), (axis, value, f)
+
+
+def test_compose_takes_horner_off_a_coordinate(monkeypatch):
+    """Only a coordinate variable skips Horner's products: a scaled or
+    shifted coordinate, a sum of two, a square and a jet with no
+    first-degree part each make one product per order."""
+    order = 5
+    x = Jet.variable(2, 0.4, order)
+    y = Jet.variable(3, 0.1, order)
+    square = x * x
+    squared_only = Jet(order, square.coeffs - 0.8 * x.coeffs + 0.64)
+    real, calls = jets.mul_coeffs, []
+
+    def counting(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(jets, "mul_coeffs", counting)
+    jets.exp(x + 1.0)
+    assert calls == []
+    for a in (x * 2.0, x * -1.0, x + y, square, squared_only):
+        calls.clear()
+        got = jets.exp(a).coeffs
+        assert len(calls) == order
+        with monkeypatch.context() as m:
+            m.setattr(jets, "_compose", _horner)
+            assert got.tobytes() == jets.exp(a).coeffs.tobytes()
 
 
 def test_ring_axioms(rng):
