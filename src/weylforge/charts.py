@@ -565,8 +565,6 @@ _COORDINATE_MAP = np.eye(DIM * DIM).reshape(DIM, DIM, DIM * DIM)
 # The fields |nabla^k W|^2, k = 0, 1, 2; each carries its two duality halves.
 LAPLACIAN_FIELDS = ("w", "dw", "d2w")
 
-_LAP_STACK = {key: k for k, key in enumerate(LAPLACIAN_FIELDS)}
-
 # Jet order of the scalar Laplacian fields: the highest Taylor degree
 # scalar_jet_laplacian reads.
 _FIELD_ORDER = 2
@@ -588,9 +586,9 @@ def required_jet_order(depth: int, laplacians=()) -> int:
     """
     order = depth + 2
     for f in laplacians:
-        if f not in _LAP_STACK:
+        if f not in LAPLACIAN_FIELDS:
             raise ValueError(f"unknown laplacian field {f!r}")
-        order = max(order, _LAP_STACK[f] + 2 + _FIELD_ORDER)
+        order = max(order, LAPLACIAN_FIELDS.index(f) + 2 + _FIELD_ORDER)
     return order
 
 
@@ -708,7 +706,8 @@ def scalar_laplacian(chart: MetricChart, point, fld: str) -> float:
     key = {"norm2_w": "w", "norm2_dw": "dw", "norm2_d2w": "d2w"}.get(fld)
     if key is None:
         raise ValueError(f"unknown scalar field {fld!r}")
-    cp = curvature_at(chart, point, depth=_LAP_STACK[key], laplacians=(key,))
+    cp = curvature_at(chart, point, depth=LAPLACIAN_FIELDS.index(key),
+                      laplacians=(key,))
     return cp.laplacians[key]
 
 

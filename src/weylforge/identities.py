@@ -29,9 +29,10 @@ SectorPack.norm, which reads |W| and |nabla^k W| off the W+- blocks.
 
 A term that contracts its W-type operands two-form pair against two-form
 pair reads their W+- blocks, operand b<k> (b0 is W), in place of frame
-components.  Each basis two-form has B_ij B_ij = 2, so the term's
-coefficient carries a factor 2 per contracted pair of two-form slots: 4
-for an inner product, 8 for a chain of three.  These are |W|^2 (in
+components.  Its coefficient stays the frame-component one: each basis
+two-form has B_ij B_ij = 2, so Term multiplies it by 2 per contracted pair
+of two-form slots, 4 for an inner product and 8 for a chain of three, and
+rejects a block slot contracted with anything else.  These are |W|^2 (in
 algebra.quadratic, bochner1 and gap.pointwise), W_ijkl W_ijpq W_klpq,
 |nabla W|^2, R |nabla W|^2, W_ijkl nabla W_ijpqt nabla W_klpqt,
 |nabla^2 W|^2, <nabla W, nabla Delta W> and four of the five terms of
@@ -63,7 +64,7 @@ commute2.einstein-contracted stays a TermList, since it contracts a
 two-form slot with a derivative slot.
 
 Seven rows stay functions, each for a reason, and each reads only
-SectorPack.operand:
+SectorPack.operand, naming the operand products it reads as `reads`:
 - algebra.quaternionic is a multiplication table of the frames, at
   homogeneity 0;
 - algebra.quartic.sector-+-: three of the four slot terms of its Q vanish
@@ -71,6 +72,9 @@ SectorPack.operand:
   could fail the row, while W+ + W- in place of a half does;
 - derder.reconstruction-+- and divz.relations-+-: their residual and scale
   are largest entries, which no TermList bound states.
+
+_spec builds each row, reading its depth, Laplacian fields and weight h off
+the operand products that it and its gate read, which must share one h.
 
 Identities carry a hypothesis gate, re-verified numerically at each point
 before a check is marked applicable; GATES is the one table of what each
@@ -93,7 +97,8 @@ from typing import Callable
 import numpy as np
 
 from . import algebra, framecalc
-from .charts import CapacityError, CurvaturePoint, required_jet_order
+from .charts import (LAPLACIAN_FIELDS, CapacityError, CurvaturePoint,
+                     required_jet_order)
 
 DIM = 4
 _EYE = np.eye(DIM)
@@ -353,16 +358,19 @@ class PointData(SectorPack):
 
 @dataclass(frozen=True)
 class Term:
-    """coeff * einsum(subscripts, *operands).
+    """coeff * factor * einsum(subscripts, *operands).
 
     `operands` is a space-separated list of SectorPack.operand names; an
     empty subscript marks a scalar operand (R or a Laplacian field).
+    `coeff` is the frame-component coefficient and `factor` 2 per pair of
+    two-form slots contracted between blocks b<k> (module docstring).
     """
 
     name: str
     coeff: float
     subscripts: str
     operands: str
+    factor: float = field(init=False, repr=False, compare=False)
     # (the tensor operands' subscripts or None, their names, the scalar
     # operands' names, the function that contracts them), split once
     _split: tuple = field(init=False, repr=False, compare=False)
@@ -371,8 +379,16 @@ class Term:
         inputs, out = self.subscripts.split("->")
         pairs = list(zip(inputs.split(","), self.operands.split(),
                          strict=True))
+        slots = [sub[i] for sub, name in pairs
+                 if name[0] == "b" and _parse(name)[2] is not None
+                 for i in (1, 2)]
+        if any(slots.count(i) != 2 or self.subscripts.count(i) != 2
+               for i in slots):
+            raise ValueError(f"term {self.name!r}: a two-form slot of a "
+                             f"block meets no other block's two-form slot")
         subs = [sub for sub, _ in pairs if sub]
         pairwise = len(subs) > 2 and not set.intersection(*map(set, subs))
+        object.__setattr__(self, "factor", 2.0 ** (len(slots) // 2))
         object.__setattr__(self, "_split", (
             ",".join(subs) + "->" + out if subs else None,
             tuple(name for sub, name in pairs if sub),
@@ -381,7 +397,7 @@ class Term:
 
     def value(self, sector: SectorPack):
         spec, tensors, scalars, contract = self._split
-        coeff = self.coeff
+        coeff = self.coeff * self.factor
         for name in scalars:
             coeff *= sector.operand(name)
         if spec is None:
@@ -560,26 +576,24 @@ _FAKE_SECOND_BIANCHI = (Equation(
                             ("jlk", "it", -1), ("jkt", "il", -1)))),)
 
 def _times(term: Term, c: float) -> Term:
-    """`term` with its coefficient multiplied by c, pair factor kept."""
+    """`term` with its coefficient multiplied by c."""
     return replace(term, coeff=c * term.coeff)
 
 
-# Terms that several identities share, at coefficient 1 in frame
-# components.  A term on the blocks b<k> is indexed h (the sector), then
-# its two two-form slots, then the derivative slots, and its coefficient
-# carries the pair factor (module docstring): 4 for an inner product, 8
-# for a chain of three.
-_NABLA_W_SQ = Term("|nabla W|^2", 4.0, "hxyt,hxyt->", "b1 b1")
-_R_NABLA_W_SQ = Term("R |nabla W|^2", 4.0, ",hxyt,hxyt->", "R b1 b1")
-_W_NW_NW = Term("W_ijkl nabla W_ijpqt nabla W_klpqt", 8.0,
+# Terms that several identities share, at coefficient 1.  A term on the
+# blocks b<k> is indexed h (the sector), then its two two-form slots, then
+# the derivative slots.
+_NABLA_W_SQ = Term("|nabla W|^2", 1.0, "hxyt,hxyt->", "b1 b1")
+_R_NABLA_W_SQ = Term("R |nabla W|^2", 1.0, ",hxyt,hxyt->", "R b1 b1")
+_W_NW_NW = Term("W_ijkl nabla W_ijpqt nabla W_klpqt", 1.0,
                 "hxy,hxzt,hyzt->", "b0 b1 b1")
-_W3 = Term("W_ijkl W_ijpq W_klpq", 8.0, "hxy,hxz,hyz->", "b0 b0 b0")
+_W3 = Term("W_ijkl W_ijpq W_klpq", 1.0, "hxy,hxz,hyz->", "b0 b0 b0")
 _W_IPKQ = Term("W_ijkl W_ipkq W_jplq", 1.0, "ijkl,ipkq,jplq->", "W W W")
 
 # The pointwise algebra of W and of each half.
 _QUADRATIC = (Equation(
     (Term("W_ijkt W_ijkl", 1.0, "ijkt,ijkl->tl", "W W"),),
-    (Term("|W|^2 g_tl", 0.25 * 4.0, "hxy,hxy,tl->tl", "b0 b0 g"),),
+    (Term("|W|^2 g_tl", 0.25, "hxy,hxy,tl->tl", "b0 b0 g"),),
     ((0.25, "W W"),)),)
 _CUBIC = (Equation((_W_IPKQ,), (_times(_W3, 0.5),)),)
 # Derdzinski's form of each half: W+- = (1/2) lam_a E_a (x) E_a.
@@ -683,13 +697,13 @@ _BOCHNER1_GENERAL = (Equation(
      _times(_W_IPKQ, -4.0), _times(_W3, -1.0))),)
 _BOCHNER1_4D = (Equation(
     (_DELTA_W_SQ,),
-    (_NABLA_W_SQ, Term("R |W|^2", 0.5 * 4.0, ",hxy,hxy->", "R b0 b0"),
+    (_NABLA_W_SQ, Term("R |W|^2", 0.5, ",hxy,hxy->", "R b0 b0"),
      _times(_W3, -3.0))),)
 
 # The first rough Bochner formula, Riemann form and Weyl form.
 _DELTA_DW = Term("Delta|nabla W|^2", 0.5, "->", "lap_dw")
-_NABLA2_W_SQ = Term("|nabla^2 W|^2", 4.0, "hxyst,hxyst->", "b2 b2")
-_INNER_NABLA_LAP = Term("<nabla W, nabla Delta W>", 4.0, "hxyt,hxysst->",
+_NABLA2_W_SQ = Term("|nabla^2 W|^2", 1.0, "hxyst,hxyst->", "b2 b2")
+_INNER_NABLA_LAP = Term("<nabla W, nabla Delta W>", 1.0, "hxyt,hxysst->",
                         "b1 b3")
 _PRO_BOCH = (Equation(
     (_DELTA_DW,),
@@ -720,16 +734,15 @@ _LEM_PAOLO = (Equation(
 # a two-form slot with Riem, so it alone reads frame components.
 _BOCHNERK_K2 = (Equation(
     (Term("Delta|nabla^2 W|^2", 0.5, "->", "lap_d2w"),),
-    (Term("|nabla^3 W|^2", 4.0, "hxystu,hxystu->", "b3 b3"),
-     Term("<nabla^2 W, nabla^2 Delta W>", 4.0, "hxysu,hxysttu->", "b2 b4"),
-     Term("R |nabla^2 W|^2", 0.25 * 4.0, ",hxyst,hxyst->", "R b2 b2"),
+    (Term("|nabla^3 W|^2", 1.0, "hxystu,hxystu->", "b3 b3"),
+     Term("<nabla^2 W, nabla^2 Delta W>", 1.0, "hxysu,hxysttu->", "b2 b4"),
+     Term("R |nabla^2 W|^2", 0.25, ",hxyst,hxyst->", "R b2 b2"),
      Term("nabla^2 W_ijkltr nabla^2 W_pjklts Riem_pirs", 8.0,
           "ijkltr,pjklts,pirs->", "nw2 nw2 riem"),
-     Term("nabla^2 W_ijkltr nabla^2 W_ijklps Riem_ptrs", 2.0 * 4.0,
+     Term("nabla^2 W_ijkltr nabla^2 W_ijklps Riem_ptrs", 2.0,
           "hxytr,hxyps,ptrs->", "b2 b2 riem"))),)
 
-_GAP_POINTWISE = (Equation((Term("|W|^2", 6.0 * 4.0, "hxy,hxy->",
-                                 "b0 b0"),),
+_GAP_POINTWISE = (Equation((Term("|W|^2", 6.0, "hxy,hxy->", "b0 b0"),),
                            (Term("R^2", 1.0, ",->", "R R"),)),)
 
 
@@ -771,8 +784,45 @@ def ev_divz_relations(half: SectorPack):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Gate:
+    """One hypothesis gate: its `list identities` label; `declared(props)`,
+    whether a chart's ChartProperties could satisfy it, so that the suite
+    attempts the check there; `measured(sector)`, the part a declaration
+    implies; `nonzero(sector)`, the rest (a nonvanishing half); `depth`,
+    the highest nabla^k W these read.  `sector` is the SectorPack of the
+    check's half, or the whole PointData.  A check applies where both hold;
+    a failed `measured` on a declaring chart is a declaration mismatch."""
+
+    label: str
+    declared: Callable
+    measured: Callable
+    nonzero: Callable = lambda sector: True
+    depth: int = 0
+
+
+_HARMONIC = Gate("[harmonic-Weyl,4D]",
+                 lambda p: p.harmonic_weyl or p.einstein is not None,
+                 lambda sector: sector.is_harmonic, depth=1)
+
+GATES: dict[str, Gate] = {
+    "any": Gate("[any]", lambda p: True, lambda sector: True),
+    "harmonic": _HARMONIC,
+    "sector-harmonic": replace(_HARMONIC, label="[half-harmonic-Weyl,4D]"),
+    "einstein": Gate("[Einstein,4D]", lambda p: p.einstein is not None,
+                     lambda sector: sector.is_einstein),
+    "einstein-parallel-sector": Gate(
+        "[Einstein,parallel-sector,4D]",
+        lambda p: p.einstein is not None and p.parallel_weyl,
+        lambda sector: sector.is_einstein and sector.is_parallel,
+        lambda sector: sector.is_nonzero, depth=1),
+    "conformal": Gate("[conformally-flat]", lambda p: p.conformally_flat,
+                      lambda pd: pd.is_conformally_flat),
+}
+
+
+@dataclass(frozen=True)
 class IdentitySpec:
-    """One registered residual check."""
+    """One registered residual check, as _spec builds it."""
 
     id: str
     anchors: tuple
@@ -790,6 +840,52 @@ class IdentitySpec:
         return required_jet_order(self.depth, self.laplacians)
 
 
+# The scaling weight h (frame components scale as c^-h under g -> c^2 g)
+# and nabla^k W depth of each operand but W, nw<k>, b<k> and lap_<field>.
+_OPERANDS = {"riem": (2, 0), "ric": (2, 0), "R": (2, 0), "lam": (2, 0),
+             "g": (0, 0), "kn_g": (0, 0), "E": (0, 0), "K": (3, 1),
+             "cotton": (3, 1), "cotton_div": (3, 1), "nabla_riem": (3, 1)}
+
+
+def _weight_depth(name: str) -> tuple:
+    """(weight, depth) of an operand: (2 + k, k) for W, nw<k> and b<k>, and
+    (6 + 2k, k) for lap_<field>, Delta |nabla^k W|^2."""
+    name, _, k = _parse(name)
+    if name.startswith("lap_"):
+        k = LAPLACIAN_FIELDS.index(name[4:])
+        return 6 + 2 * k, k
+    return _OPERANDS[name] if k is None else (2 + k, k)
+
+
+def _products(evaluate) -> list:
+    """The operand products of a TermList's terms or a Commutator's (nabla^k W,
+    nabla^(k-2) W with each curvature term), and of their norm bounds."""
+    if isinstance(evaluate, Commutator):
+        k, bounds = evaluate.k, evaluate.scale
+        terms = [f"b{k}"] + [f"b{k - 2} {t.operands}" for t in evaluate.terms]
+    else:
+        bounds = [b for eq in evaluate.equations for b in eq.scale]
+        terms = [t.operands for t in evaluate.terms]
+    return terms + [b[1] for b in bounds if not isinstance(b, str)]
+
+
+def _spec(sid, anchors, gate, tol, evaluate, sector=None, reads=()):
+    """The IdentitySpec of a row whose evaluator is a Commutator, a
+    TermList's equations, or a function that reads the products `reads`."""
+    if isinstance(evaluate, tuple):
+        evaluate = TermList(evaluate)
+    products = [p.split() for p in reads or _products(evaluate)]
+    weights = {sum(_weight_depth(n)[0] for n in p) for p in products}
+    if len(weights) != 1:
+        raise ValueError(f"{sid}: its operand products have the weights "
+                         f"{sorted(weights)}, not one")
+    names = sum(products, [])
+    depth = max([_weight_depth(n)[1] for n in names] + [GATES[gate].depth])
+    laplacians = {_parse(n)[0][4:] for n in names if n.startswith("lap_")}
+    return IdentitySpec(sid, anchors, gate, depth, tuple(sorted(laplacians)),
+                        weights.pop(), tol, evaluate, sector)
+
+
 @dataclass(frozen=True)
 class OutOfScopeEntry:
     """Global (integral) statement listed for coverage, not checked."""
@@ -801,117 +897,96 @@ class OutOfScopeEntry:
 
 def _build_registry():
     specs = [
-        IdentitySpec("weyl.decomposition", ("Weyl",), "any", 0, (), 2,
-                     1e-12, TermList(_WEYL_DECOMPOSITION)),
-        IdentitySpec("weyl.conformal-flat", ("Weyl",), "conformal", 0, (),
-                     2, 1e-9, TermList(_CONFORMAL_FLAT)),
-        IdentitySpec("riemann.einstein-form", ("RiemannEinstein",), "einstein",
-                     0, (), 2, 1e-10, TermList(_RIEMANN_EINSTEIN_FORM)),
-        IdentitySpec("operator.block-decomposition", ("conv", "dec"), "any",
-                     0, (), 2, 1e-10, TermList(_BLOCK_DECOMPOSITION)),
-        IdentitySpec("bianchi1.weyl", ("bianchi1-weyl",), "any", 0, (), 2,
-                     1e-12, TermList(_BIANCHI1)),
-        IdentitySpec("cotton.symmetries", ("CottonSym",), "any", 1, (), 3,
-                     1e-10, TermList(_COTTON_SYMMETRIES)),
-        IdentitySpec("cotton.traces", ("CottonTraces",), "any", 1, (), 3,
-                     1e-10, TermList(_COTTON_TRACES)),
-        IdentitySpec("cotton.defs-agree",
-                     ("def_cot", "def_Cotton_comp_Weyl"), "any", 1, (), 3,
-                     1e-8, TermList(_COTTON_DEFS_AGREE)),
-        IdentitySpec("harmall.div-free", ("harmall",), "einstein", 1, (),
-                     3, 1e-9, TermList(_HARMALL)),
-        IdentitySpec("bianchi2.fake-weyl", ("fake2ndBianchiWeyl",), "any", 1,
-                     (), 3, 1e-8, TermList(_FAKE_SECOND_BIANCHI)),
-        IdentitySpec("gradweyl.general", ("lem_GradWeylNorm",), "any", 1,
-                     (), 6, 1e-8, TermList(_GRADWEYL_GENERAL)),
-        IdentitySpec("gradweyl.harmonic",
-                     ("GradWeylNormEinstein", "lem_GradWeylNorm"), "harmonic",
-                     1, (), 6, 1e-8, TermList(_GRADWEYL_HARMONIC)),
-        IdentitySpec("commute2.riemann", ("SecondDerivWeylusingRiem",), "any",
-                     2, (), 4, 1e-8, _commute_riemann(2)),
-        IdentitySpec("commute2.weyl-ricci", ("lem-comsec",), "any", 2, (),
-                     4, 1e-8, _COMMUTE2_WEYL_RICCI),
-        IdentitySpec("commute2.einstein", ("lem-comsec",), "einstein", 2,
-                     (), 4, 1e-8, _COMMUTE2_EINSTEIN),
-        IdentitySpec("commute2.einstein-contracted", ("lem-comsec",),
-                     "einstein", 2, (), 4, 1e-8,
-                     TermList(_COMMUTE2_EINSTEIN_CONTRACTED)),
-        IdentitySpec("commute3.riemann", ("ThirdDerivWeylusingRiem",), "any",
-                     3, (), 5, 1e-6, _COMMUTE_K3),
-        IdentitySpec("commutek.k3", ("CommutationWeylKorder",), "any", 3,
-                     (), 5, 1e-6, _COMMUTE_K3),
-        IdentitySpec("commutek.k4", ("CommutationWeylKorder",), "any", 4,
-                     (), 6, 1e-5, _commute_riemann(4)),
-        IdentitySpec("algebra.quadratic", ("WeylWeylMetric",), "any", 0,
-                     (), 4, 1e-12, TermList(_QUADRATIC)),
-        IdentitySpec("algebra.cubic", ("WWW",), "any", 0, (), 6, 1e-12,
-                     TermList(_CUBIC)),
-        IdentitySpec("algebra.quaternionic", ("quaternionic-structure",
-                     "eq-derw"), "any", 0, (), 0, 1e-12,
-                     ev_algebra_quaternionic),
-        IdentitySpec("derdzinski.reconstruction", ("eq-derw",), "any", 0,
-                     (), 2, 1e-10, TermList(_DERDZINSKI)),
-        IdentitySpec("mix.orthogonality", ("eq-mix",), "any", 1, (), 8,
-                     1e-8, TermList(_MIX_ORTHOGONALITY)),
-        IdentitySpec("key2.full", ("lem-key2",), "any", 1, (), 8, 1e-8,
-                     TermList(_KEY2)),
-        IdentitySpec("key1.full", ("lem-key1",), "harmonic", 1, (), 8,
-                     1e-7, TermList(_KEY1)),
-        IdentitySpec("laplacian.harmonic-weyl", ("LaplacianOfHarmonicWeyl",),
-                     "harmonic", 2, (), 4, 1e-8,
-                     TermList(_LAPLACIAN_HARMONIC_WEYL)),
-        IdentitySpec("laplacian.4d", ("eq-bw",), "harmonic", 2, (), 4,
-                     1e-8, TermList(_LAPLACIAN_4D)),
-        IdentitySpec("bochner1.general", ("BWHarmonicWeyl",), "harmonic", 2,
-                     ("w",), 6, 1e-8, TermList(_BOCHNER1_GENERAL)),
-        IdentitySpec("bochner1.4d", ("nice",), "harmonic", 2, ("w",), 6,
-                     1e-8, TermList(_BOCHNER1_4D)),
-        IdentitySpec("bochner2.pro-boch", ("pro-boch",), "einstein", 3,
-                     ("dw",), 8, 1e-6, TermList(_PRO_BOCH)),
-        IdentitySpec("bochner2.pro-boch-weyl", ("pro-boch",), "einstein", 3,
-                     ("dw",), 8, 1e-6, TermList(_PRO_BOCH_WEYL)),
-        IdentitySpec("bochner2.teo-sbf", ("teo-sbf",), "einstein", 3,
-                     ("dw",), 8, 1e-6, TermList(_TEO_SBF)),
-        IdentitySpec("lem-paolo", ("lem-paolo",), "harmonic", 3, (), 8,
-                     1e-6, TermList(_LEM_PAOLO)),
-        IdentitySpec("bochnerk.k2", ("pro-boch-k", "BochnerBIG"), "einstein",
-                     4, ("d2w",), 10, 1e-5, TermList(_BOCHNERK_K2)),
+        _spec("weyl.decomposition", ("Weyl",), "any", 1e-12,
+              _WEYL_DECOMPOSITION),
+        _spec("weyl.conformal-flat", ("Weyl",), "conformal", 1e-9,
+              _CONFORMAL_FLAT),
+        _spec("riemann.einstein-form", ("RiemannEinstein",), "einstein", 1e-10,
+              _RIEMANN_EINSTEIN_FORM),
+        _spec("operator.block-decomposition", ("conv", "dec"), "any", 1e-10,
+              _BLOCK_DECOMPOSITION),
+        _spec("bianchi1.weyl", ("bianchi1-weyl",), "any", 1e-12, _BIANCHI1),
+        _spec("cotton.symmetries", ("CottonSym",), "any", 1e-10,
+              _COTTON_SYMMETRIES),
+        _spec("cotton.traces", ("CottonTraces",), "any", 1e-10,
+              _COTTON_TRACES),
+        _spec("cotton.defs-agree", ("def_cot", "def_Cotton_comp_Weyl"), "any",
+              1e-8, _COTTON_DEFS_AGREE),
+        _spec("harmall.div-free", ("harmall",), "einstein", 1e-9, _HARMALL),
+        _spec("bianchi2.fake-weyl", ("fake2ndBianchiWeyl",), "any", 1e-8,
+              _FAKE_SECOND_BIANCHI),
+        _spec("gradweyl.general", ("lem_GradWeylNorm",), "any", 1e-8,
+              _GRADWEYL_GENERAL),
+        _spec("gradweyl.harmonic",
+              ("GradWeylNormEinstein", "lem_GradWeylNorm"), "harmonic", 1e-8,
+              _GRADWEYL_HARMONIC),
+        _spec("commute2.riemann", ("SecondDerivWeylusingRiem",), "any", 1e-8,
+              _commute_riemann(2)),
+        _spec("commute2.weyl-ricci", ("lem-comsec",), "any", 1e-8,
+              _COMMUTE2_WEYL_RICCI),
+        _spec("commute2.einstein", ("lem-comsec",), "einstein", 1e-8,
+              _COMMUTE2_EINSTEIN),
+        _spec("commute2.einstein-contracted", ("lem-comsec",), "einstein",
+              1e-8, _COMMUTE2_EINSTEIN_CONTRACTED),
+        _spec("commute3.riemann", ("ThirdDerivWeylusingRiem",), "any", 1e-6,
+              _COMMUTE_K3),
+        _spec("commutek.k3", ("CommutationWeylKorder",), "any", 1e-6,
+              _COMMUTE_K3),
+        _spec("commutek.k4", ("CommutationWeylKorder",), "any", 1e-5,
+              _commute_riemann(4)),
+        _spec("algebra.quadratic", ("WeylWeylMetric",), "any", 1e-12,
+              _QUADRATIC),
+        _spec("algebra.cubic", ("WWW",), "any", 1e-12, _CUBIC),
+        _spec("algebra.quaternionic", ("quaternionic-structure", "eq-derw"),
+              "any", 1e-12, ev_algebra_quaternionic, reads=("E+", "E-")),
+        _spec("derdzinski.reconstruction", ("eq-derw",), "any", 1e-10,
+              _DERDZINSKI),
+        _spec("mix.orthogonality", ("eq-mix",), "any", 1e-8,
+              _MIX_ORTHOGONALITY),
+        _spec("key2.full", ("lem-key2",), "any", 1e-8, _KEY2),
+        _spec("key1.full", ("lem-key1",), "harmonic", 1e-7, _KEY1),
+        _spec("laplacian.harmonic-weyl", ("LaplacianOfHarmonicWeyl",),
+              "harmonic", 1e-8, _LAPLACIAN_HARMONIC_WEYL),
+        _spec("laplacian.4d", ("eq-bw",), "harmonic", 1e-8, _LAPLACIAN_4D),
+        _spec("bochner1.general", ("BWHarmonicWeyl",), "harmonic", 1e-8,
+              _BOCHNER1_GENERAL),
+        _spec("bochner1.4d", ("nice",), "harmonic", 1e-8, _BOCHNER1_4D),
+        _spec("bochner2.pro-boch", ("pro-boch",), "einstein", 1e-6, _PRO_BOCH),
+        _spec("bochner2.pro-boch-weyl", ("pro-boch",), "einstein", 1e-6,
+              _PRO_BOCH_WEYL),
+        _spec("bochner2.teo-sbf", ("teo-sbf",), "einstein", 1e-6, _TEO_SBF),
+        _spec("lem-paolo", ("lem-paolo",), "harmonic", 1e-6, _LEM_PAOLO),
+        _spec("bochnerk.k2", ("pro-boch-k", "BochnerBIG"), "einstein", 1e-5,
+              _BOCHNERK_K2),
     ]
     for sign in (1, -1):
         h = _SECTOR_NAME[sign]
         specs += [
-            IdentitySpec(f"algebra.quadratic.sector-{h}", ("WeylWeylMetric",),
-                         "any", 0, (), 4, 1e-12, TermList(_QUADRATIC), sign),
-            IdentitySpec(f"algebra.cubic.sector-{h}", ("WWW",), "any", 0,
-                         (), 6, 1e-12, TermList(_CUBIC), sign),
-            IdentitySpec(f"algebra.quartic.sector-{h}", ("lem-quart",), "any",
-                         0, (), 8, 1e-12, ev_algebra_quartic, sign),
-            IdentitySpec(f"derder.reconstruction-{h}", ("eq-derder",), "any",
-                         1, (), 3, 1e-8, ev_derder_reconstruction, sign),
-            IdentitySpec(f"derder.norm-{h}", ("eq-nqder",), "any", 1, (),
-                         6, 1e-7, TermList(_DERDER_NORM), sign),
-            IdentitySpec(f"derder.cubic-{h}", ("eqrhs",), "any", 1, (), 8,
-                         1e-7, TermList(_DERDER_CUBIC), sign),
-            IdentitySpec(f"divz.relations-{h}", ("eq-divz",),
-                         "sector-harmonic", 1, (), 3, 1e-7,
-                         ev_divz_relations, sign),
-            IdentitySpec(f"key1.sector-{h}", ("lem-key1",), "sector-harmonic",
-                         1, (), 8, 1e-7, TermList(_KEY1), sign),
-            IdentitySpec(f"key2.sector-{h}", ("lem-key2",), "any", 1, (),
-                         8, 1e-8, TermList(_KEY2), sign),
-            IdentitySpec(f"bochner1.sector-{h}", ("niceself",),
-                         "sector-harmonic", 2, ("w",), 6, 1e-8,
-                         TermList(_BOCHNER1_4D), sign),
-            IdentitySpec(f"bochner2.pro-boch-{h}",
-                         ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 3,
-                         ("dw",), 8, 1e-6, TermList(_PRO_BOCH), sign),
-            IdentitySpec(f"bochnerk.k2-{h}",
-                         ("pro-boch-k-pm", "BochnerBIGpm"), "einstein", 4,
-                         ("d2w",), 10, 1e-5, TermList(_BOCHNERK_K2), sign),
-            IdentitySpec(f"gap.pointwise-{h}",
-                         ("final-proposition", "lem-quart"),
-                         "einstein-parallel-sector", 1, (), 4, 1e-8,
-                         TermList(_GAP_POINTWISE), sign),
+            _spec(f"algebra.quadratic.sector-{h}", ("WeylWeylMetric",), "any",
+                  1e-12, _QUADRATIC, sign),
+            _spec(f"algebra.cubic.sector-{h}", ("WWW",), "any", 1e-12,
+                  _CUBIC, sign),
+            _spec(f"algebra.quartic.sector-{h}", ("lem-quart",), "any", 1e-12,
+                  ev_algebra_quartic, sign, reads=("W W W W",)),
+            _spec(f"derder.reconstruction-{h}", ("eq-derder",), "any", 1e-8,
+                  ev_derder_reconstruction, sign, reads=("nw1", "K E E")),
+            _spec(f"derder.norm-{h}", ("eq-nqder",), "any", 1e-7,
+                  _DERDER_NORM, sign),
+            _spec(f"derder.cubic-{h}", ("eqrhs",), "any", 1e-7,
+                  _DERDER_CUBIC, sign),
+            _spec(f"divz.relations-{h}", ("eq-divz",), "sector-harmonic", 1e-7,
+                  ev_divz_relations, sign, reads=("K", "E K")),
+            _spec(f"key1.sector-{h}", ("lem-key1",), "sector-harmonic", 1e-7,
+                  _KEY1, sign),
+            _spec(f"key2.sector-{h}", ("lem-key2",), "any", 1e-8, _KEY2, sign),
+            _spec(f"bochner1.sector-{h}", ("niceself",), "sector-harmonic",
+                  1e-8, _BOCHNER1_4D, sign),
+            _spec(f"bochner2.pro-boch-{h}", ("pro-boch-k-pm", "BochnerBIGpm"),
+                  "einstein", 1e-6, _PRO_BOCH, sign),
+            _spec(f"bochnerk.k2-{h}", ("pro-boch-k-pm", "BochnerBIGpm"),
+                  "einstein", 1e-5, _BOCHNERK_K2, sign),
+            _spec(f"gap.pointwise-{h}", ("final-proposition", "lem-quart"),
+                  "einstein-parallel-sector", 1e-8, _GAP_POINTWISE, sign),
         ]
     return {s.id: s for s in specs}
 
@@ -956,42 +1031,6 @@ CONTROL_EXPECT_FAIL: dict[str, float] = {
 
 # The violation fraction every control expectation must reach.
 CONTROL_MIN_FRACTION = 0.6
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One hypothesis gate: its `list identities` label; `declared(props)`,
-    whether a chart's ChartProperties could satisfy it, so that the suite
-    attempts the check there; `measured(sector)`, the part a declaration
-    implies; and `nonzero(sector)`, the rest (a nonvanishing half).
-    `sector` is the SectorPack of the check's duality half, or the whole
-    PointData.  A check applies where both hold; a failed `measured` on a
-    declaring chart is a declaration mismatch."""
-
-    label: str
-    declared: Callable
-    measured: Callable
-    nonzero: Callable = lambda sector: True
-
-
-_HARMONIC = Gate("[harmonic-Weyl,4D]",
-                 lambda p: p.harmonic_weyl or p.einstein is not None,
-                 lambda sector: sector.is_harmonic)
-
-GATES: dict[str, Gate] = {
-    "any": Gate("[any]", lambda p: True, lambda sector: True),
-    "harmonic": _HARMONIC,
-    "sector-harmonic": replace(_HARMONIC, label="[half-harmonic-Weyl,4D]"),
-    "einstein": Gate("[Einstein,4D]", lambda p: p.einstein is not None,
-                     lambda sector: sector.is_einstein),
-    "einstein-parallel-sector": Gate(
-        "[Einstein,parallel-sector,4D]",
-        lambda p: p.einstein is not None and p.parallel_weyl,
-        lambda sector: sector.is_einstein and sector.is_parallel,
-        lambda sector: sector.is_nonzero),
-    "conformal": Gate("[conformally-flat]", lambda p: p.conformally_flat,
-                      lambda pd: pd.is_conformally_flat),
-}
 
 
 def gate_satisfied(spec: IdentitySpec, sector: SectorPack) -> bool:

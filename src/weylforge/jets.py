@@ -234,10 +234,6 @@ def gradient_coeffs(a: np.ndarray, order: int) -> np.ndarray:
     return a[..., src] * fac
 
 
-def truncate_coeffs(a: np.ndarray, order_out: int) -> np.ndarray:
-    return a[..., :n_coeffs(order_out)]
-
-
 class JetDomainError(ValueError):
     """Elementary function applied outside its domain (bad constant term)."""
 
@@ -357,7 +353,7 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot extend a jet by truncation")
-        return Jet(order, truncate_coeffs(self.coeffs, order).copy())
+        return Jet(order, self.coeffs[:n_coeffs(order)].copy())
 
     def __repr__(self):
         return f"Jet(order={self.order}, value={self.value!r})"
@@ -432,6 +428,8 @@ def power(a: Jet, p: float) -> Jet:
     Non-negative integer p works for any constant term; otherwise the
     constant term must be strictly positive.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"power needs a finite exponent, got {p}")
     if float(p) == int(p) and p >= 0:
         n = int(p)
         out = Jet.constant(1.0, a.order)

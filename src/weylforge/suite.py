@@ -53,7 +53,7 @@ class RunConfig:
     threads: int | None = None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "manifolds": list(self.manifolds),
             "identities": list(self.identities),
             "points_per_manifold": self.points_per_manifold,
@@ -63,6 +63,11 @@ class RunConfig:
             "output_format": self.output_format,
             "deterministic": self.deterministic,
         }
+        if self.conformal_coeffs is not None:
+            out["conformal_phi"] = {
+                ",".join(map(str, exp)): c
+                for exp, c in self.conformal_coeffs.items()}
+        return out
 
 
 @dataclass
@@ -267,7 +272,6 @@ def run_suite(cfg: RunConfig, catalog: dict | None = None) -> SuiteReport:
         laps = tuple(sorted({f for s in attempted for f in s.laplacians}))
         order = required_jet_order(depth, laps) if fixed_order is None \
             else fixed_order
-        depth = min(depth, order - 2)
         for point in rng.sample_box(chart.domain, cfg.points_per_manifold,
                                     cfg.seed, name):
             rows, point_mismatches = _evaluate_point(

@@ -304,6 +304,8 @@ def test_negative_control_run_exits_0(tmp_path):
 
 
 def test_conformal_phi_flag(tmp_path):
+    """The report's config block records the phi a run used, and only when
+    one is given."""
     code = cli.main(["verify", "--manifolds", "conformally-flat",
                      "--identities", "weyl.conformal-flat", "--points", "2",
                      "--conformal-phi", "2,0,0,0=0.05",
@@ -315,6 +317,10 @@ def test_conformal_phi_flag(tmp_path):
                      "--conformal-phi", '{"1,0,0,0": 0.1}',
                      "--deterministic", "--out", str(tmp_path / "r2.json")])
     assert code == 0
+    phis = [json.loads((tmp_path / name).read_text())["config"]
+            ["conformal_phi"] for name in ("r.json", "r2.json")]
+    assert phis == [{"2,0,0,0": 0.05, "0,1,0,1": -0.04}, {"1,0,0,0": 0.1}]
+    assert "conformal_phi" not in suite.RunConfig().as_dict()
     assert cli.main(["verify", "--conformal-phi", "bogus",
                      "--points", "1"]) == 2
 

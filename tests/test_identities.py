@@ -8,8 +8,8 @@ from dict_point import DictPoint, evaluate
 from weylforge import algebra, charts, rng
 from weylforge.charts import ChartProperties, MetricChart, curvature_at
 from weylforge.identities import (CONTROL_EXPECT_FAIL, OUT_OF_SCOPE, REGISTRY,
-                                  Commutator, PointData, Term, TermList,
-                                  _frobenius,
+                                  Commutator, Equation, PointData, Term,
+                                  TermList, _frobenius, _spec,
                                   gate_satisfied, residual_rel,
                                   static_applicable)
 from weylforge.suite import RunConfig, run_suite
@@ -24,13 +24,93 @@ def test_registry_is_well_formed():
         # the plan: nabla^k W at order 2 for each Laplacian field
         assert spec.jet_order == max(
             [spec.depth + 2]
-            + [4 + charts._LAP_STACK[f] for f in spec.laplacians])
+            + [4 + charts.LAPLACIAN_FIELDS.index(f) for f in spec.laplacians])
         assert spec.tol > 0
         assert spec.anchors
         assert callable(spec.evaluate)
     assert set(CONTROL_EXPECT_FAIL) <= set(REGISTRY)
     out_ids = {e.id for e in OUT_OF_SCOPE}
     assert not out_ids & set(REGISTRY)
+
+
+def _halves(*ids):
+    return tuple(f"{sid}-{h}" for sid in ids for h in ("plus", "minus"))
+
+
+# Every row's (depth, Laplacian fields, homogeneity, jet order), as _spec
+# reads them off the operands the row and its gate read.
+PLANS = {
+    (0, (), 0, 2): ("algebra.quaternionic",),
+    (0, (), 2, 2): ("weyl.decomposition", "weyl.conformal-flat",
+                    "riemann.einstein-form", "operator.block-decomposition",
+                    "bianchi1.weyl", "derdzinski.reconstruction"),
+    (0, (), 4, 2): ("algebra.quadratic",)
+    + _halves("algebra.quadratic.sector"),
+    (0, (), 6, 2): ("algebra.cubic",) + _halves("algebra.cubic.sector"),
+    (0, (), 8, 2): _halves("algebra.quartic.sector"),
+    (1, (), 3, 3): ("cotton.symmetries", "cotton.traces", "cotton.defs-agree",
+                    "harmall.div-free", "bianchi2.fake-weyl")
+    + _halves("derder.reconstruction", "divz.relations"),
+    # W and R only, but the gate measures nabla W
+    (1, (), 4, 3): _halves("gap.pointwise"),
+    (1, (), 6, 3): ("gradweyl.general", "gradweyl.harmonic")
+    + _halves("derder.norm"),
+    (1, (), 8, 3): ("mix.orthogonality", "key2.full", "key1.full")
+    + _halves("derder.cubic", "key1.sector", "key2.sector"),
+    (1, ("w",), 6, 4): ("bochner1.general", "bochner1.4d")
+    + _halves("bochner1.sector"),
+    (2, (), 4, 4): ("commute2.riemann", "commute2.weyl-ricci",
+                    "commute2.einstein", "commute2.einstein-contracted",
+                    "laplacian.harmonic-weyl", "laplacian.4d"),
+    (2, ("dw",), 8, 5): ("bochner2.teo-sbf",),
+    (3, (), 5, 5): ("commute3.riemann", "commutek.k3"),
+    (3, (), 8, 5): ("lem-paolo",),
+    (3, ("dw",), 8, 5): ("bochner2.pro-boch", "bochner2.pro-boch-weyl")
+    + _halves("bochner2.pro-boch"),
+    (4, (), 6, 6): ("commutek.k4",),
+    (4, ("d2w",), 10, 6): ("bochnerk.k2",) + _halves("bochnerk.k2"),
+}
+
+
+def test_rows_plan_what_their_operands_read():
+    """Each row's depth, fields, homogeneity and jet order are PLANS'.
+    Only where a Laplacian field sets the jet order is depth + 2 below
+    it: the bochner1 rows read Delta|W|^2 and nabla W at most, and
+    bochner2.teo-sbf Delta|nabla W|^2 and nabla^2 W."""
+    plans = {sid: plan for plan, ids in PLANS.items() for sid in ids}
+    assert sorted(plans) == sorted(REGISTRY)
+    for sid, spec in REGISTRY.items():
+        assert (spec.depth, spec.laplacians, spec.homogeneity,
+                spec.jet_order) == plans[sid], sid
+    assert {sid for sid, spec in REGISTRY.items()
+            if spec.jet_order > spec.depth + 2} == {
+        "bochner1.general", "bochner1.4d", "bochner1.sector-plus",
+        "bochner1.sector-minus", "bochner2.teo-sbf"}
+    # a field alone needs the depth of its stack
+    lap = _spec("lap", ("none",), "any", 1e-8, lambda sector: (0.0, 1.0),
+                reads=("lap_dw",))
+    assert (lap.depth, lap.laplacians, lap.homogeneity) == (1, ("dw",), 8)
+
+
+def test_mixed_weights_and_stray_block_slots_raise():
+    """A row whose products have two weights, and a block term whose
+    two-form slot meets a frame index, a derivative slot, the sector index
+    or the output, raise ValueError at construction."""
+    w = Term("W_ijkl", 1.0, "ijkl->ijkl", "W")
+    mixed = TermList((Equation((w,), (Term("nabla_t W_ijkl", 1.0,
+                                            "ijklt->ijkl", "nw1"),)),))
+    with pytest.raises(ValueError, match="weights \\[2, 3\\]"):
+        _spec("mixed", ("none",), "any", 1e-8, mixed)
+    with pytest.raises(ValueError, match="weights \\[2, 4\\]"):
+        _spec("mixed", ("none",), "any", 1e-8, lambda sector: (0.0, 1.0),
+              reads=("W", "W W"))
+    for subscripts, operands in (("hxy,xy->", "b0 ric"),
+                                 ("hxyt,hxty->", "b1 b1"),
+                                 ("hxy,xhy->", "b0 b0"),
+                                 ("hxy,hxz->yz", "b0 b0"),
+                                 ("hxy->", "b0")):
+        with pytest.raises(ValueError, match="two-form slot"):
+            Term("stray", 1.0, subscripts, operands)
 
 
 def test_term_lists_are_well_formed():
@@ -343,8 +423,8 @@ def test_commutators_expand_no_derivative_stack(catalog, monkeypatch):
 
 
 # Every term that reads W+- blocks b<k>, by name: its frame-component
-# subscripts and operands, and the factor its coefficient carries, 2 per
-# contracted pair of two-form slots.
+# subscripts and operands, and its factor, 2 per contracted pair of
+# two-form slots.
 FRAME_TWINS = {
     "|W|^2": ("ijkl,ijkl->", "W W", 4),
     "|W|^2 g_tl": ("pqrs,pqrs,tl->tl", "W W g", 4),
@@ -378,7 +458,8 @@ def _assert_block_terms_equal_their_twins(point):
         sector = point.sector(sign)
         for term in _block_terms():
             subscripts, operands, factor = FRAME_TWINS[term.name]
-            twin = Term(term.name, term.coeff / factor, subscripts, operands)
+            assert term.factor == factor, term.name
+            twin = Term(term.name, term.coeff, subscripts, operands)
             ops = [sector.operand(n) for n in operands.split()]
             size = abs(twin.coeff) * np.einsum(subscripts, *map(np.abs, ops))
             got, want = term.value(sector), twin.value(sector)
@@ -552,7 +633,7 @@ def sample_points(catalog):
     """(chart, PointData) at 2 points per catalog chart, depth 4, every
     scalar Laplacian field."""
     return [(chart, PointData(curvature_at(
-                chart, point, depth=4, laplacians=tuple(charts._LAP_STACK))))
+                chart, point, depth=4, laplacians=charts.LAPLACIAN_FIELDS)))
             for name, chart in catalog.items()
             for point in rng.sample_box(chart.domain, 2, 42, name)]
 

@@ -199,6 +199,12 @@ def test_domain_errors_report_value():
         jets.power(bad, 1.5)
 
 
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_non_finite_exponent_is_rejected(p):
+    with pytest.raises(ValueError, match=f"finite exponent, got {p}"):
+        jet_elementary(Jet.constant(2.0, 3), "pow", p)
+
+
 def test_negative_integer_power_matches_recip():
     a = 2.0 + Jet.variable(1, 0.0, 4)
     lhs = jets.power(a, -2.0)
